@@ -13,6 +13,18 @@ DEDUP_ANGLE = 1e-8
 # How far a vector handed to angle() may be from unit length.
 UNIT_SLACK = 1e-6
 
+# Chord |u - v| between unit vectors at angle DEDUP_ANGLE.
+_DEDUP_CHORD = 2.0 * np.sin(DEDUP_ANGLE / 2.0)
+
+# Gram entries above 1 - _GRAM_PREFILTER are candidate duplicates. This is far
+# looser than Gram rounding (~1e-15) and than 1 - cos(DEDUP_ANGLE) (~5e-17), so
+# no pair within DEDUP_ANGLE is missed; the chord then decides each candidate.
+_GRAM_PREFILTER = 1e-9
+
+# Bound on the Gram entries of one row block times the dimension: this caps
+# both the block and the row differences of its candidate pairs.
+_GRAM_BLOCK_ENTRIES = 4_000_000
+
 
 def _check_unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
     v = np.asarray(v, dtype=float)
@@ -24,6 +36,35 @@ def _check_unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
     if abs(norm - 1.0) > UNIT_SLACK:
         raise ValueError(f"{name} is not unit length (|v| = {norm})")
     return v
+
+
+def _first_occurrences(arr: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a unit-row array that survive deduplication.
+
+    Row j is dropped when some earlier *kept* row i has chord
+    ``|u_i - u_j| < 2 sin(DEDUP_ANGLE / 2)``, the greedy first-occurrence rule.
+    The chord is computed from the difference of the rows, which resolves
+    angles far below DEDUP_ANGLE, where arccos of a rounded dot product cannot.
+    Candidate pairs come from the Gram matrix, formed in row blocks.
+    """
+    m, dim = arr.shape
+    dropped = np.zeros(m, dtype=bool)
+    block = max(1, _GRAM_BLOCK_ENTRIES // (m * dim))
+    for start in range(0, m, block):
+        gram = arr[start : start + block] @ arr.T
+        rows, cols = np.nonzero(gram > 1.0 - _GRAM_PREFILTER)
+        rows += start
+        upper = cols > rows
+        rows, cols = rows[upper], cols[upper]
+        close = np.linalg.norm(arr[rows] - arr[cols], axis=1) < _DEDUP_CHORD
+        rows, cols = rows[close], cols[close]
+        # pairs arrive in row-major order, so when row i is reached every
+        # earlier row has been decided and i's own status is final
+        heads, first = np.unique(rows, return_index=True)
+        for i, group in zip(heads, np.split(cols, first[1:])):
+            if not dropped[i]:
+                dropped[group] = True
+    return np.flatnonzero(~dropped)
 
 
 def angle(v, w) -> float:
@@ -65,8 +106,12 @@ def theta_neighborhood_contains(v, dirset, theta: float) -> bool:
 class DirectionSet:
     """A nonempty finite set of unit vectors in R^dim.
 
-    Rows of ``directions`` are the unit vectors; near-duplicates (angle below
-    ``DEDUP_ANGLE``) are removed on construction, keeping first occurrences.
+    Rows of ``directions`` are the unit vectors, renormalized on construction.
+    Near-duplicates are removed with the greedy first-occurrence rule: a row
+    goes when an earlier kept row lies within chord ``2 sin(DEDUP_ANGLE / 2)``
+    of it, i.e. at angle below ``DEDUP_ANGLE``. The chord is measured on the
+    row difference, which resolves angles down to roundoff. The cost is one
+    O(m^2 dim) numpy Gram product, formed in row blocks of bounded size.
     ``tolerance`` is the accepted slack on unit length of the input rows.
     """
 
@@ -92,17 +137,7 @@ class DirectionSet:
             raise ValueError(f"directions must be unit vectors (worst slack {worst:.3e})")
         # renormalize exactly, then deduplicate
         arr = arr / norms[:, None]
-        keep = []
-        for i in range(arr.shape[0]):
-            dup = False
-            for j in keep:
-                c = float(np.clip(arr[i] @ arr[j], -1.0, 1.0))
-                if np.arccos(c) < DEDUP_ANGLE:
-                    dup = True
-                    break
-            if not dup:
-                keep.append(i)
-        arr = np.ascontiguousarray(arr[keep])
+        arr = np.ascontiguousarray(arr[_first_occurrences(arr)])
         arr.setflags(write=False)
         object.__setattr__(self, "directions", arr)
 

@@ -316,3 +316,22 @@ def test_criterion_9_first_order_law():
         ok,
         f"max normalized residual {worst:.4f} <= 2 over all critical points of T^2, T^3",
     )
+
+
+# ---------------------------------------------------------------- criterion 10
+
+
+def test_criterion_10_direction_set_build_time():
+    """A DirectionSet of 2000 random rows in R^8 builds in under 1 s."""
+    rng = np.random.default_rng(2000)
+    raw = rng.standard_normal((2000, 8))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    start = time.perf_counter()
+    ds = DirectionSet.from_vectors(raw)
+    elapsed = time.perf_counter() - start
+    ok = len(ds) == 2000 and elapsed < 1.0
+    assert _verdict(
+        "criterion 10 direction set build time",
+        ok,
+        f"m=2000 rows in R^8, {len(ds)} kept, built in {elapsed:.3f}s < 1s",
+    )

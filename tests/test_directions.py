@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subindex.convexity import classification_report
 from subindex.directions import (
+    DEDUP_ANGLE,
     DirectionSet,
     angle,
     angles_to_set,
     min_angle_to_set,
     theta_neighborhood_contains,
 )
+from subindex.errors import SubindexError
 
 
 def test_angle_orthogonal_pair():
@@ -53,6 +57,108 @@ def test_direction_set_keeps_first_occurrence():
     ds = DirectionSet.from_vectors(u)
     np.testing.assert_array_equal(ds.directions[0], [0.0, 1.0])
     assert len(ds) == 2
+
+
+def _unit_rows(raw: np.ndarray) -> np.ndarray:
+    return raw / np.linalg.norm(raw, axis=1)[:, None]
+
+
+def _turned_copy(rng: np.random.Generator, u: np.ndarray, theta: float) -> np.ndarray:
+    """u turned by angle theta toward a random perpendicular direction."""
+    t = rng.standard_normal(u.shape[0])
+    t -= (t @ u) * u
+    return math.cos(theta) * u + math.sin(theta) * (t / np.linalg.norm(t))
+
+
+def _greedy_chord_reference(unit: np.ndarray) -> list[int]:
+    """Slow first-occurrence dedup: drop a row within the DEDUP_ANGLE chord of
+    an earlier kept row."""
+    chord = 2.0 * math.sin(DEDUP_ANGLE / 2.0)
+    keep: list[int] = []
+    for i in range(unit.shape[0]):
+        if all(np.linalg.norm(unit[i] - unit[j]) >= chord for j in keep):
+            keep.append(i)
+    return keep
+
+
+def _arccos_reference(unit: np.ndarray) -> np.ndarray:
+    """The dedup loop this package used before the chord test: arccos of the dot."""
+    keep: list[int] = []
+    for i in range(unit.shape[0]):
+        if all(np.arccos(np.clip(unit[i] @ unit[j], -1.0, 1.0)) >= DEDUP_ANGLE for j in keep):
+            keep.append(i)
+    return np.array(keep, dtype=int)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_direction_set_collapses_exact_copy(dim: int):
+    # arccos of a dot rounding to 1 - 2**-53 reads 1.49e-8 > DEDUP_ANGLE, which
+    # kept some exact copies twice; the chord of an exact copy is 0
+    rng = np.random.default_rng([dim, 1])
+    for _ in range(50):
+        u = _unit_rows(rng.standard_normal((1, dim)))[0]
+        ds = DirectionSet.from_vectors(np.array([u, u.copy()]))
+        assert len(ds) == 1
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+@pytest.mark.parametrize(
+    "theta, kept",
+    [(5e-9, [0, 2]), (9.9e-9, [0, 2]), (1.01e-8, [0, 1, 2]), (2e-8, [0, 1, 2])],
+)
+def test_direction_set_dedup_resolves_threshold(dim: int, theta: float, kept: list[int]):
+    """A copy turned below DEDUP_ANGLE collapses onto the first row; above, it stays."""
+    rng = np.random.default_rng([dim, int(theta * 1e12)])
+    for _ in range(50):
+        u = _unit_rows(rng.standard_normal((1, dim)))[0]
+        other = _unit_rows(rng.standard_normal((1, dim)))[0]
+        raw = np.array([u, _turned_copy(rng, u, theta), other])
+        ds = DirectionSet.from_vectors(raw)
+        np.testing.assert_array_equal(ds.directions, _unit_rows(raw)[kept])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 8),
+    m=st.integers(1, 12),
+    copies=st.integers(0, 12),
+)
+def test_direction_set_dedup_matches_greedy_reference(seed: int, n: int, m: int, copies: int):
+    """Same kept rows, in the same order, as the slow greedy chord loop."""
+    rng = np.random.default_rng(seed)
+    rows = list(_unit_rows(rng.standard_normal((m, n))))
+    for _ in range(copies):
+        # copies of copies make chains whose greedy outcome depends on order
+        src = rows[int(rng.integers(len(rows)))]
+        kind = int(rng.integers(3))
+        theta = (0.0, rng.uniform(0.0, 0.9e-8), rng.uniform(1.1e-8, 1e-6))[kind]
+        rows.append(_turned_copy(rng, src, theta))
+    raw = np.array(rows)[rng.permutation(len(rows))]
+    ds = DirectionSet.from_vectors(raw)
+    unit = _unit_rows(raw)
+    np.testing.assert_array_equal(ds.directions, unit[_greedy_chord_reference(unit)])
+
+
+def _report_or_error(dirset: DirectionSet):
+    try:
+        return classification_report(dirset)
+    except SubindexError as exc:  # an ambiguous-band refusal must repeat too
+        return type(exc).__name__
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 6), m=st.integers(1, 10))
+def test_classification_report_unchanged_on_distinct_rows(seed: int, n: int, m: int):
+    """On sets without near-duplicates the chord dedup and the old arccos loop
+    keep the same rows, so the classification report cannot change."""
+    rng = np.random.default_rng(seed)
+    unit = _unit_rows(rng.standard_normal((m, n)))
+    ds = DirectionSet.from_vectors(unit)
+    with mock.patch("subindex.directions._first_occurrences", _arccos_reference):
+        legacy = DirectionSet.from_vectors(unit)
+    np.testing.assert_array_equal(ds.directions, legacy.directions)
+    assert _report_or_error(ds) == _report_or_error(legacy)
 
 
 def test_direction_set_renormalizes_within_slack():

@@ -14,7 +14,7 @@ Subcommands:
 Reports are written atomically (temp file then rename) and are byte-stable
 for a fixed configuration, including the seed. Exit status is 0 when every
 contracted check in the requested run passes, 1 on a failed check, 2 on a
-usage error. The SUBINDEX_THREADS environment variable caps worker threads.
+usage error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,17 +48,6 @@ SCHEMA_VERSION = "1"
 
 class UsageError(Exception):
     pass
-
-
-def worker_cap() -> int:
-    """Thread budget for parallel suites; SUBINDEX_THREADS overrides."""
-    raw = os.environ.get("SUBINDEX_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise UsageError(f"SUBINDEX_THREADS must be an integer, got {raw!r}")
-    return max(1, os.cpu_count() or 1)
 
 
 @dataclass
@@ -106,9 +94,12 @@ def _write_report(text: str, out: str | None):
 
 def _parse_point(text: str) -> np.ndarray:
     try:
-        return np.array([float(part) for part in text.split(",")])
+        point = np.array([float(part) for part in text.split(",")])
     except ValueError:
         raise UsageError(f"cannot parse coordinates from {text!r}")
+    if not np.all(np.isfinite(point)):
+        raise UsageError(f"coordinates must be finite, got {text!r}")
+    return point
 
 
 # --------------------------------------------------------------------------
@@ -188,12 +179,9 @@ def _cmd_torus_classify(cfg: RunConfig):
 def _cmd_torus_connectivity(cfg: RunConfig):
     dim = cfg.options["dim"]
     torus = _torus_field(cfg, dim)
-    try:
-        report = torus.sublevel_connectivity(
-            level=cfg.options["level"], eps=cfg.options["eps"], grid=cfg.options["grid"]
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = torus.sublevel_connectivity(
+        level=cfg.options["level"], eps=cfg.options["eps"], grid=cfg.options["grid"]
+    )
     report["schema_version"] = SCHEMA_VERSION
     report["dim"] = dim
     return report, bool(report["all_outer_meet_inner"]), None
@@ -215,6 +203,8 @@ def _cmd_flow_verify(cfg: RunConfig):
         raise UsageError("flow-verify needs --dim >= 2")
     if radius <= 0:
         raise UsageError("--radius must be positive")
+    if samples < 1:
+        raise UsageError("--samples must be at least 1")
     slack_tol = cfg.tol if cfg.tol is not None else 1e-12
     rng = np.random.default_rng(cfg.seed)
     drift = drift_length(radius)
@@ -247,9 +237,7 @@ def _cmd_flow_verify(cfg: RunConfig):
     inner_count = min(samples, 1000)
     inner = _ball_samples(rng, inner_count, dim, radius)
     inner = inner[np.linalg.norm(inner, axis=1) > 1e-9]
-    with ThreadPoolExecutor(max_workers=worker_cap()) as pool:
-        arrivals = list(pool.map(lambda y: cutoff_linear_flow(y, 1.0, radius), inner))
-    arrivals = np.array(arrivals)
+    arrivals = np.array([cutoff_linear_flow(y, 1.0, radius) for y in inner])
     exit_slack = np.linalg.norm(arrivals, axis=1) - drift
     record("omega_exit", exit_slack + 1e-8, 0.0)
 
@@ -532,12 +520,25 @@ _HANDLERS = {
 _GLOBAL_KEYS = {"command", "tol", "seed", "fmt", "out"}
 
 
+def _check_out_path(path: str | None):
+    if path and os.path.isdir(path):
+        raise UsageError(f"output path {path!r} is a directory")
+    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise UsageError(f"directory of {path!r} does not exist")
+
+
 def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit status."""
+    """Dispatch a parsed configuration; returns the process exit status.
+
+    A library ValueError means the arguments were out of the function's
+    domain, so it is reported as a usage error.
+    """
     handler = _HANDLERS[config.command]
     try:
+        _check_out_path(config.out)
+        _check_out_path(config.options.get("emit_trajectories"))
         payload, passed, table = handler(config)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SubindexError as exc:

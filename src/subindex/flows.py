@@ -35,18 +35,14 @@ from .sampling import covering_bound, sphere_samples
 
 COS_TERMINAL = -math.sqrt(1.0 / 11.0)
 BLOCK_TOL = 1e-6  # distance to a factor sphere below which splits are refused
+ODE_ATOL = 1e-10  # tolerances of the scalar cutoff-flow ODE
+ODE_RTOL = 1e-9
 
 
-def drift_length(radius: float, legacy_duration: bool = False) -> float:
-    """Extra flow time past the perpendicular foot: R/sqrt(10).
-
-    ``legacy_duration`` selects the dimensionally inconsistent variant
-    sqrt(R/10), kept only for comparison.
-    """
+def drift_length(radius: float) -> float:
+    """Extra flow time past the perpendicular foot: R/sqrt(10)."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if legacy_duration:
-        return math.sqrt(radius / 10.0)
     return radius / math.sqrt(10.0)
 
 
@@ -472,55 +468,50 @@ class BumpProfile:
         return cls(inner=1.5 * radius, outer=2.0 * radius)
 
 
-def bump_flow(
-    y,
-    duration: float,
-    radius: float,
-    profile: BumpProfile | None = None,
-    atol: float = 1e-10,
-    rtol: float = 1e-9,
-) -> np.ndarray:
-    """Flow of the field x -> -f(|x|) e1 for the given time.
+def _flow_x0(y: np.ndarray, times: np.ndarray, radius: float) -> np.ndarray:
+    """First coordinate of the bump flow from y at the sorted times.
 
-    Points on or outside the profile's support are returned unchanged (the
-    field vanishes there, exactly). When the whole straight segment stays in
-    the f == 1 core the closed form y - duration*e1 is used; otherwise the
-    trajectory is integrated adaptively.
+    The field -f(|x|) e1 never moves the perpendicular coordinates, so the
+    flow is the scalar ODE x0' = -f(sqrt(x0^2 + rho^2)) with rho = |y_perp|
+    fixed. Points on or outside the profile's support never move (the field
+    vanishes there, exactly). When the whole straight segment stays in the
+    f == 1 core the closed form y0 - t is used; otherwise the scalar ODE is
+    integrated adaptively.
     """
-    y = np.asarray(y, dtype=float)
+    duration = float(times[-1])
     if duration < 0:
         raise ValueError("duration must be nonnegative")
-    profile = profile or BumpProfile.for_radius(radius)
+    profile = BumpProfile.for_radius(radius)
     norm_y = float(np.linalg.norm(y))
-    if norm_y >= profile.outer:
-        return y.copy()
-    end = linear_flow(y, duration)
+    if norm_y >= profile.outer or duration == 0.0:
+        return np.full(times.shape, y[0])
     # |y - s*e1| is a convex parabola in s, so the max over the segment is at
     # an endpoint; both inside the core means the field is -e1 all along
-    if max(norm_y, float(np.linalg.norm(end))) <= profile.inner:
-        return end
+    if max(norm_y, float(np.linalg.norm(linear_flow(y, duration)))) <= profile.inner:
+        return y[0] - times
+    rho = float(np.linalg.norm(y[1:]))
     sol = solve_ivp(
-        lambda _t, x: np.array([-float(profile(np.linalg.norm(x)))] + [0.0] * (len(x) - 1)),
+        lambda _t, x: -profile(np.hypot(x, rho)),
         (0.0, duration),
-        y,
+        y[:1],
         method="DOP853",
-        atol=atol,
-        rtol=rtol,
+        t_eval=times,
+        atol=ODE_ATOL,
+        rtol=ODE_RTOL,
     )
     if not sol.success:
         raise IntegrationFailureError(f"flow integration failed: {sol.message}")
-    return sol.y[:, -1]
+    return sol.y[0]
 
 
-def cutoff_linear_flow(
-    y,
-    t: float,
-    radius: float,
-    profile: BumpProfile | None = None,
-    legacy_duration: bool = False,
-    atol: float = 1e-10,
-    rtol: float = 1e-9,
-) -> np.ndarray:
+def bump_flow(y, duration: float, radius: float) -> np.ndarray:
+    """Flow of the field x -> -f(|x|) e1 for the given time."""
+    out = np.array(y, dtype=float)
+    out[0] = _flow_x0(out, np.array([float(duration)]), radius)[0]
+    return out
+
+
+def cutoff_linear_flow(y, t: float, radius: float) -> np.ndarray:
     """Unit-time normalization of the bump flow.
 
     The total flow time at t = 1 is the perpendicular-foot time of y plus the
@@ -530,34 +521,16 @@ def cutoff_linear_flow(
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     y = np.asarray(y, dtype=float)
-    duration = (perp_time(y) + drift_length(radius, legacy_duration)) * t
-    return bump_flow(y, duration, radius, profile=profile, atol=atol, rtol=rtol)
+    duration = (perp_time(y) + drift_length(radius)) * t
+    return bump_flow(y, duration, radius)
 
 
 def bump_flow_trajectory(
-    y,
-    duration: float,
-    radius: float,
-    steps: int = 50,
-    profile: BumpProfile | None = None,
-    atol: float = 1e-10,
-    rtol: float = 1e-9,
+    y, duration: float, radius: float, steps: int = 50
 ) -> tuple[np.ndarray, np.ndarray]:
     """(times, points) along the bump flow, for reports and CSV emission."""
     y = np.asarray(y, dtype=float)
-    profile = profile or BumpProfile.for_radius(radius)
     times = np.linspace(0.0, duration, steps)
-    if float(np.linalg.norm(y)) >= profile.outer or duration == 0.0:
-        return times, np.tile(y, (steps, 1))
-    sol = solve_ivp(
-        lambda _t, x: np.array([-float(profile(np.linalg.norm(x)))] + [0.0] * (len(x) - 1)),
-        (0.0, duration),
-        y,
-        method="DOP853",
-        t_eval=times,
-        atol=atol,
-        rtol=rtol,
-    )
-    if not sol.success:
-        raise IntegrationFailureError(f"flow integration failed: {sol.message}")
-    return times, sol.y.T
+    points = np.tile(y, (steps, 1))
+    points[:, 0] = _flow_x0(y, times, radius)
+    return times, points

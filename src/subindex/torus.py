@@ -171,8 +171,12 @@ class TorusDistanceField:
         return records
 
     def _scan_for_extra_critical_points(self, scan_resolution: int | None):
-        resolution = scan_resolution or _SCAN_RESOLUTION.get(self.dim, 5)
-        axes = np.arange(resolution) / resolution
+        if scan_resolution is None:
+            scan_resolution = _SCAN_RESOLUTION.get(self.dim, 5)
+        elif scan_resolution < 3:
+            # at 1 and 2 every grid point is a candidate, so nothing is scanned
+            raise ValueError("scan_resolution must be at least 3")
+        axes = np.arange(scan_resolution) / scan_resolution
         grid = np.array(list(itertools.product(axes, repeat=self.dim)))
         # drop grid points sitting on known critical points (all coords in {0, 1/2})
         on_candidate = np.all(

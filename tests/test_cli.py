@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from subindex.cli import RunConfig, build_parser, main, run, worker_cap
+from subindex.cli import RunConfig, build_parser, main, run
 from subindex.directions import DirectionSet
 
 
@@ -212,19 +212,41 @@ def test_jacobi_verify_all_checks_pass(capsys):
     assert all(c["passed"] for c in out["checks"])
 
 
-def test_worker_cap_honors_environment(monkeypatch):
-    monkeypatch.setenv("SUBINDEX_THREADS", "2")
-    assert worker_cap() == 2
-    monkeypatch.setenv("SUBINDEX_THREADS", "0")
-    assert worker_cap() == 1
-    monkeypatch.delenv("SUBINDEX_THREADS")
-    assert worker_cap() >= 1
-
-
-def test_worker_cap_garbage_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("SUBINDEX_THREADS", "many")
-    code = main(["flow-verify", "--dim", "2", "--radius", "1", "--samples", "50"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torus-table", "--dim", "0"],
+        ["jacobi-index", "--curvature", "1", "--length", "0"],
+        ["torus-classify", "--dim", "2", "--point", "0.5,0.5"],
+        ["torus-classify", "--dim", "2", "--point", "nan,0.1"],
+        ["torus-classify", "--dim", "2", "--point", "0.1,inf"],
+        ["torus-table", "--dim", "1", "--out", "{missing}/x.json"],
+        ["torus-table", "--dim", "1", "--out", "{tmp}"],
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "0"],
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "-5"],
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5",
+         "--emit-trajectories", "{missing}/t.csv"],
+        ["torus-table", "--dim", "2", "--grid", "0"],
+        ["torus-table", "--dim", "2", "--grid", "2"],
+    ],
+)
+def test_bad_input_is_usage_error_without_traceback(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    out = tmp_path / "report.json"
+    argv = [a.format(missing=missing, tmp=tmp_path) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    code = main(argv)
+    err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_torus_table_smallest_scan_grid(capsys):
+    assert main(["torus-table", "--dim", "2", "--grid", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"] == {"1": 2, "2": 1}
 
 
 def test_run_config_dataclass_dispatch(capsys):

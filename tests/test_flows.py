@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from subindex.directions import DirectionSet, angle, min_angle_to_set
 from subindex.errors import SingularSplitError, UnsupportedConfigurationError
@@ -39,9 +40,6 @@ CANONICAL = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 def test_drift_length_values():
     assert drift_length(1.0) == pytest.approx(1 / math.sqrt(10))
     assert drift_length(4.0) == pytest.approx(4 / math.sqrt(10))
-    # the legacy variant keeps the square root around the whole ratio
-    assert drift_length(4.0, legacy_duration=True) == pytest.approx(math.sqrt(0.4))
-    assert drift_length(1.0) == drift_length(1.0, legacy_duration=True)
 
 
 def test_sphere_split_roundtrip():
@@ -258,6 +256,35 @@ def test_bump_flow_trajectory_shapes():
     assert np.all(np.diff(pts[:, 0]) <= 1e-15)
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 5),
+    radius=st.floats(0.5, 2.0),
+    scale=st.floats(1.5, 1.8),
+)
+def test_shell_flow_matches_quadrature_oracle(seed: int, n: int, radius: float, scale: float):
+    """Second route for the ODE path in the cutoff shell 1.5R <= |y| < 2R.
+
+    x0 falls at rate f(sqrt(x0^2 + rho^2)), so the time to reach x0(t) from
+    y0 is the integral of 1/f(sqrt(s^2 + rho^2)) over [x0(t), y0].
+    """
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(n)
+    y[0] = abs(y[0])
+    y *= scale * radius / np.linalg.norm(y)
+    ts, pts = bump_flow_trajectory(y, drift_length(radius) + y[0], radius, steps=25)
+    assert np.array_equal(pts[:, 1:], np.tile(y[1:], (ts.size, 1)))
+    assert np.all(np.diff(pts[:, 0]) <= 0)
+    profile = BumpProfile.for_radius(radius)
+    rho = float(np.linalg.norm(y[1:]))
+    for t, x0 in zip(ts, pts[:, 0]):
+        elapsed, _ = quad(
+            lambda s: 1.0 / profile(math.hypot(s, rho)), x0, y[0], epsabs=0.0, epsrel=1e-10, limit=200
+        )
+        assert elapsed == pytest.approx(t, rel=1e-6)
+
+
 def test_cutoff_flow_time_zero_is_identity():
     y = np.array([0.3, 0.2])
     np.testing.assert_allclose(cutoff_linear_flow(y, 0.0, 1.0), y, atol=1e-15)
@@ -267,15 +294,6 @@ def test_cutoff_flow_reaches_drifted_endpoint():
     y = np.array([0.3, 0.2])
     expected = y - (perp_time(y) + drift_length(1.0)) * np.array([1.0, 0.0])
     np.testing.assert_allclose(cutoff_linear_flow(y, 1.0, 1.0), expected, atol=1e-12)
-
-
-def test_cutoff_flow_legacy_duration_flag():
-    y = np.array([0.3, 0.2, 0.0])
-    slow = cutoff_linear_flow(y, 1.0, 4.0)
-    fast = cutoff_linear_flow(y, 1.0, 4.0, legacy_duration=True)
-    assert slow[0] != fast[0]
-    drift_gap = math.sqrt(0.4) - 4.0 / math.sqrt(10)
-    assert fast[0] - slow[0] == pytest.approx(-drift_gap, abs=1e-10)
 
 
 def test_align_soul_canonical_set():

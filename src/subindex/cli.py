@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jacobi
-from .convexity import classification_report
+from .convexity import classification_report, sub_index_to_json
 from .directions import DirectionSet, min_angle_to_set
 from .errors import SubindexError
 from .flows import (
@@ -169,9 +169,7 @@ def _cmd_torus_classify(cfg: RunConfig):
         "directions": None,
     }
     if record is not None:
-        payload["sub_index"] = (
-            "inf" if math.isinf(record.sub_index) else int(record.sub_index)
-        )
+        payload["sub_index"] = sub_index_to_json(record.sub_index)
         payload["directions"] = [[float(v) for v in d] for d in record.directions]
     return payload, True, None
 
@@ -527,6 +525,12 @@ def _check_out_path(path: str | None):
         raise UsageError(f"directory of {path!r} does not exist")
 
 
+def _check_finite(config: RunConfig):
+    for name, value in [("tol", config.tol), *config.options.items()]:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def run(config: RunConfig) -> int:
     """Dispatch a parsed configuration; returns the process exit status.
 
@@ -535,6 +539,7 @@ def run(config: RunConfig) -> int:
     """
     handler = _HANDLERS[config.command]
     try:
+        _check_finite(config)
         _check_out_path(config.out)
         _check_out_path(config.options.get("emit_trajectories"))
         payload, passed, table = handler(config)

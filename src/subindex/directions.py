@@ -129,6 +129,8 @@ class DirectionSet:
             raise ValueError(
                 f"directions have dimension {arr.shape[1]}, expected {self.dim}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("directions must be finite")
         if self.tolerance < 0:
             raise ValueError("tolerance must be nonnegative")
         norms = np.linalg.norm(arr, axis=1)

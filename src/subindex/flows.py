@@ -323,29 +323,6 @@ def arrival_bounds_many(ys: np.ndarray, radius: float, path_samples: int = 64):
     return cos_final, norm_path_max, norm_final, slack_cos, slack_path, slack_exit
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """A flow seed: the moving point, the ball radius, and optional cap angle."""
-
-    y: np.ndarray
-    radius: float
-    alpha0: float | None = None
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        if y.ndim != 1:
-            raise ValueError("y must be a vector")
-        object.__setattr__(self, "y", y)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.alpha0 is not None and not 0 < self.alpha0 < math.pi / 2:
-            raise ValueError("alpha0 must lie in (0, pi/2)")
-
-    @property
-    def t_y(self) -> float:
-        return perp_time(self.y)
-
-
 # --------------------------------------------------------------------------
 # soul alignment and the terminal-cap angle bound
 # --------------------------------------------------------------------------

@@ -30,6 +30,10 @@ from .errors import InternalInconsistencyError, UnsupportedConfigurationError
 # default grid resolutions for the exhaustive regularity scan, by dimension
 _SCAN_RESOLUTION = {1: 101, 2: 31, 3: 13, 4: 7, 5: 5}
 
+# Bound on points x translates x dim of one block of point-to-translate
+# differences; every distance, up-set and scan computation goes through it.
+_BLOCK_ENTRIES = 4_000_000
+
 
 def reduce_point(x) -> np.ndarray:
     """Reduce coordinates mod 1 into [0, 1)."""
@@ -50,15 +54,14 @@ class TorusDistanceField:
     """dist(., K) on the unit torus for a finite base set K.
 
     ``base`` may be a single point or a stack of points (distance is then the
-    min over the stack). ``enumeration_radius`` bounds the lattice translates
-    searched; 1 is exhaustive for the unit torus. ``tie_tol`` is the absolute
-    tolerance on squared distances under which a translate counts as
-    minimizing.
+    min over the stack). The translates searched are the offsets {-1, 0, 1}^n
+    of every base point, which is exhaustive for the unit torus. ``tie_tol``
+    is the absolute tolerance on squared distances under which a translate
+    counts as minimizing.
     """
 
     dim: int
     base: np.ndarray = None
-    enumeration_radius: int = 1
     tie_tol: float = 1e-9
 
     def __post_init__(self):
@@ -73,21 +76,25 @@ class TorusDistanceField:
             if arr.ndim != 2 or arr.shape[1] != self.dim:
                 raise ValueError("base must be one or more points of dimension dim")
             self.base = arr
-        if self.enumeration_radius < 1:
-            raise ValueError("enumeration_radius must be at least 1")
-
-    @cached_property
-    def _offsets(self) -> np.ndarray:
-        r = self.enumeration_radius
-        grid = np.array(
-            list(itertools.product(range(-r, r + 1), repeat=self.dim)), dtype=float
-        )
-        return grid
+        if not 0.0 <= self.tie_tol < np.inf:
+            raise ValueError(f"tie_tol must be finite and nonnegative, got {self.tie_tol}")
 
     @cached_property
     def _targets(self) -> np.ndarray:
-        # all lattice translates of all base points, shape (B*O, dim)
-        return (self.base[:, None, :] + self._offsets[None, :, :]).reshape(-1, self.dim)
+        # all lattice translates of all base points, shape (B * 3^n, dim)
+        offsets = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=self.dim)))
+        return (self.base[:, None, :] + offsets[None, :, :]).reshape(-1, self.dim)
+
+    def _blocks(self, pts: np.ndarray):
+        """Yield ``(start, diff, sq)`` over row blocks of reduced points.
+
+        ``diff[i, j]`` is translate j minus point ``start + i`` and ``sq`` its
+        squared norm; a block holds at most ``_BLOCK_ENTRIES`` floats of diff.
+        """
+        rows = max(1, _BLOCK_ENTRIES // self._targets.size)
+        for start in range(0, pts.shape[0], rows):
+            diff = self._targets[None, :, :] - pts[start : start + rows, None, :]
+            yield start, diff, (diff * diff).sum(axis=2)
 
     def distance(self, x) -> float:
         return float(self.distance_many(np.asarray(x, float)[None, :])[0])
@@ -98,28 +105,24 @@ class TorusDistanceField:
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError("points must have shape (N, dim)")
         out = np.empty(pts.shape[0])
-        chunk = max(1, int(4_000_000 // max(1, self._targets.shape[0])))
-        for start in range(0, pts.shape[0], chunk):
-            block = pts[start : start + chunk]
-            diff = self._targets[None, :, :] - block[:, None, :]
-            out[start : start + chunk] = np.sqrt((diff * diff).sum(axis=2).min(axis=1))
+        for start, _, sq in self._blocks(pts):
+            out[start : start + sq.shape[0]] = np.sqrt(sq.min(axis=1))
         return out
 
-    def up_set(self, x, tie_tol: float | None = None) -> DirectionSet:
+    def up_set(self, x) -> DirectionSet:
         """Unit directions toward every minimizing lattice translate of the base.
 
         Ties are decided on squared distances within ``tie_tol``.
         """
-        tol = self.tie_tol if tie_tol is None else tie_tol
         x = reduce_point(x)
         if x.shape != (self.dim,):
             raise ValueError(f"point must have shape ({self.dim},)")
-        diff = self._targets - x[None, :]
-        sq = (diff * diff).sum(axis=1)
+        [(_, diff, sq)] = self._blocks(x[None, :])
+        diff, sq = diff[0], sq[0]
         smallest = float(sq.min())
         if smallest < 1e-24:
             raise ValueError("the point coincides with a base point; no directions exist")
-        rows = diff[sq <= smallest + tol]
+        rows = diff[sq <= smallest + self.tie_tol]
         dirs = rows / np.linalg.norm(rows, axis=1)[:, None]
         return DirectionSet(self.dim, dirs)
 
@@ -183,30 +186,24 @@ class TorusDistanceField:
             (np.abs(grid) < 1e-12) | (np.abs(grid - 0.5) < 1e-12), axis=1
         )
         grid = grid[~on_candidate]
-        diff = self._targets[None, :, :] - grid[:, None, :]
-        sq = (diff * diff).sum(axis=2)
-        smallest = sq.min(axis=1)
-        ties = sq <= (smallest + self.tie_tol)[:, None]
-        counts = ties.sum(axis=1)
-        suspects = np.nonzero(counts > 1)[0]
-        for idx in suspects:
-            rows = diff[idx][ties[idx]]
-            dirs = rows / np.linalg.norm(rows, axis=1)[:, None]
-            # cheap separating certificate: the summed direction works for
-            # every regular tie on this lattice
-            w = dirs.sum(axis=0)
-            if np.all(dirs @ w > 1e-12):
-                continue
-            if is_critical(DirectionSet(self.dim, dirs)):
-                raise InternalInconsistencyError(
-                    f"grid scan found an unexpected critical point at {grid[idx]}"
-                )
+        for start, diff, sq in self._blocks(grid):
+            ties = sq <= (sq.min(axis=1) + self.tie_tol)[:, None]
+            for idx in np.nonzero(ties.sum(axis=1) > 1)[0]:
+                rows = diff[idx][ties[idx]]
+                dirs = rows / np.linalg.norm(rows, axis=1)[:, None]
+                # cheap separating certificate: the summed direction works for
+                # every regular tie on this lattice
+                w = dirs.sum(axis=0)
+                if np.all(dirs @ w > 1e-12):
+                    continue
+                if is_critical(DirectionSet(self.dim, dirs)):
+                    raise InternalInconsistencyError(
+                        f"grid scan found an unexpected critical point at {grid[start + idx]}"
+                    )
 
-    def betti_table(
-        self, scan_resolution: int | None = None, verify: bool = True
-    ) -> dict[int, int]:
+    def betti_table(self, scan_resolution: int | None = None) -> dict[int, int]:
         """Histogram sub-index -> count over all critical points."""
-        records = self.enumerate_critical_points(scan_resolution, verify=verify)
+        records = self.enumerate_critical_points(scan_resolution)
         table: dict[int, int] = {}
         for rec in records:
             key = int(rec.sub_index)
@@ -264,7 +261,7 @@ class TorusDistanceField:
         outer = dist < level + eps
         inner = dist < level - eps
 
-        def component_labels(mask: np.ndarray) -> tuple[int, np.ndarray]:
+        def component_labels(mask: np.ndarray) -> np.ndarray:
             n_nodes = mask.size
             idx = np.arange(n_nodes).reshape(shape)
             rows, cols = [], []
@@ -279,22 +276,14 @@ class TorusDistanceField:
             graph = coo_matrix(
                 (np.ones(rows.size), (rows, cols)), shape=(n_nodes, n_nodes)
             )
-            n_comp, labels = connected_components(graph, directed=False)
-            labels = labels.copy()
-            labels[~mask] = -1
-            # renumber the components that actually live on the mask
-            live = np.unique(labels[mask])
-            remap = {int(old): new for new, old in enumerate(live)}
-            for old, new in remap.items():
-                labels[labels == old] = new
-            return len(live), labels
+            return connected_components(graph, directed=False)[1]
 
-        n_outer, outer_labels = component_labels(outer)
-        n_inner, _ = component_labels(inner)
-        meets = 0
-        for comp in range(n_outer):
-            if np.any(inner & (outer_labels == comp)):
-                meets += 1
+        outer_labels = component_labels(outer)
+        n_outer = np.unique(outer_labels[outer]).size
+        n_inner = np.unique(component_labels(inner)[inner]).size
+        # inner is a subset of outer (eps > 0), so this counts outer
+        # components that meet inner
+        meets = np.unique(outer_labels[inner]).size
         return {
             "level": float(level),
             "eps": float(eps),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -334,4 +335,24 @@ def test_criterion_10_direction_set_build_time():
         "criterion 10 direction set build time",
         ok,
         f"m=2000 rows in R^8, {len(ds)} kept, built in {elapsed:.3f}s < 1s",
+    )
+
+
+# ---------------------------------------------------------------- criterion 11
+
+
+def test_criterion_11_regularity_scan_memory():
+    """The default dim-6 enumeration, regularity scan included, peaks below
+    256 MB of traced allocations."""
+    tracemalloc.start()
+    try:
+        records = TorusDistanceField(dim=6).enumerate_critical_points()
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    ok = len(records) == 2**6 - 1 and peak < 256.0
+    assert _verdict(
+        "criterion 11 regularity scan memory",
+        ok,
+        f"dim 6, {len(records)} critical points, traced peak {peak:.0f} MB < 256 MB",
     )

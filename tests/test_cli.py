@@ -228,6 +228,12 @@ def test_jacobi_verify_all_checks_pass(capsys):
          "--emit-trajectories", "{missing}/t.csv"],
         ["torus-table", "--dim", "2", "--grid", "0"],
         ["torus-table", "--dim", "2", "--grid", "2"],
+        ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793",
+         "--eps-max", "inf"],
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5", "--tol", "nan"],
+        ["torus-connectivity", "--dim", "2", "--grid", "50", "--level", "nan", "--eps", "0.1"],
+        ["torus-connectivity", "--dim", "2", "--grid", "50", "--level", "0.5", "--eps", "nan"],
+        ["flow-verify", "--dim", "2", "--radius", "nan", "--samples", "5"],
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, tmp_path, capsys):

@@ -183,6 +183,13 @@ def test_direction_set_rejects_bad_shape():
         DirectionSet(dim=3, directions=np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_direction_set_rejects_non_finite(bad: float):
+    # abs(nan - 1) > tol is False, so the unit-length check alone lets NaN in
+    with pytest.raises(ValueError, match="finite"):
+        DirectionSet(dim=2, directions=[[bad, 0.0], [1.0, 0.0]])
+
+
 def test_direction_set_is_read_only():
     ds = DirectionSet.from_vectors(np.eye(2))
     with pytest.raises(ValueError):

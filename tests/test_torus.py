@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subindex import torus as torus_module
 from subindex.errors import InternalInconsistencyError, UnsupportedConfigurationError
 from subindex.torus import TorusDistanceField, reduce_point
 
@@ -160,6 +162,57 @@ def test_scan_flags_planted_inconsistency():
     torus = TorusDistanceField(dim=1, base=np.array([[0.4]]))
     with pytest.raises(UnsupportedConfigurationError):
         torus.betti_table()
+
+
+@pytest.mark.parametrize("one_point_blocks", [False, True])
+def test_scan_raises_on_unexpected_critical_point(one_point_blocks: bool, monkeypatch):
+    """A tie tolerance of 1 merges translates that are not minimizing, so the
+    first scanned grid point (0, 0.2) gets a surrounding up-set."""
+    if one_point_blocks:
+        monkeypatch.setattr(torus_module, "_BLOCK_ENTRIES", 1)
+    torus = TorusDistanceField(dim=2, tie_tol=1.0)
+    with pytest.raises(InternalInconsistencyError, match=re.escape("[0.  0.2]")):
+        torus.enumerate_critical_points(scan_resolution=5)
+
+
+@pytest.mark.parametrize("one_point_blocks", [False, True])
+def test_scan_names_a_suspect_by_its_grid_index(one_point_blocks: bool, monkeypatch):
+    """The three candidates are critical, the first three scan LPs say
+    regular and the fourth says critical. With tie_tol 1 the first four grid
+    points (0, 0.2), (0, 0.4), (0, 0.6), (0, 0.8) all fail the cheap
+    certificate, so the fourth is named whichever block it falls in."""
+    if one_point_blocks:
+        monkeypatch.setattr(torus_module, "_BLOCK_ENTRIES", 1)
+    verdicts = iter([True] * 3 + [False] * 3 + [True])
+    monkeypatch.setattr(torus_module, "is_critical", lambda dirs: next(verdicts))
+    torus = TorusDistanceField(dim=2, tie_tol=1.0)
+    with pytest.raises(InternalInconsistencyError, match=re.escape("[0.  0.8]")):
+        torus.enumerate_critical_points(scan_resolution=5)
+
+
+def test_one_point_blocks_give_identical_results(monkeypatch):
+    rng = np.random.default_rng(17)
+    fields = {n: TorusDistanceField(dim=n) for n in (1, 2, 3, 4)}
+    points = {n: rng.random((37, n)) * 3.0 - 1.0 for n in fields}
+    special = [(n, np.array(p)) for n in (2, 3) for p in ([0.5] * (n - 1) + [0.0], [0.0] * n)]
+
+    def results():
+        return (
+            [fields[n].distance_many(points[n]) for n in fields],
+            [fields[n].up_set(x).directions for n, x in special],
+        )
+
+    expected = results()
+    monkeypatch.setattr(torus_module, "_BLOCK_ENTRIES", 1)
+    for want, got in zip(expected, results()):
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_tie_tol_must_be_finite_and_nonnegative(bad: float):
+    with pytest.raises(ValueError, match="tie_tol"):
+        TorusDistanceField(dim=2, tie_tol=bad)
 
 
 def test_up_set_members_are_unit_and_minimizing():

@@ -32,7 +32,7 @@ import numpy as np
 from . import jacobi
 from .convexity import classification_report, sub_index_to_json
 from .directions import DirectionSet, min_angle_to_set
-from .errors import SubindexError
+from .errors import SubindexError, UnsupportedConfigurationError
 from .flows import (
     align_soul,
     arrival_bounds_many,
@@ -535,7 +535,8 @@ def run(config: RunConfig) -> int:
     """Dispatch a parsed configuration; returns the process exit status.
 
     A library ValueError means the arguments were out of the function's
-    domain, so it is reported as a usage error.
+    domain, so it is reported as a usage error, as is an unsupported
+    configuration.
     """
     handler = _HANDLERS[config.command]
     try:
@@ -543,7 +544,7 @@ def run(config: RunConfig) -> int:
         _check_out_path(config.out)
         _check_out_path(config.options.get("emit_trajectories"))
         payload, passed, table = handler(config)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, UnsupportedConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SubindexError as exc:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -25,14 +24,23 @@ from scipy.sparse.csgraph import connected_components
 
 from .convexity import classify_polar_region, is_critical, sub_index_of_region
 from .directions import DirectionSet
-from .errors import InternalInconsistencyError, UnsupportedConfigurationError
+from .errors import AmbiguousClassificationError, InternalInconsistencyError, UnsupportedConfigurationError
 
 # default grid resolutions for the exhaustive regularity scan, by dimension
 _SCAN_RESOLUTION = {1: 101, 2: 31, 3: 13, 4: 7, 5: 5}
 
-# Bound on points x translates x dim of one block of point-to-translate
-# differences; every distance, up-set and scan computation goes through it.
+# Largest dim whose default enumeration stays under 30 s and 512 MB: on 2 vCPUs
+# dim 8 takes 3.8 s and 271 MB of peak RSS, dim 9 14 s and 643 MB.
+_MAX_ENUMERATION_DIM = 8
+
+# Bound on the floats of one block of per-axis terms (points x base points x
+# dim x 3 offsets) or of candidate translate differences.
 _BLOCK_ENTRIES = 4_000_000
+_STEPS = np.array([-1.0, 0.0, 1.0])  # the lattice offsets searched, per axis
+
+# Rounding slack of the candidate prefilter and of the up-set's gap test, far
+# above the error of a sum of n terms below 3.
+_PREFILTER = 1e-12
 
 
 def reduce_point(x) -> np.ndarray:
@@ -55,9 +63,10 @@ class TorusDistanceField:
 
     ``base`` may be a single point or a stack of points (distance is then the
     min over the stack). The translates searched are the offsets {-1, 0, 1}^n
-    of every base point, which is exhaustive for the unit torus. ``tie_tol``
-    is the absolute tolerance on squared distances under which a translate
-    counts as minimizing.
+    of every base point, which is exhaustive for the unit torus; as squared
+    distances are sums of per-axis terms, N points cost O(N B 3n) for B base
+    points. ``tie_tol`` is the absolute tolerance on squared distances under
+    which a translate counts as minimizing.
     """
 
     dim: int
@@ -79,22 +88,47 @@ class TorusDistanceField:
         if not 0.0 <= self.tie_tol < np.inf:
             raise ValueError(f"tie_tol must be finite and nonnegative, got {self.tie_tol}")
 
-    @cached_property
-    def _targets(self) -> np.ndarray:
-        # all lattice translates of all base points, shape (B * 3^n, dim)
-        offsets = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=self.dim)))
-        return (self.base[:, None, :] + offsets[None, :, :]).reshape(-1, self.dim)
-
-    def _blocks(self, pts: np.ndarray):
-        """Yield ``(start, diff, sq)`` over row blocks of reduced points.
-
-        ``diff[i, j]`` is translate j minus point ``start + i`` and ``sq`` its
-        squared norm; a block holds at most ``_BLOCK_ENTRIES`` floats of diff.
-        """
-        rows = max(1, _BLOCK_ENTRIES // self._targets.size)
+    def _axis_terms(self, pts: np.ndarray):
+        """Yield ``(start, terms)`` over row blocks of reduced points, with
+        ``terms[i, b, a, k] = ((base[b, a] + _STEPS[k]) - pts[start + i, a])**2``."""
+        shifted = self.base[:, :, None] + _STEPS
+        rows = max(1, _BLOCK_ENTRIES // shifted.size)
         for start in range(0, pts.shape[0], rows):
-            diff = self._targets[None, :, :] - pts[start : start + rows, None, :]
-            yield start, diff, (diff * diff).sum(axis=2)
+            gaps = shifted - pts[start : start + rows, None, :, None]
+            yield start, gaps * gaps
+
+    def _tie_groups(self, pts: np.ndarray):
+        """Yield ``(idx, diff, sq, ties, beyond)`` for points ``pts[idx]`` that
+        share their candidates: the offsets within ``tie_tol`` of their axis's
+        minimum, whose products hold every tie. ``diff[g, j]`` is candidate
+        translate j (base-major, then in ``itertools.product`` order) minus
+        point ``idx[g]``, ``sq`` its squared norm and ``ties`` marks
+        ``sq <= min + tie_tol``; ``beyond`` bounds every other translate's."""
+        for start, terms in self._axis_terms(pts):
+            axis_min = terms.min(axis=-1)
+            per_base = axis_min.sum(axis=-1)
+            smallest = per_base.min(axis=-1)
+            cand = terms <= axis_min[..., None] + (self.tie_tol + _PREFILTER)
+            # a non-candidate leaves the other axes at best at their minima;
+            # past {-1, 0, 1} the nearest offset is one beyond the nearer of +-1
+            edge = 1.0 + np.sqrt(np.minimum(terms[..., 0], terms[..., 2]))
+            off = np.minimum(np.where(cand, np.inf, terms).min(axis=-1), edge * edge)
+            beyond = (per_base[..., None] - axis_min + off).reshape(len(terms), -1).min(axis=1)
+            # group by candidate pattern, its bits packed into one sort key
+            packed = np.packbits(cand.reshape(len(terms), -1), axis=1)
+            keys = packed.view(f"V{packed.shape[1]}").ravel()
+            _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+            groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+            for row, members in zip(first, groups):
+                offsets = [itertools.product(*(_STEPS[c] for c in mask)) for mask in cand[row]]
+                targets = np.concatenate([b + np.array(list(o)) for b, o in zip(self.base, offsets)])
+                step = max(1, _BLOCK_ENTRIES // targets.size)
+                for lo in range(0, members.size, step):
+                    local = members[lo : lo + step]
+                    diff = targets - pts[start + local, None, :]
+                    sq = (diff * diff).sum(axis=2)
+                    ties = sq <= (smallest[local] + self.tie_tol)[:, None]
+                    yield start + local, diff, sq, ties, beyond[local]
 
     def distance(self, x) -> float:
         return float(self.distance_many(np.asarray(x, float)[None, :])[0])
@@ -105,24 +139,30 @@ class TorusDistanceField:
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError("points must have shape (N, dim)")
         out = np.empty(pts.shape[0])
-        for start, _, sq in self._blocks(pts):
-            out[start : start + sq.shape[0]] = np.sqrt(sq.min(axis=1))
+        # float addition is monotone: the sum of the axis minima is the minimum
+        for start, terms in self._axis_terms(pts):
+            out[start : start + terms.shape[0]] = np.sqrt(terms.min(-1).sum(-1).min(-1))
         return out
 
     def up_set(self, x) -> DirectionSet:
         """Unit directions toward every minimizing lattice translate of the base.
 
-        Ties are decided on squared distances within ``tie_tol``.
+        Ties are decided on squared distances within ``tie_tol``; a gap from
+        the largest included to the smallest excluded one not above
+        ``tie_tol`` raises ``AmbiguousClassificationError`` with it as margin.
         """
         x = reduce_point(x)
         if x.shape != (self.dim,):
             raise ValueError(f"point must have shape ({self.dim},)")
-        [(_, diff, sq)] = self._blocks(x[None, :])
-        diff, sq = diff[0], sq[0]
-        smallest = float(sq.min())
-        if smallest < 1e-24:
+        [(_, diff, sq, ties, beyond)] = self._tie_groups(x[None, :])
+        diff, sq, ties = diff[0], sq[0], ties[0]
+        if sq.min() < 1e-24:
             raise ValueError("the point coincides with a base point; no directions exist")
-        rows = diff[sq <= smallest + self.tie_tol]
+        gap = min(float(beyond[0]), sq[~ties].min(initial=np.inf)) - sq[ties].max()
+        if gap <= self.tie_tol + _PREFILTER:
+            message = f"translates at {x} tie only within tie_tol {self.tie_tol}"
+            raise AmbiguousClassificationError(message, margin=gap)
+        rows = diff[ties]
         dirs = rows / np.linalg.norm(rows, axis=1)[:, None]
         return DirectionSet(self.dim, dirs)
 
@@ -158,6 +198,8 @@ class TorusDistanceField:
         asserts that every other grid point is regular.
         """
         self._require_centered_base("critical point enumeration")
+        if self.dim > _MAX_ENUMERATION_DIM:
+            raise UnsupportedConfigurationError(f"enumeration is limited to dim <= {_MAX_ENUMERATION_DIM}")
         records = []
         for coords in itertools.product((0.0, 0.5), repeat=self.dim):
             point = np.array(coords)
@@ -173,33 +215,37 @@ class TorusDistanceField:
             self._scan_for_extra_critical_points(scan_resolution)
         return records
 
-    def _scan_for_extra_critical_points(self, scan_resolution: int | None):
+    def _scan_grid(self, scan_resolution: int | None) -> np.ndarray:
+        """The scan's grid in ``itertools.product`` order, candidates dropped."""
         if scan_resolution is None:
             scan_resolution = _SCAN_RESOLUTION.get(self.dim, 5)
         elif scan_resolution < 3:
             # at 1 and 2 every grid point is a candidate, so nothing is scanned
             raise ValueError("scan_resolution must be at least 3")
         axes = np.arange(scan_resolution) / scan_resolution
-        grid = np.array(list(itertools.product(axes, repeat=self.dim)))
-        # drop grid points sitting on known critical points (all coords in {0, 1/2})
+        grid = np.stack(np.meshgrid(*([axes] * self.dim), indexing="ij"), axis=-1).reshape(-1, self.dim)
         on_candidate = np.all(
             (np.abs(grid) < 1e-12) | (np.abs(grid - 0.5) < 1e-12), axis=1
         )
-        grid = grid[~on_candidate]
-        for start, diff, sq in self._blocks(grid):
-            ties = sq <= (sq.min(axis=1) + self.tie_tol)[:, None]
-            for idx in np.nonzero(ties.sum(axis=1) > 1)[0]:
-                rows = diff[idx][ties[idx]]
-                dirs = rows / np.linalg.norm(rows, axis=1)[:, None]
-                # cheap separating certificate: the summed direction works for
-                # every regular tie on this lattice
-                w = dirs.sum(axis=0)
-                if np.all(dirs @ w > 1e-12):
-                    continue
-                if is_critical(DirectionSet(self.dim, dirs)):
-                    raise InternalInconsistencyError(
-                        f"grid scan found an unexpected critical point at {grid[start + idx]}"
-                    )
+        return grid[~on_candidate]
+
+    def _scan_for_extra_critical_points(self, scan_resolution: int | None):
+        grid = self._scan_grid(scan_resolution)
+        failed = []
+        for idx, diff, _, ties, _ in self._tie_groups(grid):
+            suspect = ties.sum(axis=1) > 1
+            idx, diff, ties = idx[suspect], diff[suspect], ties[suspect]
+            dirs = diff / np.linalg.norm(diff, axis=2)[..., None]
+            # cheap separating certificate: the summed direction works for
+            # every regular tie on this lattice
+            w = np.where(ties[..., None], dirs, 0.0).sum(axis=1)
+            ok = np.all(~ties | (np.einsum("gjn,gn->gj", dirs, w) > 1e-12), axis=1)
+            failed += [(i, d[t]) for i, d, t in zip(idx[~ok], dirs[~ok], ties[~ok])]
+        for i, dirs in sorted(failed, key=lambda f: f[0]):
+            if is_critical(DirectionSet(self.dim, dirs)):
+                raise InternalInconsistencyError(
+                    f"grid scan found an unexpected critical point at {grid[i]}"
+                )
 
     def betti_table(self, scan_resolution: int | None = None) -> dict[int, int]:
         """Histogram sub-index -> count over all critical points."""

@@ -356,3 +356,19 @@ def test_criterion_11_regularity_scan_memory():
         ok,
         f"dim 6, {len(records)} critical points, traced peak {peak:.0f} MB < 256 MB",
     )
+
+
+# --------------------------------------------------------------- criterion 12
+
+
+def test_criterion_12_torus_dim7_table():
+    """The dim-7 table, regularity scan included, is C(7, lambda) in under 5 s."""
+    start = time.perf_counter()
+    table = TorusDistanceField(dim=7).betti_table()
+    elapsed = time.perf_counter() - start
+    ok = table == {lam: math.comb(7, lam) for lam in range(1, 8)} and elapsed < 5.0
+    assert _verdict(
+        "criterion 12 torus dim-7 table",
+        ok,
+        f"counts {table}, {elapsed:.2f}s < 5 s",
+    )

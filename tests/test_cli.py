@@ -93,6 +93,20 @@ def test_torus_classify_regular_point(capsys):
     assert out["directions"] is None
 
 
+def test_torus_classify_refuses_an_undecided_tie(tmp_path, capsys):
+    """At --tol 1 the translates of the regular point (0.1, 0.2) split with a
+    gap of only 1, so a surrounding up-set would be a guess: exit 1, one
+    message, no report."""
+    out = tmp_path / "report.json"
+    code = main(["torus-classify", "--dim", "2", "--point", "0.1,0.2", "--tol", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("AmbiguousClassificationError: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.rglob("*")) == []
+
+
 def test_torus_classify_with_custom_base(capsys):
     code = main(
         ["torus-classify", "--dim", "2", "--point", "0.25,0.25", "--base", "0.75,0.75;0.75,0.25"]
@@ -234,6 +248,7 @@ def test_jacobi_verify_all_checks_pass(capsys):
         ["torus-connectivity", "--dim", "2", "--grid", "50", "--level", "nan", "--eps", "0.1"],
         ["torus-connectivity", "--dim", "2", "--grid", "50", "--level", "0.5", "--eps", "nan"],
         ["flow-verify", "--dim", "2", "--radius", "nan", "--samples", "5"],
+        ["torus-table", "--dim", "9"],
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -11,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subindex import torus as torus_module
-from subindex.errors import InternalInconsistencyError, UnsupportedConfigurationError
+from subindex.directions import DirectionSet
+from subindex.errors import (
+    AmbiguousClassificationError,
+    InternalInconsistencyError,
+    UnsupportedConfigurationError,
+)
 from subindex.torus import TorusDistanceField, reduce_point
 
 
@@ -172,22 +178,31 @@ def test_scan_raises_on_unexpected_critical_point(one_point_blocks: bool, monkey
         monkeypatch.setattr(torus_module, "_BLOCK_ENTRIES", 1)
     torus = TorusDistanceField(dim=2, tie_tol=1.0)
     with pytest.raises(InternalInconsistencyError, match=re.escape("[0.  0.2]")):
-        torus.enumerate_critical_points(scan_resolution=5)
+        torus._scan_for_extra_critical_points(5)
 
 
 @pytest.mark.parametrize("one_point_blocks", [False, True])
 def test_scan_names_a_suspect_by_its_grid_index(one_point_blocks: bool, monkeypatch):
-    """The three candidates are critical, the first three scan LPs say
-    regular and the fourth says critical. With tie_tol 1 the first four grid
-    points (0, 0.2), (0, 0.4), (0, 0.6), (0, 0.8) all fail the cheap
-    certificate, so the fourth is named whichever block it falls in."""
+    """The first three scan LPs say regular and the fourth says critical.
+    With tie_tol 1 the first four grid points (0, 0.2), (0, 0.4), (0, 0.6),
+    (0, 0.8) all fail the cheap certificate, so the fourth is named whichever
+    block it falls in."""
     if one_point_blocks:
         monkeypatch.setattr(torus_module, "_BLOCK_ENTRIES", 1)
-    verdicts = iter([True] * 3 + [False] * 3 + [True])
+    verdicts = iter([False] * 3 + [True])
     monkeypatch.setattr(torus_module, "is_critical", lambda dirs: next(verdicts))
     torus = TorusDistanceField(dim=2, tie_tol=1.0)
     with pytest.raises(InternalInconsistencyError, match=re.escape("[0.  0.8]")):
+        torus._scan_for_extra_critical_points(5)
+
+
+def test_enumeration_refuses_a_tie_tolerance_wider_than_the_gap():
+    """At tie_tol 1 the candidate (0, 1/2) has included translates at 1/4 and
+    5/4 and the next one at 9/4: a gap of 1 does not decide the tie."""
+    torus = TorusDistanceField(dim=2, tie_tol=1.0)
+    with pytest.raises(AmbiguousClassificationError, match=re.escape("[0.  0.5]")) as exc:
         torus.enumerate_critical_points(scan_resolution=5)
+    assert exc.value.margin == pytest.approx(1.0)
 
 
 def test_one_point_blocks_give_identical_results(monkeypatch):
@@ -228,3 +243,83 @@ def test_up_set_members_are_unit_and_minimizing():
 
 def test_internal_consistency_error_is_exposed():
     assert issubclass(InternalInconsistencyError, Exception)
+
+
+def _reference_translates(field: TorusDistanceField, pts: np.ndarray):
+    """Test-only copy of the full translate computation the product kernel
+    replaced: ``diff[i, j]`` is translate j of {-1, 0, 1}^n (base-major,
+    offsets in ``itertools.product`` order) minus point i, ``sq`` its squared
+    norm."""
+    offsets = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=field.dim)))
+    targets = (field.base[:, None, :] + offsets[None, :, :]).reshape(-1, field.dim)
+    diff = targets[None, :, :] - pts[:, None, :]
+    return diff, (diff * diff).sum(axis=2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 6),
+    bases=st.integers(1, 3),
+    tie_tol=st.sampled_from([0.0, 1e-9, 1e-3]),
+)
+def test_product_kernel_matches_full_translates(seed: int, n: int, bases: int, tie_tol: float):
+    """Distances bit for bit and up-set rows in order, against every translate;
+    a gap to the excluded translates of at most tie_tol must be refused."""
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.5:
+        base = rng.integers(0, 4, (bases, n)) / 4.0
+    else:
+        base = rng.random((bases, n))
+    field = TorusDistanceField(dim=n, base=base, tie_tol=tie_tol)
+    # random, quarter- and half-lattice points, and points within tie_tol of
+    # a tie between translates of the first base point
+    near_tie = base[0] + 0.5 * rng.integers(0, 2, (6, n)) + tie_tol * rng.uniform(-1.0, 1.0, (6, n))
+    points = np.concatenate(
+        [
+            rng.random((6, n)) * 3.0 - 1.0,
+            rng.integers(0, 4, (6, n)) / 4.0,
+            rng.integers(0, 2, (6, n)) / 2.0,
+            near_tie,
+        ]
+    )
+    diff, sq = _reference_translates(field, reduce_point(points))
+    np.testing.assert_array_equal(field.distance_many(points), np.sqrt(sq.min(axis=1)))
+    for x, d, s in zip(points, diff, sq):
+        ties = s <= s.min() + tie_tol
+        gap = s[~ties].min(initial=np.inf) - s[ties].max()
+        if s.min() < 1e-24:
+            with pytest.raises(ValueError):
+                field.up_set(x)
+        elif gap <= tie_tol + 1e-12:
+            with pytest.raises(AmbiguousClassificationError):
+                field.up_set(x)
+        else:
+            rows = d[ties]
+            want = DirectionSet(n, rows / np.linalg.norm(rows, axis=1)[:, None]).directions
+            np.testing.assert_array_equal(field.up_set(x).directions, want)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n=st.integers(2, 4),
+    resolution=st.integers(3, 7),
+    tie_tol=st.sampled_from([0.0, 1e-9, 1e-3]),
+)
+def test_scan_suspects_match_full_translates(n: int, resolution: int, tie_tol: float):
+    """The scan grid, its suspects (more than one tied translate) and each
+    suspect's tie rows equal those of the full translate computation."""
+    field = TorusDistanceField(dim=n, tie_tol=tie_tol)
+    axes = np.arange(resolution) / resolution
+    grid = np.array(list(itertools.product(axes, repeat=n)))
+    grid = grid[~np.all((np.abs(grid) < 1e-12) | (np.abs(grid - 0.5) < 1e-12), axis=1)]
+    np.testing.assert_array_equal(field._scan_grid(resolution), grid)
+    diff, sq = _reference_translates(field, grid)
+    ties = sq <= (sq.min(axis=1) + tie_tol)[:, None]
+    want = {int(i): diff[i][ties[i]] for i in np.flatnonzero(ties.sum(axis=1) > 1)}
+    got = {}
+    for idx, d, _, t, _ in field._tie_groups(grid):
+        got.update({int(i): rows[tied] for i, rows, tied in zip(idx, d, t) if tied.sum() > 1})
+    assert sorted(got) == sorted(want)
+    for i, rows in want.items():
+        np.testing.assert_array_equal(got[i], rows)

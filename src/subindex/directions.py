@@ -87,12 +87,47 @@ def angles_to_set(v, directions: np.ndarray) -> np.ndarray:
     return np.arccos(dots)
 
 
-def min_angle_to_set(v, dirset) -> float:
-    """Smallest angle from v to a nonempty direction set."""
+def row_norms(a) -> np.ndarray:
+    """Euclidean norm of each row of a 2d array.
+
+    Each row costs one dot product, the call ``np.linalg.norm`` makes for a
+    single vector, so a row's norm equals ``np.linalg.norm(row)`` bit for bit
+    and does not depend on the rows beside it; a sum along axis 1 can round
+    differently.
+    """
+    a = np.asarray(a, dtype=float)
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+
+
+def _directions_of(dirset) -> np.ndarray:
     directions = dirset.directions if isinstance(dirset, DirectionSet) else np.asarray(dirset, float)
     if directions.size == 0:
         raise ValueError("direction set is empty")
-    return float(angles_to_set(v, directions).min())
+    return directions
+
+
+def min_angle_to_set(v, dirset) -> float:
+    """Smallest angle from v to a nonempty direction set."""
+    return float(angles_to_set(v, _directions_of(dirset)).min())
+
+
+def min_angles_to_set(vs, dirset) -> np.ndarray:
+    """Smallest angle from each row of a (k, dim) stack to a nonempty set.
+
+    Row i equals ``min_angle_to_set(vs[i], dirset)`` bit for bit: every row
+    gets the same unit-length check and the same matrix-vector product, here
+    one stacked product for all rows.
+    """
+    directions = _directions_of(dirset)
+    vs = np.asarray(vs, dtype=float)
+    if vs.ndim != 2 or vs.shape[1] != directions.shape[1]:
+        raise ValueError(f"vs must have shape (k, {directions.shape[1]}), got {vs.shape}")
+    norms = row_norms(vs)
+    bad = np.flatnonzero((norms < 1e-12) | (np.abs(norms - 1.0) > UNIT_SLACK))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} is not unit length (|v| = {norms[bad[0]]})")
+    dots = np.clip(np.matmul(directions, vs[:, :, None])[:, :, 0], -1.0, 1.0)
+    return np.arccos(dots).min(axis=1)
 
 
 def theta_neighborhood_contains(v, dirset, theta: float) -> bool:

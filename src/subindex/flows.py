@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .convexity import PolarVariant, classify_polar_region
-from .directions import DirectionSet, angle, min_angle_to_set
+from .directions import DirectionSet, angle, min_angles_to_set, row_norms
 from .errors import (
     IntegrationFailureError,
     InternalInconsistencyError,
@@ -159,7 +159,7 @@ def gradient_like_check(
         raise ValueError("alpha must lie in (0, pi/2)")
     n = p + q + 2
     probe = sphere_samples(p + 1, net_samples)
-    worst = max(min_angle_to_set(z, net) for z in probe)
+    worst = float(min_angles_to_set(probe, net).max())
     slack = covering_bound(p + 1, probe.shape[0]) if p + 1 <= 3 else 0.0
     if worst + slack >= alpha:
         raise NetHypothesisError(
@@ -445,27 +445,41 @@ class BumpProfile:
         return cls(inner=1.5 * radius, outer=2.0 * radius)
 
 
+def _regimes(ys: np.ndarray, durations: np.ndarray, radius: float):
+    """Masks of the rows of ys that never move, and of those that stay in the core.
+
+    A row on or outside the profile's support, or flown for zero time, never
+    moves: the field vanishes there, exactly. |y - s*e1| is a convex parabola
+    in s, so its max over the flown segment is at an endpoint; both ends
+    inside the f == 1 core means the field is -e1 all along, and x0 = y0 - t.
+    Every other row needs the scalar ODE.
+    """
+    profile = BumpProfile.for_radius(radius)
+    norms = row_norms(ys)
+    still = (norms >= profile.outer) | (durations == 0.0)
+    ends = ys.copy()
+    ends[:, 0] -= durations
+    core = ~still & (np.maximum(norms, row_norms(ends)) <= profile.inner)
+    return still, core
+
+
 def _flow_x0(y: np.ndarray, times: np.ndarray, radius: float) -> np.ndarray:
     """First coordinate of the bump flow from y at the sorted times.
 
     The field -f(|x|) e1 never moves the perpendicular coordinates, so the
     flow is the scalar ODE x0' = -f(sqrt(x0^2 + rho^2)) with rho = |y_perp|
-    fixed. Points on or outside the profile's support never move (the field
-    vanishes there, exactly). When the whole straight segment stays in the
-    f == 1 core the closed form y0 - t is used; otherwise the scalar ODE is
-    integrated adaptively.
+    fixed. It is integrated adaptively unless :func:`_regimes` finds the
+    point still (x0 = y0) or in the core (x0 = y0 - t).
     """
     duration = float(times[-1])
     if duration < 0:
         raise ValueError("duration must be nonnegative")
-    profile = BumpProfile.for_radius(radius)
-    norm_y = float(np.linalg.norm(y))
-    if norm_y >= profile.outer or duration == 0.0:
+    still, core = _regimes(y[None, :], np.array([duration]), radius)
+    if still[0]:
         return np.full(times.shape, y[0])
-    # |y - s*e1| is a convex parabola in s, so the max over the segment is at
-    # an endpoint; both inside the core means the field is -e1 all along
-    if max(norm_y, float(np.linalg.norm(linear_flow(y, duration)))) <= profile.inner:
+    if core[0]:
         return y[0] - times
+    profile = BumpProfile.for_radius(radius)
     rho = float(np.linalg.norm(y[1:]))
     sol = solve_ivp(
         lambda _t, x: -profile(np.hypot(x, rho)),
@@ -489,17 +503,27 @@ def bump_flow(y, duration: float, radius: float) -> np.ndarray:
 
 
 def cutoff_linear_flow(y, t: float, radius: float) -> np.ndarray:
-    """Unit-time normalization of the bump flow.
+    """Unit-time normalization of the bump flow, for one point or a (k, dim) stack.
 
-    The total flow time at t = 1 is the perpendicular-foot time of y plus the
-    drift length R/sqrt(10), so points of B(0, R) arrive in the terminal cone
-    while everything outside the bump support never moves.
+    The total flow time of a point at t = 1 is its perpendicular-foot time
+    plus the drift length R/sqrt(10), so points of B(0, R) arrive in the
+    terminal cone while everything outside the bump support never moves.
+    Each row follows the per-point rules of :func:`_regimes`; only the rows
+    that need the ODE go, one by one, through :func:`_flow_x0`.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     y = np.asarray(y, dtype=float)
-    duration = (perp_time(y) + drift_length(radius)) * t
-    return bump_flow(y, duration, radius)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"y must be a point or a (k, dim) stack, got shape {y.shape}")
+    ys = np.atleast_2d(y)
+    durations = (np.maximum(ys[:, 0], 0.0) + drift_length(radius)) * t
+    still, core = _regimes(ys, durations, radius)
+    out = ys.copy()
+    out[core, 0] -= durations[core]
+    for i in np.flatnonzero(~(still | core)):
+        out[i, 0] = _flow_x0(ys[i], durations[i : i + 1], radius)[0]
+    return out.reshape(y.shape)
 
 
 def bump_flow_trajectory(

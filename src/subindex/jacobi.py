@@ -12,6 +12,7 @@ Jacobi fields.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -236,13 +237,25 @@ def _aligned_pieces(v: PiecewiseJacobi, w: PiecewiseJacobi):
         yield t0, t1, piece_at(v, mid), piece_at(w, mid)
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node count.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    x, wq = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    wq.setflags(write=False)
+    return x, wq
+
+
 def index_form_quadrature(
     geodesic: ModelGeodesic, v: PiecewiseJacobi, w: PiecewiseJacobi, nodes: int = 64
 ) -> float:
     """Gauss-Legendre evaluation of int g(V', W') - kappa g(V, W) dt."""
     if nodes < 64:
         raise ValueError("use at least 64 nodes per piece")
-    x, wq = np.polynomial.legendre.leggauss(nodes)
+    x, wq = _gauss_legendre(nodes)
     kappa = geodesic.curvature
     total = []
     for t0, t1, fv, fw in _aligned_pieces(v, w):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from .errors import InternalInconsistencyError
 
@@ -51,13 +52,19 @@ def interior_weight_margin(directions: np.ndarray) -> float | None:
 
     Positive exactly when the origin is interior to the hull relative to the
     span of the rows. Returns None when the origin is not in the hull at all.
+
+    The m rows lambda_i >= s are handed to the solver as a sparse [-I | 1]
+    block, so the LP costs O(m n) memory rather than a dense m x m matrix.
     """
     u = np.asarray(directions, dtype=float)
     m, n = u.shape
     c = np.zeros(m + 1)
     c[-1] = -1.0
     # lambda_i >= s  <=>  -lambda_i + s <= 0
-    a_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
+    rows = np.tile(np.arange(m), 2)
+    cols = np.concatenate([np.arange(m), np.full(m, m)])
+    signs = np.repeat([-1.0, 1.0], m)
+    a_ub = csc_array((signs, (rows, cols)), shape=(m, m + 1))
     a_eq = np.zeros((n + 1, m + 1))
     a_eq[:n, :m] = u.T
     a_eq[n, :m] = 1.0

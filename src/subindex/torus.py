@@ -33,6 +33,12 @@ _SCAN_RESOLUTION = {1: 101, 2: 31, 3: 13, 4: 7, 5: 5}
 # dim 8 takes 3.8 s and 271 MB of peak RSS, dim 9 14 s and 643 MB.
 _MAX_ENUMERATION_DIM = 8
 
+# Bound on grid**dim * (dim + 1) in sublevel_connectivity, which holds about
+# 66 bytes per unit (the grid points and the dim neighbour edges of each
+# node). At the bound its peak RSS stays under 512 MB even when every node is
+# in both sublevels: 2 vCPUs, py3.11, numpy 2.4, about 0.4 GB in dims 1-4.
+_MAX_CONNECTIVITY_ENTRIES = 5_000_000
+
 # Bound on the floats of one block of per-axis terms (points x base points x
 # dim x 3 offsets) or of candidate translate differences.
 _BLOCK_ENTRIES = 4_000_000
@@ -294,6 +300,14 @@ class TorusDistanceField:
         """
         if grid < 2:
             raise ValueError("grid must be at least 2")
+        nodes = 1
+        for _ in range(self.dim):
+            nodes *= grid
+            if nodes * (self.dim + 1) > _MAX_CONNECTIVITY_ENTRIES:
+                raise UnsupportedConfigurationError(
+                    f"grid {grid} at dim {self.dim} exceeds the connectivity limit "
+                    f"grid**dim * (dim + 1) <= {_MAX_CONNECTIVITY_ENTRIES}"
+                )
         guard = 2.0 * np.sqrt(self.dim) / grid
         if eps <= guard:
             raise ValueError(

@@ -14,6 +14,8 @@ import tracemalloc
 import numpy as np
 
 from subindex.convexity import (
+    PolarVariant,
+    classify_polar_region,
     criticality_margin,
     is_critical,
     sampling_oracle_classify,
@@ -371,4 +373,26 @@ def test_criterion_12_torus_dim7_table():
         "criterion 12 torus dim-7 table",
         ok,
         f"counts {table}, {elapsed:.2f}s < 5 s",
+    )
+
+
+# --------------------------------------------------------------- criterion 13
+
+
+def test_criterion_13_polar_region_memory_at_the_dim12_origin():
+    """Classifying the 4096 directions at the dim-12 torus origin peaks below
+    32 MB of traced allocations (the interior LP's dense m x m block alone
+    was 128 MB)."""
+    dirset = TorusDistanceField(dim=12).up_set(np.zeros(12))
+    tracemalloc.start()
+    try:
+        region = classify_polar_region(dirset)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    ok = len(dirset) == 2**12 and region.variant is PolarVariant.EMPTY and peak < 32.0
+    assert _verdict(
+        "criterion 13 polar region memory",
+        ok,
+        f"dim 12 origin, {len(dirset)} directions, {region.variant.value}, traced peak {peak:.1f} MB < 32 MB",
     )

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from subindex.cli import RunConfig, build_parser, main, run
 from subindex.directions import DirectionSet
+from subindex.torus import TorusDistanceField
 
 
 @pytest.fixture()
@@ -249,6 +255,13 @@ def test_jacobi_verify_all_checks_pass(capsys):
         ["torus-connectivity", "--dim", "2", "--grid", "50", "--level", "0.5", "--eps", "nan"],
         ["flow-verify", "--dim", "2", "--radius", "nan", "--samples", "5"],
         ["torus-table", "--dim", "9"],
+        # just past the memory ceilings: refused before anything is allocated
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "121213"],
+        ["flow-verify", "--dim", "2500", "--radius", "1", "--samples", "1",
+         "--emit-trajectories", "{tmp}/t.csv"],
+        ["torus-connectivity", "--dim", "2", "--grid", "1291", "--level", "0.5", "--eps", "0.05"],
+        ["torus-connectivity", "--dim", "3", "--grid", "108", "--level", "0.7", "--eps", "0.1"],
+        ["torus-connectivity", "--dim", "40", "--grid", "1000000000", "--level", "1", "--eps", "1"],
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, tmp_path, capsys):
@@ -263,6 +276,27 @@ def test_bad_input_is_usage_error_without_traceback(argv, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert list(tmp_path.rglob("*")) == []
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_memory_ceilings_admit_the_benchmark_sizes(tmp_path, monkeypatch):
+    traj = str(tmp_path / "t.csv")
+    args = ["flow-verify", "--dim", "5", "--radius", "1.3", "--samples", "10000",
+            "--emit-trajectories", traj, "--out", str(tmp_path / "f.json")]
+    assert main(args) == 0
+
+    # the connectivity ceiling is checked before the grid is evaluated
+    def admitted(self, pts):
+        raise _Admitted(pts.shape)
+
+    monkeypatch.setattr(TorusDistanceField, "distance_many", admitted)
+    for dim, grid in ((2, 400), (3, 80)):
+        with pytest.raises(_Admitted):
+            main(["torus-connectivity", "--dim", str(dim), "--grid", str(grid),
+                  "--level", "0.5", "--eps", "0.1"])
 
 
 def test_torus_table_smallest_scan_grid(capsys):
@@ -338,3 +372,131 @@ def test_console_entry_point_installed():
         )
         assert [ep.value for ep in installed] == [target]
         check(subprocess.run([exe, *args], capture_output=True, text=True))
+
+
+_BAD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "x", ""])
+
+
+def _commands(bad: bool):
+    """Small argv of every subcommand; with ``bad``, values may also be
+    malformed, non-finite, out of domain or just past a memory ceiling."""
+
+    def number(lo, hi, bad_lo=None, bad_hi=None):
+        good = st.floats(lo, hi).map(repr)
+        if not bad:
+            return good
+        wide = st.floats(lo if bad_lo is None else bad_lo, hi if bad_hi is None else bad_hi)
+        return st.one_of(good, wide.map(repr), _BAD_NUMBERS)
+
+    def integer(lo, hi, bad_lo, bad_hi, *past):
+        if not bad:
+            return st.integers(lo, hi).map(str)
+        return st.one_of(st.integers(bad_lo, bad_hi).map(str), st.sampled_from(["x", "1.5", *past]))
+
+    def point(dim):
+        coord = st.one_of(st.sampled_from(["0", "0.25", "0.5", "0.75"]), number(0.0, 1.0, -1.0, 2.0))
+        sizes = (dim - 1, dim + 1) if bad else (dim, dim)
+        return st.lists(coord, min_size=max(1, sizes[0]), max_size=sizes[1]).map(",".join)
+
+    unit_rows = st.builds(
+        lambda dim, seed, m: np.random.default_rng(seed).standard_normal((m, dim)),
+        st.integers(1, 4), st.integers(0, 2**31 - 1), st.integers(1, 5),
+    ).map(lambda a: {"dim": a.shape[1], "directions": (a / np.linalg.norm(a, axis=1, keepdims=True)).tolist()})
+    antipodal = unit_rows.map(lambda d: {**d, "directions": d["directions"] + [[-v for v in d["directions"][0]]]})
+    files = [unit_rows, antipodal]
+    if bad:
+        files += [
+            st.builds(
+                lambda dim, rows: {"dim": dim, "directions": rows},
+                st.integers(0, 3),
+                st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=3), max_size=3),
+            ),
+            st.sampled_from(["", "{", "[]", '{"dim": "a", "directions": [[1]]}', '{"dim": 2}',
+                             '{"dim": 2, "directions": [[1, 0]], "tol": "x"}']),
+        ]
+    tol = number(0.0, 1e-6, 0.0, 1.5)
+    return st.one_of(
+        st.tuples(st.just("classify"), st.fixed_dictionaries({"--input": st.one_of(*files)})),
+        st.tuples(st.just("torus-table"), st.fixed_dictionaries(
+            {"--dim": integer(1, 3, -1, 3, "9", "12")},
+            optional={"--grid": integer(3, 9, -1, 9), "--tol": tol},
+        )),
+        st.integers(1, 3).flatmap(lambda dim: st.tuples(st.just("torus-classify"), st.fixed_dictionaries(
+            {"--dim": st.just(str(dim)), "--point": point(dim)},
+            optional={"--base": point(dim), "--tol": tol},
+        ))),
+        st.tuples(st.just("torus-connectivity"), st.fixed_dictionaries({
+            "--dim": integer(1, 3, 0, 3, "40"),
+            "--grid": integer(10, 30, -1, 30, "1291", "108", "1000000000"),
+            "--level": number(0.0, 1.0, -0.5, 1.5),
+            "--eps": number(0.2, 1.0, -0.1, 1.0),
+        })),
+        st.tuples(st.just("flow-verify"), st.fixed_dictionaries(
+            {
+                "--dim": integer(2, 5, -1, 5),
+                "--radius": number(0.05, 3.0, -1.0, 3.0),
+                "--samples": integer(1, 60, -1, 60, "121213", "2000000"),
+            },
+            optional={"--emit-trajectories": st.just("{tmp}/t.csv"), "--tol": tol},
+        )),
+        st.floats(0.2, 2.0).flatmap(lambda kappa: st.tuples(st.just("jacobi-index"), st.fixed_dictionaries(
+            {"--curvature": st.just(repr(kappa)), "--length": st.just(repr(math.pi / math.sqrt(kappa)))}
+            if not bad else {"--curvature": number(-1.0, 2.0), "--length": number(0.0, 7.0)},
+            optional={"--eps-min": number(1e-3, 0.05), "--eps-max": number(0.05, 0.3)},
+        ))),
+        st.tuples(st.just("jacobi-verify"), st.fixed_dictionaries({}, optional={"--seed": integer(0, 99, -5, 99)})),
+    )
+
+
+def _verdict_failed(text: str) -> bool:
+    """Whether a written report records a failed check."""
+    if text.startswith("eps,"):  # the jacobi-index table
+        values = [float(line.split(",")[1]) for line in text.splitlines()[1:]]
+        return not all(a > b for a, b in zip(values, values[1:]))
+    report = json.loads(text)
+    return any(report.get(key) is False for key in ("passed", "all_outer_meet_inner", "strictly_decreasing"))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    bad=st.booleans(),
+    data=st.data(),
+)
+def test_any_argv_exits_0_1_or_2_without_traceback(bad, data):
+    """Every argv ends in exit 0, 1 or 2 and never in an uncaught exception;
+    1 only for a failed check (the report says so) or a refused ambiguous case."""
+    name, options = data.draw(_commands(bad))
+    fmt, extra, drop = "json", [], False
+    if bad:
+        fmt = data.draw(st.sampled_from(["json", "csv"]))
+        extra = data.draw(st.sampled_from([[], ["--bogus"], ["--seed", "x"], ["--format", "xml"]]))
+        drop = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        if name == "classify":
+            data = options["--input"]
+            path = os.path.join(tmp, "dirs.json")
+            with open(path, "w") as fh:
+                fh.write(data if isinstance(data, str) else json.dumps(data))
+            options = {"--input": path}
+        argv = [name]
+        for flag, value in options.items():
+            argv += [flag, value.format(tmp=tmp)]
+        if drop and len(argv) > 1:
+            argv = argv[:-2]
+        out_path = os.path.join(tmp, "report.out")
+        argv += ["--format", fmt, "--out", out_path, *extra]
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing the argv
+                code = exc.code
+        err = stderr.getvalue()
+        event(f"{name} exit {code}")
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert "error:" in err, (argv, err)
+        if code == 1:
+            written = os.path.exists(out_path) and _verdict_failed(open(out_path).read())
+            assert written or err.startswith("AmbiguousClassificationError:"), (argv, err)

@@ -18,6 +18,8 @@ from subindex.directions import (
     angle,
     angles_to_set,
     min_angle_to_set,
+    min_angles_to_set,
+    row_norms,
     theta_neighborhood_contains,
 )
 from subindex.errors import SubindexError
@@ -209,6 +211,35 @@ def test_min_angle_to_set_basic():
     v = np.array([0.0, 0.0, -1.0])
     assert min_angle_to_set(v, ds) == pytest.approx(math.pi / 2)
     assert angles_to_set(v, ds.directions).shape == (3,)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 6),
+    m=st.integers(1, 8),
+    k=st.integers(0, 40),
+)
+def test_min_angles_to_set_matches_per_row_loop(seed: int, n: int, m: int, k: int):
+    """The stacked angle check equals the per-row min_angle_to_set loop bit
+    for bit, rows normalized one at a time as flow-verify used to."""
+    rng = np.random.default_rng(seed)
+    ds = DirectionSet.from_vectors(_unit_rows(rng.standard_normal((m, n))))
+    zs = rng.standard_normal((k, n)) * rng.uniform(0.1, 3.0, (k, 1))
+    np.testing.assert_array_equal(row_norms(zs), [np.linalg.norm(z) for z in zs])
+    vs = zs / row_norms(zs)[:, None]
+    loop = np.array([min_angle_to_set(z / np.linalg.norm(z), ds) for z in zs])
+    np.testing.assert_array_equal(min_angles_to_set(vs, ds), loop.reshape(k))
+
+
+def test_min_angles_to_set_checks_every_row():
+    ds = DirectionSet.from_vectors(np.eye(2))
+    with pytest.raises(ValueError, match="row 1"):
+        min_angles_to_set(np.array([[1.0, 0.0], [2.0, 0.0]]), ds)
+    with pytest.raises(ValueError):
+        min_angles_to_set(np.array([[0.0, 0.0]]), ds)
+    with pytest.raises(ValueError):
+        min_angles_to_set(np.array([1.0, 0.0]), ds)
 
 
 def test_theta_neighborhood_is_strict():

@@ -296,6 +296,46 @@ def test_cutoff_flow_reaches_drifted_endpoint():
     np.testing.assert_allclose(cutoff_linear_flow(y, 1.0, 1.0), expected, atol=1e-12)
 
 
+_REGIMES = {"core": (0.0, 1.5), "shell": (1.5, 2.0), "outside": (2.0, 3.0)}
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 6),
+    radius=st.floats(0.5, 2.0),
+    t=st.floats(0.0, 1.0),
+    regimes=st.lists(st.sampled_from(sorted(_REGIMES)), min_size=1, max_size=6),
+)
+def test_stacked_cutoff_flow_matches_per_row_calls(seed, n, radius, t, regimes):
+    """A (k, dim) stack flows bit for bit like its rows one at a time.
+
+    Rows are drawn in the f == 1 core, in the 1.5R-2R shell (the ODE rows)
+    and outside 2R; the per-point definition through ``bump_flow`` is a
+    second reference.
+    """
+    rng = np.random.default_rng(seed)
+    ys = rng.standard_normal((len(regimes), n))
+    scales = [rng.uniform(*_REGIMES[r]) * radius for r in regimes]
+    ys *= np.array(scales)[:, None] / np.linalg.norm(ys, axis=1, keepdims=True)
+    stacked = cutoff_linear_flow(ys, t, radius)
+    assert stacked.shape == ys.shape
+    per_row = np.array([cutoff_linear_flow(y, t, radius) for y in ys])
+    by_definition = np.array(
+        [bump_flow(y, (perp_time(y) + drift_length(radius)) * t, radius) for y in ys]
+    )
+    np.testing.assert_array_equal(stacked, per_row)
+    np.testing.assert_array_equal(stacked, by_definition)
+    one_row = cutoff_linear_flow(ys[:1], t, radius)
+    assert one_row.shape == (1, n)
+    np.testing.assert_array_equal(one_row[0], cutoff_linear_flow(ys[0], t, radius))
+
+
+def test_cutoff_flow_rejects_deeper_stacks():
+    with pytest.raises(ValueError):
+        cutoff_linear_flow(np.zeros((2, 2, 2)), 1.0, 1.0)
+
+
 def test_align_soul_canonical_set():
     ds = DirectionSet.from_vectors(CANONICAL)
     q, aligned = align_soul(ds)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subindex import jacobi
+from subindex.cli import main
 from subindex.errors import InternalInconsistencyError, NoSolutionError
 from subindex.jacobi import (
     JacobiField,
@@ -137,6 +140,37 @@ def test_index_form_routes_agree_on_random_fields(kappa: float):
         quad = index_form_quadrature(geo, v, w)
         bdry = index_form_boundary(v, w)
         assert abs(quad - bdry) < 1e-8
+
+
+@pytest.mark.parametrize("nodes", [64, 65, 100])
+def test_gauss_legendre_rule_is_exact_shared_and_read_only(nodes: int):
+    x, wq = jacobi._gauss_legendre(nodes)
+    want_x, want_w = np.polynomial.legendre.leggauss(nodes)
+    np.testing.assert_array_equal(x, want_x)
+    np.testing.assert_array_equal(wq, want_w)
+    assert jacobi._gauss_legendre(nodes)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        wq[0] = 0.0
+
+
+def test_jacobi_verify_builds_the_rule_once(monkeypatch, tmp_path):
+    """A whole jacobi-verify run (86 quadratures) builds the 64-node rule once."""
+    built = Counter()
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(nodes):
+        built[nodes] += 1
+        return leggauss(nodes)
+
+    jacobi._gauss_legendre.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    try:
+        assert main(["jacobi-verify", "--seed", "5", "--out", str(tmp_path / "r.json")]) == 0
+    finally:
+        jacobi._gauss_legendre.cache_clear()
+    assert built == {64: 1}
 
 
 @settings(deadline=None, max_examples=60)

@@ -41,7 +41,7 @@ from .flows import (
     drift_length,
     terminal_cap_angle_bound,
 )
-from .torus import TorusDistanceField
+from .torus import TorusDistanceField, _check_connectivity_grid, _check_enumeration_dim
 
 SCHEMA_VERSION = "1"
 
@@ -147,6 +147,7 @@ def _torus_field(cfg: RunConfig, dim: int, base_text: str | None = None) -> Toru
 
 def _cmd_torus_table(cfg: RunConfig):
     dim = cfg.options["dim"]
+    _check_enumeration_dim(dim)
     table = _torus_field(cfg, dim).betti_table(scan_resolution=cfg.options.get("grid"))
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -182,6 +183,7 @@ def _cmd_torus_classify(cfg: RunConfig):
 
 def _cmd_torus_connectivity(cfg: RunConfig):
     dim = cfg.options["dim"]
+    _check_connectivity_grid(dim, cfg.options["grid"])
     torus = _torus_field(cfg, dim)
     report = torus.sublevel_connectivity(
         level=cfg.options["level"], eps=cfg.options["eps"], grid=cfg.options["grid"]

@@ -3,7 +3,9 @@
 A point of a length space is critical for a distance function when every
 tangent direction makes an angle <= pi/2 with some minimizing direction.
 For a finite set U of unit vectors this is equivalent to the origin lying in
-the convex hull of U, which is what :func:`is_critical` decides by LP.
+the convex hull of U, which :func:`is_critical` decides: an exact separating
+certificate from the summed direction settles most regular sets, and the
+separation LP the rest, at most once per :func:`classification_report`.
 
 The polar region A = {v : angle(v, u) >= pi/2 for all u in U} is a closed,
 spherically convex subset of the unit sphere. Exactly one of three things
@@ -31,6 +33,12 @@ from .errors import (
 from .sampling import sphere_samples
 
 RANK_CUTOFF = 1e-9  # relative singular-value cutoff for span computations
+
+# Certified lower bound on the separation LP's margin at which is_critical
+# answers "regular" without a solve. The LP would report at least this bound
+# less the solver's 1e-7 feasibility tolerance; at ten times AMBIGUITY_BAND
+# that still clears the band, so the verdict is the one the LP would give.
+CERTIFIED_MARGIN = 1e-6
 
 
 class PolarVariant(str, Enum):
@@ -63,12 +71,21 @@ def criticality_margin(dirset: DirectionSet) -> float:
 def is_critical(dirset: DirectionSet) -> bool:
     """Whether the origin lies in the convex hull of the direction set.
 
+    v = -sum(u_i) scaled to |v|_inf = 1 is feasible in the separation LP, so
+    s = -max(U v) / |v|_inf bounds its margin from below; at s >= CERTIFIED_MARGIN
+    the set is regular and no LP is solved. Otherwise the LP decides.
+
     Raises
     ------
     AmbiguousClassificationError
         If the LP margin falls between the feasibility margin (1e-9) and the
         ambiguity band (1e-7), where neither verdict is trustworthy.
     """
+    u = dirset.directions
+    v = -u.sum(axis=0)
+    scale = np.abs(v).max()
+    if scale > 0.0 and (u @ v).max() <= -CERTIFIED_MARGIN * scale:
+        return False
     margin = criticality_margin(dirset)
     if margin <= lp.FEASIBILITY_MARGIN:
         return True
@@ -190,17 +207,18 @@ def classification_report(dirset: DirectionSet) -> dict:
 
     Regular sets get ``critical: false`` with null classification fields.
     """
-    critical = is_critical(dirset)
     report = {
-        "critical": critical,
+        "critical": True,
         "variant": None,
         "span_dim": None,
         "soul": None,
         "sub_index": None,
     }
-    if not critical:
+    try:
+        region = classify_polar_region(dirset)
+    except NotCriticalError:
+        report["critical"] = False
         return report
-    region = classify_polar_region(dirset)
     report["variant"] = region.variant.value
     report["span_dim"] = None if region.span_dim is None else int(region.span_dim)
     report["soul"] = None if region.soul is None else [float(x) for x in region.soul]

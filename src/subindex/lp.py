@@ -1,6 +1,7 @@
-"""Small dense LPs used by the polar-region classifier.
+"""The LPs behind the criticality test and the polar-region classifier.
 
-All problems here have a handful of variables and constraints; they are
+Each has n + 1 or m + 1 variables for m directions in R^n, and dense
+constraints except the interior LP's sparse block for lambda_i >= s; all are
 handed to HiGHS through scipy. Every solve is deterministic for fixed input.
 """
 

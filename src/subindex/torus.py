@@ -49,6 +49,26 @@ _STEPS = np.array([-1.0, 0.0, 1.0])  # the lattice offsets searched, per axis
 _PREFILTER = 1e-12
 
 
+# The two ceilings, checked by the methods below and by the CLI before a field
+# and its dim-length base are built.
+def _check_enumeration_dim(dim: int):
+    if dim > _MAX_ENUMERATION_DIM:
+        raise UnsupportedConfigurationError(f"enumeration is limited to dim <= {_MAX_ENUMERATION_DIM}")
+
+
+def _check_connectivity_grid(dim: int, grid: int):
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
+    nodes = 1
+    for _ in range(dim):
+        nodes *= grid
+        if nodes * (dim + 1) > _MAX_CONNECTIVITY_ENTRIES:
+            raise UnsupportedConfigurationError(
+                f"grid {grid} at dim {dim} exceeds the connectivity limit "
+                f"grid**dim * (dim + 1) <= {_MAX_CONNECTIVITY_ENTRIES}"
+            )
+
+
 def reduce_point(x) -> np.ndarray:
     """Reduce coordinates mod 1 into [0, 1)."""
     x = np.asarray(x, dtype=float)
@@ -204,8 +224,7 @@ class TorusDistanceField:
         asserts that every other grid point is regular.
         """
         self._require_centered_base("critical point enumeration")
-        if self.dim > _MAX_ENUMERATION_DIM:
-            raise UnsupportedConfigurationError(f"enumeration is limited to dim <= {_MAX_ENUMERATION_DIM}")
+        _check_enumeration_dim(self.dim)
         records = []
         for coords in itertools.product((0.0, 0.5), repeat=self.dim):
             point = np.array(coords)
@@ -298,16 +317,7 @@ class TorusDistanceField:
         sublevel {dist < level - eps}; also counts inner components so that
         regular levels can be checked for an unchanged component count.
         """
-        if grid < 2:
-            raise ValueError("grid must be at least 2")
-        nodes = 1
-        for _ in range(self.dim):
-            nodes *= grid
-            if nodes * (self.dim + 1) > _MAX_CONNECTIVITY_ENTRIES:
-                raise UnsupportedConfigurationError(
-                    f"grid {grid} at dim {self.dim} exceeds the connectivity limit "
-                    f"grid**dim * (dim + 1) <= {_MAX_CONNECTIVITY_ENTRIES}"
-                )
+        _check_connectivity_grid(self.dim, grid)
         guard = 2.0 * np.sqrt(self.dim) / grid
         if eps <= guard:
             raise ValueError(

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -297,6 +298,27 @@ def test_memory_ceilings_admit_the_benchmark_sizes(tmp_path, monkeypatch):
         with pytest.raises(_Admitted):
             main(["torus-connectivity", "--dim", str(dim), "--grid", str(grid),
                   "--level", "0.5", "--eps", "0.1"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torus-table", "--dim", "10000000"],
+        ["torus-connectivity", "--dim", "10000000", "--grid", "2", "--level", "1", "--eps", "1"],
+    ],
+)
+def test_oversized_torus_runs_are_refused_before_allocating(argv, capsys):
+    # the base of a dim-10^7 field alone would take 80 MB
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert peak < 4.0
 
 
 def test_torus_table_smallest_scan_grid(capsys):

@@ -7,13 +7,18 @@ must only be allowed to part ways inside the sampling resolution band.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_lp import _direction_rows
 
+from subindex import lp
 from subindex.convexity import (
+    CERTIFIED_MARGIN,
     PolarVariant,
     classification_report,
     classify_polar_region,
@@ -21,9 +26,11 @@ from subindex.convexity import (
     is_critical,
     sampling_oracle_classify,
     sub_index,
+    sub_index_of_region,
+    sub_index_to_json,
 )
 from subindex.directions import DirectionSet
-from subindex.errors import AmbiguousClassificationError, NotCriticalError
+from subindex.errors import AmbiguousClassificationError, NotCriticalError, SubindexError
 from subindex.sampling import covering_bound
 
 
@@ -94,6 +101,15 @@ def test_near_critical_band_raises_ambiguous():
     tilt = 1e-8
     second = np.array([-1.0, tilt]) / math.hypot(1.0, tilt)
     ds = DirectionSet.from_vectors(np.array([[1.0, 0.0], second]))
+    with pytest.raises(AmbiguousClassificationError) as err:
+        is_critical(ds)
+    assert 1e-9 < err.value.margin < 1e-7
+
+
+def test_band_is_refused_where_the_summed_direction_separates():
+    # minus the summed direction, -e1, separates the pair, but only by 5e-8:
+    # inside the band, so the certificate must leave the refusal to the LP
+    ds = _dirs([[5e-8, 1.0], [5e-8, -1.0]])
     with pytest.raises(AmbiguousClassificationError) as err:
         is_critical(ds)
     assert 1e-9 < err.value.margin < 1e-7
@@ -208,3 +224,106 @@ def test_soul_vector_is_unit_and_polar_under_rotation():
         assert region.variant is PolarVariant.WITH_BOUNDARY
         assert np.linalg.norm(region.soul) == pytest.approx(1.0, abs=1e-12)
         assert np.all(ds.directions @ region.soul <= 1e-9)
+
+
+# ------------------------------------------------ one separation LP per report
+
+
+def _two_step_report(dirset: DirectionSet) -> dict:
+    """The report as it was built with criticality decided twice: the
+    separation LP and its band first, then :func:`classify_polar_region`."""
+    margin = lp.separation_margin(dirset.directions)
+    if lp.FEASIBILITY_MARGIN < margin < lp.AMBIGUITY_BAND:
+        raise AmbiguousClassificationError("criticality is numerically ambiguous", margin)
+    report = dict.fromkeys(("variant", "span_dim", "soul", "sub_index"), None)
+    report["critical"] = margin <= lp.FEASIBILITY_MARGIN
+    if not report["critical"]:
+        return report
+    region = classify_polar_region(dirset)
+    report["variant"] = region.variant.value
+    report["span_dim"] = None if region.span_dim is None else int(region.span_dim)
+    report["soul"] = None if region.soul is None else [float(x) for x in region.soul]
+    report["sub_index"] = sub_index_to_json(sub_index_of_region(dirset.dim, region))
+    return report
+
+
+def _outcome(classify, dirset):
+    try:
+        return classify(dirset)
+    except SubindexError as exc:
+        return type(exc)
+
+
+@contextmanager
+def _counted_separation_lps():
+    calls = []
+    solve = lp.separation_margin
+
+    def counted(directions):
+        calls.append(len(directions))
+        return solve(directions)
+
+    with mock.patch.object(lp, "separation_margin", counted):
+        yield calls
+
+
+# near_band: regular sets tilted off a set critical in e1-perp, kept to LP
+# margins in [1e-8, 1e-5], across the ambiguity band, the LP-decided regular
+# sets and the certificate's threshold
+_KINDS = st.sampled_from(["regular", "empty", "great_subsphere", "boundary", "near_band"])
+
+
+def _generated_set(seed: int, kind: str, n: int, near_copy: bool) -> DirectionSet:
+    ds = DirectionSet(n, _direction_rows(np.random.default_rng(seed), kind, n, near_copy))
+    if kind == "near_band":
+        assume(1e-8 <= criticality_margin(ds) <= 1e-5)
+    return ds
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**31 - 1), kind=_KINDS, n=st.integers(2, 6), near_copy=st.booleans())
+def test_report_matches_the_two_step_report(seed, kind, n, near_copy):
+    """Deciding criticality once, certificate first, leaves every report and
+    every refusal as it was."""
+    ds = _generated_set(seed, kind, n, near_copy)
+    assert _outcome(classification_report, ds) == _outcome(_two_step_report, ds)
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**31 - 1), kind=_KINDS, n=st.integers(2, 6), near_copy=st.booleans())
+def test_certificate_answers_only_far_from_the_band(seed, kind, n, near_copy):
+    """Whenever is_critical answers without the LP, the LP margin is at least
+    CERTIFIED_MARGIN, so the LP's verdict would have been "regular" too."""
+    ds = _generated_set(seed, kind, n, near_copy)
+    with _counted_separation_lps() as calls:
+        verdict = _outcome(is_critical, ds)
+    if not calls:
+        assert verdict is False
+        assert criticality_margin(ds) >= CERTIFIED_MARGIN
+
+
+def _fan(count: int, half_angle: float) -> list[list[float]]:
+    angles = np.linspace(-half_angle, half_angle, count)
+    return np.column_stack([np.cos(angles), np.sin(angles)]).tolist()
+
+
+@pytest.mark.parametrize(
+    "vectors, critical, lps",
+    [
+        # critical: the certificate cannot hold, one LP decides for the report
+        ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], True, 1),
+        # regular, and minus the summed direction separates: no LP
+        ([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]], False, 0),
+        # regular in the upper half-plane, but minus the sum points left: one LP
+        ([[1.0, 0.01], [-1.0, 0.01], [1.0, 0.02]], False, 1),
+        # regular by 3e-7, and minus the sum separates by that much once scaled
+        # to the LP's box (by 3.5e-6 unscaled): one LP
+        ([*_fan(12, 0.3), [3e-7, 1.0], [3e-7, -1.0]], False, 1),
+    ],
+)
+def test_report_solves_at_most_one_separation_lp(vectors, critical, lps):
+    ds = _dirs(vectors)
+    with _counted_separation_lps() as calls:
+        report = classification_report(ds)
+    assert report["critical"] is critical
+    assert len(calls) == lps

@@ -45,6 +45,10 @@ def _direction_rows(rng: np.random.Generator, kind: str, n: int, near_copy: bool
         extra = np.zeros((int(rng.integers(0, 3)), n))
         extra[:, :k] = rng.standard_normal((extra.shape[0], k))
         rows = np.vstack([np.eye(n)[:k], -np.eye(n)[:k], extra])
+    elif kind == "near_band":  # regular: +-e_i (i > 1) and more, tilted a little toward e1
+        pairs = np.vstack([np.eye(n)[1:], rng.standard_normal((int(rng.integers(0, 3)), n))])
+        rows = np.vstack([pairs, -pairs, rng.standard_normal((int(rng.integers(0, 2)), n))])
+        rows[:, 0] = (np.abs(rows[:, 0]) + 0.05) * 10 ** rng.uniform(-6.5, -3.5)
     else:  # boundary: +-e1 plus rows with a positive second coordinate
         extra = rng.standard_normal((int(rng.integers(1, n + 3)), n))
         extra[:, 1] = np.abs(extra[:, 1]) + 0.05

@@ -115,7 +115,6 @@ def classify_polar_region(dirset: DirectionSet) -> PolarRegion:
         raise NotCriticalError("polar-region classification requires a critical set")
     u = dirset.directions
     n = dirset.dim
-    rank = span_rank(u)
     interior = lp.interior_weight_margin(u)
     if interior is None:
         # contradicts is_critical; the margins disagree near degeneracy
@@ -123,6 +122,7 @@ def classify_polar_region(dirset: DirectionSet) -> PolarRegion:
             "hull membership and interior LPs disagree", lp.FEASIBILITY_MARGIN
         )
     if interior >= lp.AMBIGUITY_BAND:
+        rank = span_rank(u)
         if rank == n:
             return PolarRegion(PolarVariant.EMPTY)
         return PolarRegion(PolarVariant.GREAT_SUBSPHERE, span_dim=n - rank)
@@ -146,8 +146,10 @@ def _find_soul(u: np.ndarray) -> np.ndarray:
     if norm <= 1e-9 or np.any(u @ w > 1e-9):
         objective, lam = lp.soul_feasibility_lp(u)
         if objective <= 1e-12:
-            raise InternalInconsistencyError(
-                "no nonzero soul vector exists for a boundary-variant set"
+            # the boundary variant is numerically indistinguishable from a
+            # great subsphere, e.g. a row turned 1e-7 rad off the others' span
+            raise AmbiguousClassificationError(
+                "no soul vector clears the feasibility threshold", objective
             )
         w = -u.T @ lam
         norm = float(np.linalg.norm(w))
@@ -156,9 +158,7 @@ def _find_soul(u: np.ndarray) -> np.ndarray:
     soul = w / norm
     slack = float((u @ soul).max())
     if slack > 1e-9:
-        raise InternalInconsistencyError(
-            f"computed soul leaves the polar cone (slack {slack:.3e})"
-        )
+        raise AmbiguousClassificationError("computed soul leaves the polar cone", slack)
     return soul
 
 

@@ -1,30 +1,149 @@
 """The LPs behind the criticality test and the polar-region classifier.
 
 Each has n + 1 or m + 1 variables for m directions in R^n, and dense
-constraints except the interior LP's sparse block for lambda_i >= s; all are
-handed to HiGHS through scipy. Every solve is deterministic for fixed input.
+constraints except the interior LP's sparse block for lambda_i >= s. Every
+solve is deterministic for fixed input.
+
+The models go to HiGHS (Huangfu & Hall 2018) through one call site,
+:func:`_solve`, in HiGHS's native form lhs <= A x <= rhs, lb <= x <= ub, with
+A in compressed-column form. They skip scipy.optimize's general LP front end
+(its ``method="highs"``), which spends most of a small solve in Python around
+HiGHS: option validation, input cleaning and ``scipy.sparse`` stacking. What
+HiGHS receives is what that front end would pass: the <= rows first and the
+equality rows after them, the matrix canonical (zeros dropped, rows ascending
+in each column), and the front end's default options (presolve on, dual
+simplex, no debug checks, no output). Its verdicts are kept too: optimal and
+infeasible are answers, any other model status is a solver failure, and an
+optimal solution must have no NaN and meet the bounds and rows within
+sqrt(1e-9) * 10. So every margin, weight vector and exception is bit for bit
+what the front end gives; the tests hold it to that.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_array
 
 from .errors import InternalInconsistencyError
+
+try:
+    from scipy.optimize._highspy._core import (
+        HighsDebugLevel,
+        HighsLp,
+        HighsModelStatus,
+        HighsOptions,
+        HighsStatus,
+        MatrixFormat,
+        _Highs,
+        simplex_constants,
+    )
+except ImportError as exc:
+    raise ImportError(
+        "subindex needs scipy>=1.15, the first release that ships HiGHS as "
+        "scipy.optimize._highspy._core"
+    ) from exc
 
 # Margins below FEASIBILITY_MARGIN count as exactly zero; margins inside
 # (FEASIBILITY_MARGIN, AMBIGUITY_BAND) are refused rather than guessed.
 FEASIBILITY_MARGIN = 1e-9
 AMBIGUITY_BAND = 1e-7
 
+# The options the front end sets when given none.
+_OPTIONS = HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_OPTIONS.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
 
-def _solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, what=""):
-    res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs"
-    )
-    if res.status not in (0, 2):  # optimal or infeasible
-        raise InternalInconsistencyError(f"LP solver failed on {what}: {res.message}")
+# The front end's post-solve tolerance: sqrt(tol) * 10 at its default tol = 1e-9.
+_CHECK_TOL = math.sqrt(1e-9) * 10
+
+# Model statuses that the front end reports as infeasible (its status 2).
+_INFEASIBLE = (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError)
+
+
+def _dense_csc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical CSC arrays (start, index, value) of a dense matrix."""
+    cols, rows = np.nonzero(a.T)
+    start = np.zeros(a.shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=a.shape[1]), out=start[1:])
+    return start, rows, a[rows, cols]
+
+
+def _interior_csc(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical CSC arrays of the interior LP's rows [-I | 1], [U^T | 0], [1 | 0].
+
+    Column j < m holds row j (-1), rows m + k where u[j, k] != 0, and row
+    m + n (1); column m holds rows 0..m-1 (1).
+    """
+    m = u.shape[0]
+    start, index, value = _dense_csc(np.hstack([u, np.ones((m, 1))]).T)
+    index = np.concatenate([np.insert(index + m, start[:-1], np.arange(m)), np.arange(m)])
+    value = np.concatenate([np.insert(value, start[:-1], -1.0), np.ones(m)])
+    # each column j gained one entry, and column m holds m
+    start = np.append(start + np.arange(m + 1), start[-1] + 2 * m)
+    return start, index, value
+
+
+def _solve(c, a, n_ub, rhs, lb, ub, what):
+    """min c . x subject to (A x)_i <= rhs_i for i < n_ub, (A x)_i = rhs_i
+    after, and lb <= x <= ub, with A given by its CSC arrays (start, index,
+    value).
+
+    Returns (objective, x) at an optimum and None when HiGHS finds the model
+    infeasible; raises InternalInconsistencyError on any other outcome.
+    """
+    start, index, value = a
+    lhs = rhs.copy()
+    lhs[:n_ub] = -np.inf
+    model = HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = c.size
+    model.num_row_ = model.a_matrix_.num_row_ = rhs.size
+    model.a_matrix_.format_ = MatrixFormat.kColwise
+    model.col_cost_ = c
+    model.col_lower_ = lb
+    model.col_upper_ = ub
+    model.row_lower_ = lhs
+    model.row_upper_ = rhs
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = index
+    model.a_matrix_.value_ = value
+    highs = _Highs()
+    highs.passOptions(_OPTIONS)
+    if highs.passModel(model) == HighsStatus.kError:
+        return None  # the front end reports a model it cannot load as infeasible
+    ran = highs.run() != HighsStatus.kError
+    status = highs.getModelStatus()
+    if status in _INFEASIBLE:
+        return None
+    if not ran or status != HighsModelStatus.kOptimal:
+        raise InternalInconsistencyError(
+            f"LP solver failed on {what}: {highs.modelStatusToString(status)}"
+        )
+    fun = highs.getInfo().objective_function_value
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    slack = rhs - solution.row_value
+    if (
+        np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
+        or not np.all((x >= lb - _CHECK_TOL) & (x <= ub + _CHECK_TOL))
+        or (slack[:n_ub] < -_CHECK_TOL).any()
+        or (np.abs(slack[n_ub:]) > _CHECK_TOL).any()
+    ):
+        raise InternalInconsistencyError(
+            f"LP solver failed on {what}: the solution misses the constraints "
+            f"by more than {_CHECK_TOL:.2E}"
+        )
+    return fun, x
+
+
+def _optimum(c, a, n_ub, rhs, lb, ub, what):
+    """:func:`_solve` for an LP that is feasible by construction."""
+    res = _solve(c, a, n_ub, rhs, lb, ub, what)
+    if res is None:
+        raise InternalInconsistencyError(f"{what} LP reported infeasible")
     return res
 
 
@@ -40,12 +159,12 @@ def separation_margin(directions: np.ndarray) -> float:
     m, n = u.shape
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    a_ub = np.hstack([u, np.ones((m, 1))])
-    bounds = [(-1.0, 1.0)] * n + [(None, None)]
-    res = _solve(c, A_ub=a_ub, b_ub=np.zeros(m), bounds=bounds, what="separation margin")
-    if res.status != 0:
-        raise InternalInconsistencyError("separation margin LP reported infeasible")
-    return float(-res.fun)
+    lb = np.full(n + 1, -1.0)
+    ub = np.full(n + 1, 1.0)
+    lb[-1], ub[-1] = -np.inf, np.inf
+    a = _dense_csc(np.hstack([u, np.ones((m, 1))]))
+    fun, _ = _optimum(c, a, m, np.zeros(m), lb, ub, "separation margin")
+    return float(-fun)
 
 
 def interior_weight_margin(directions: np.ndarray) -> float | None:
@@ -54,31 +173,28 @@ def interior_weight_margin(directions: np.ndarray) -> float | None:
     Positive exactly when the origin is interior to the hull relative to the
     span of the rows. Returns None when the origin is not in the hull at all.
 
-    The m rows lambda_i >= s are handed to the solver as a sparse [-I | 1]
-    block, so the LP costs O(m n) memory rather than a dense m x m matrix.
+    The m rows lambda_i >= s form a sparse [-I | 1] block, so the LP costs
+    O(m n) memory rather than a dense m x m matrix.
     """
     u = np.asarray(directions, dtype=float)
     m, n = u.shape
     c = np.zeros(m + 1)
     c[-1] = -1.0
-    # lambda_i >= s  <=>  -lambda_i + s <= 0
-    rows = np.tile(np.arange(m), 2)
-    cols = np.concatenate([np.arange(m), np.full(m, m)])
-    signs = np.repeat([-1.0, 1.0], m)
-    a_ub = csc_array((signs, (rows, cols)), shape=(m, m + 1))
-    a_eq = np.zeros((n + 1, m + 1))
-    a_eq[:n, :m] = u.T
-    a_eq[n, :m] = 1.0
-    b_eq = np.zeros(n + 1)
-    b_eq[n] = 1.0
-    bounds = [(None, None)] * (m + 1)
-    res = _solve(
-        c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-        what="interior weight margin",
-    )
-    if res.status == 2:
-        return None
-    return float(-res.fun)
+    rhs = np.zeros(m + n + 1)
+    rhs[-1] = 1.0
+    free = np.full(m + 1, np.inf)
+    res = _solve(c, _interior_csc(u), m, rhs, -free, free, "interior weight margin")
+    return None if res is None else float(-res[0])
+
+
+def _simplex_rows(a_ub: np.ndarray):
+    """CSC arrays of a_ub stacked over the row sum(lambda) = 1, and its rhs."""
+    m, cols = a_ub.shape
+    simplex = np.zeros((1, cols))
+    simplex[0, :m] = 1.0
+    rhs = np.zeros(m + 1)
+    rhs[-1] = 1.0
+    return _dense_csc(np.vstack([a_ub, simplex])), rhs
 
 
 def soul_margin_lp(directions: np.ndarray) -> tuple[float, np.ndarray]:
@@ -95,17 +211,11 @@ def soul_margin_lp(directions: np.ndarray) -> tuple[float, np.ndarray]:
     c = np.zeros(m + 1)
     c[-1] = -1.0
     # s - (G lambda)_j <= 0
-    a_ub = np.hstack([-g, np.ones((m, 1))])
-    a_eq = np.zeros((1, m + 1))
-    a_eq[0, :m] = 1.0
-    bounds = [(0.0, None)] * m + [(None, None)]
-    res = _solve(
-        c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=np.ones(1), bounds=bounds,
-        what="soul margin",
-    )
-    if res.status != 0:
-        raise InternalInconsistencyError("soul margin LP reported infeasible")
-    return float(-res.fun), np.asarray(res.x[:m], dtype=float)
+    a, rhs = _simplex_rows(np.hstack([-g, np.ones((m, 1))]))
+    lb = np.zeros(m + 1)
+    lb[-1] = -np.inf
+    fun, x = _optimum(c, a, m, rhs, lb, np.full(m + 1, np.inf), "soul margin")
+    return float(-fun), x[:m]
 
 
 def soul_feasibility_lp(directions: np.ndarray) -> tuple[float, np.ndarray]:
@@ -120,13 +230,6 @@ def soul_feasibility_lp(directions: np.ndarray) -> tuple[float, np.ndarray]:
     m = u.shape[0]
     g = u @ u.T
     c = -g.sum(axis=1)  # maximize 1^T G lambda
-    a_ub = -g  # (G lambda)_j >= 0
-    a_eq = np.ones((1, m))
-    bounds = [(0.0, None)] * m
-    res = _solve(
-        c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=np.ones(1), bounds=bounds,
-        what="soul feasibility",
-    )
-    if res.status != 0:
-        raise InternalInconsistencyError("soul feasibility LP reported infeasible")
-    return float(-res.fun), np.asarray(res.x, dtype=float)
+    a, rhs = _simplex_rows(-g)  # (G lambda)_j >= 0
+    fun, x = _optimum(c, a, m, rhs, np.zeros(m), np.full(m, np.inf), "soul feasibility")
+    return float(-fun), x

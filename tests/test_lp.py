@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import re
+import sys
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
+from scipy.sparse import csc_array, vstack
 
 from subindex import lp
 from subindex.directions import DirectionSet
+from subindex.errors import InternalInconsistencyError
+from subindex.torus import TorusDistanceField
 
 
 def _dense_interior_weight_margin(u: np.ndarray) -> float | None:
@@ -79,3 +89,216 @@ def test_interior_weight_margin_matches_dense_formulation(seed, kind, n, near_co
     in dims 2-6, near copies included)."""
     u = _direction_rows(np.random.default_rng(seed), kind, n, near_copy)
     assert lp.interior_weight_margin(u) == _dense_interior_weight_margin(u)
+
+
+# The four LPs as the package posed them to linprog(method="highs") before it
+# handed them to HiGHS itself: the oracle for the direct call site.
+
+
+def _linprog(c, what, **constraints):
+    res = linprog(c, method="highs", **constraints)
+    if res.status not in (0, 2):
+        raise InternalInconsistencyError(f"LP solver failed on {what}: {res.message}")
+    return res
+
+
+def _linprog_separation_margin(u):
+    m, n = u.shape
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    res = _linprog(
+        c, "separation margin", A_ub=np.hstack([u, np.ones((m, 1))]), b_ub=np.zeros(m),
+        bounds=[(-1.0, 1.0)] * n + [(None, None)],
+    )
+    if res.status != 0:
+        raise InternalInconsistencyError("separation margin LP reported infeasible")
+    return float(-res.fun)
+
+
+def _interior_blocks(u):
+    """The interior LP's sparse [-I | 1] block and dense equality rows."""
+    m, n = u.shape
+    rows = np.tile(np.arange(m), 2)
+    cols = np.concatenate([np.arange(m), np.full(m, m)])
+    a_ub = csc_array((np.repeat([-1.0, 1.0], m), (rows, cols)), shape=(m, m + 1))
+    a_eq = np.zeros((n + 1, m + 1))
+    a_eq[:n, :m] = u.T
+    a_eq[n, :m] = 1.0
+    return a_ub, a_eq
+
+
+def _linprog_interior_weight_margin(u):
+    m, n = u.shape
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    a_ub, a_eq = _interior_blocks(u)
+    b_eq = np.zeros(n + 1)
+    b_eq[n] = 1.0
+    res = _linprog(
+        c, "interior weight margin", A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=b_eq,
+        bounds=[(None, None)] * (m + 1),
+    )
+    return None if res.status == 2 else float(-res.fun)
+
+
+def _linprog_soul_margin_lp(u):
+    m = u.shape[0]
+    g = u @ u.T
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    a_eq = np.zeros((1, m + 1))
+    a_eq[0, :m] = 1.0
+    res = _linprog(
+        c, "soul margin", A_ub=np.hstack([-g, np.ones((m, 1))]), b_ub=np.zeros(m),
+        A_eq=a_eq, b_eq=np.ones(1), bounds=[(0.0, None)] * m + [(None, None)],
+    )
+    if res.status != 0:
+        raise InternalInconsistencyError("soul margin LP reported infeasible")
+    return float(-res.fun), np.asarray(res.x[:m], dtype=float)
+
+
+def _linprog_soul_feasibility_lp(u):
+    m = u.shape[0]
+    g = u @ u.T
+    res = _linprog(
+        -g.sum(axis=1), "soul feasibility", A_ub=-g, b_ub=np.zeros(m),
+        A_eq=np.ones((1, m)), b_eq=np.ones(1), bounds=[(0.0, None)] * m,
+    )
+    if res.status != 0:
+        raise InternalInconsistencyError("soul feasibility LP reported infeasible")
+    return float(-res.fun), np.asarray(res.x, dtype=float)
+
+
+_ORACLES = [
+    (lp.separation_margin, _linprog_separation_margin),
+    (lp.interior_weight_margin, _linprog_interior_weight_margin),
+    (lp.soul_margin_lp, _linprog_soul_margin_lp),
+    (lp.soul_feasibility_lp, _linprog_soul_feasibility_lp),
+]
+
+
+def _outcome(f, u):
+    """What f returns on u, as bytes, or the type of what it raises."""
+    try:
+        r = f(u)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+    if r is None:
+        return None
+    if isinstance(r, tuple):
+        return np.float64(r[0]).tobytes(), r[1].dtype, r[1].tobytes()
+    return type(r), np.float64(r).tobytes()
+
+
+def _assert_matches_linprog(u):
+    for direct, oracle in _ORACLES:
+        assert _outcome(direct, u) == _outcome(oracle, u), direct.__name__
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    kind=st.sampled_from(["regular", "empty", "great_subsphere", "near_band", "boundary"]),
+    n=st.integers(2, 6),
+    near_copy=st.booleans(),
+)
+def test_lps_match_linprog_bit_for_bit(seed, kind, n, near_copy):
+    """The direct HiGHS call site poses linprog's model with linprog's options
+    and checks, so margins, weights, None and exception types are the same."""
+    _assert_matches_linprog(_direction_rows(np.random.default_rng(seed), kind, n, near_copy))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_lps_match_linprog_at_the_torus_origin(dim):
+    """The up-set at the origin: all 2^dim diagonals, the largest sets the
+    torus enumeration solves."""
+    _assert_matches_linprog(TorusDistanceField(dim).up_set(np.zeros(dim)).directions)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    entries=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=1, max_size=60),
+    n=st.integers(1, 6),
+)
+def test_csc_builders_match_scipy_sparse(entries, n):
+    """The hand-built CSC arrays are the canonical ones scipy.sparse gives
+    linprog: exact zeros (signed ones too) dropped, rows ascending."""
+    rows = np.resize(np.array(entries), (max(1, len(entries) // n), n))
+    u = rows[np.abs(rows).sum(axis=1) > 0]
+    if u.shape[0] == 0:
+        u = np.eye(n)[:1]
+    a_ub, a_eq = _interior_blocks(u)
+    for built, expected in (
+        (lp._interior_csc(u), csc_array(vstack((a_ub, a_eq)))),
+        (lp._dense_csc(a_eq), csc_array(a_eq)),
+    ):
+        for got, want in zip(built, (expected.indptr, expected.indices, expected.data)):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_old_scipy_fails_at_import_with_the_floor():
+    """Without HiGHS's bindings (scipy < 1.15) the module names the floor."""
+    spec = importlib.util.spec_from_file_location("subindex._lp_without_highs", lp.__file__)
+    with mock.patch.dict(sys.modules, {"scipy.optimize._highspy._core": None}):
+        with pytest.raises(ImportError, match=re.escape("scipy>=1.15")):
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+class _ReportingHighs:
+    """Stands in for HiGHS and reports a fixed status and solution."""
+
+    def __init__(self, status, x, row_value):
+        self.status, self.x, self.row_value = status, x, row_value
+
+    def passOptions(self, options):
+        pass
+
+    def passModel(self, model):
+        return HighsStatus.kOk
+
+    def run(self):
+        return HighsStatus.kOk
+
+    def getModelStatus(self):
+        return self.status
+
+    def modelStatusToString(self, status):
+        return str(status)
+
+    def getInfo(self):
+        return SimpleNamespace(objective_function_value=float(self.x[0]))
+
+    def getSolution(self):
+        return SimpleNamespace(col_value=list(self.x), row_value=np.array(self.row_value))
+
+
+@pytest.mark.parametrize(
+    "status, x, row_value, expected",
+    [
+        (HighsModelStatus.kOptimal, [0.5], [0.5, 1.0], "solution"),
+        (HighsModelStatus.kOptimal, [0.5], [1e-3 + 0.5, 1.0], InternalInconsistencyError),
+        (HighsModelStatus.kOptimal, [0.5], [0.5, 1.001], InternalInconsistencyError),
+        (HighsModelStatus.kOptimal, [0.5], [np.nan, 1.0], InternalInconsistencyError),
+        (HighsModelStatus.kOptimal, [1.001], [0.5, 1.0], InternalInconsistencyError),
+        (HighsModelStatus.kInfeasible, [], [], None),
+        (HighsModelStatus.kUnbounded, [], [], InternalInconsistencyError),
+        (HighsModelStatus.kIterationLimit, [], [], InternalInconsistencyError),
+    ],
+)
+def test_solve_keeps_the_front_ends_verdicts(monkeypatch, status, x, row_value, expected):
+    """One variable in [-1, 1] and the rows x <= 0.5, x = 1, answered by a
+    stand-in solver: an optimal answer must meet bounds and rows within
+    sqrt(1e-9) * 10, infeasible is None, and any other status is a failure."""
+    monkeypatch.setattr(lp, "_Highs", lambda: _ReportingHighs(status, x, row_value))
+    model = (
+        np.ones(1), (np.array([0, 2]), np.array([0, 1]), np.ones(2)), 1,
+        np.array([0.5, 1.0]), np.full(1, -1.0), np.full(1, 1.0), "a test model",
+    )
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            lp._solve(*model)
+    elif expected is None:
+        assert lp._solve(*model) is None
+    else:
+        fun, solution = lp._solve(*model)
+        assert (fun, solution.tolist()) == (0.5, [0.5])

@@ -20,6 +20,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -465,6 +466,7 @@ def _cmd_jacobi_verify(cfg: RunConfig):
 # --------------------------------------------------------------------------
 
 
+@functools.cache  # building it takes about 25 times as long as one parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subindex",

@@ -33,10 +33,10 @@ _SCAN_RESOLUTION = {1: 101, 2: 31, 3: 13, 4: 7, 5: 5}
 # dim 8 takes 3.8 s and 271 MB of peak RSS, dim 9 14 s and 643 MB.
 _MAX_ENUMERATION_DIM = 8
 
-# Bound on grid**dim * (dim + 1) in sublevel_connectivity, which holds about
-# 66 bytes per unit (the grid points and the dim neighbour edges of each
-# node). At the bound its peak RSS stays under 512 MB even when every node is
-# in both sublevels: 2 vCPUs, py3.11, numpy 2.4, about 0.4 GB in dims 1-4.
+# Bound on grid**dim * (dim + 1) in sublevel_connectivity: about 10 bytes per
+# unit (a node's dim gathered axis minima, their sum, its labels), 30 in dim 1.
+# At the bound, every node in both sublevels, peak RSS was 235 MB in dim 1 and
+# 124-133 MB in dims 2-4 (2 vCPUs, py3.11, numpy 2.4).
 _MAX_CONNECTIVITY_ENTRIES = 5_000_000
 
 # Bound on the floats of one block of per-axis terms (points x base points x
@@ -309,13 +309,29 @@ class TorusDistanceField:
         model = c0 - ts * cos_a
         return float(np.max(np.abs(dists - model) / ts**2))
 
+    def _grid_distances(self, grid: int) -> np.ndarray:
+        """``distance_many`` on the grid k/grid per axis, shaped (grid,)*dim.
+        The per-axis minima are formed once per coordinate value; gathered,
+        their ``.sum(-1)`` is ``distance_many``'s bit for bit, which a
+        broadcast sum of the axes (a left fold, not pairwise) is not."""
+        axes = np.arange(grid) / grid
+        sq = np.empty((grid,) * self.dim + (self.dim,))
+        best = None
+        for shifted in self.base[:, :, None] + _STEPS:
+            gaps = shifted[:, None, :] - axes[:, None]
+            for a, axis_min in enumerate((gaps * gaps).min(-1)):
+                sq[..., a] = axis_min.reshape((grid,) + (1,) * (self.dim - 1 - a))
+            total = sq.sum(-1)
+            best = total if best is None else np.minimum(best, total, out=best)
+        return np.sqrt(best)
+
     def sublevel_connectivity(self, level: float, eps: float, grid: int) -> dict:
         """pi_0 report for the sublevel set {dist < level + eps} on a grid.
 
-        Builds the 2n-neighbor torus-wrapped grid graph on the outer sublevel
-        vertices and reports, per component, whether it meets the inner
-        sublevel {dist < level - eps}; also counts inner components so that
-        regular levels can be checked for an unchanged component count.
+        Labels the components of the outer sublevel under the 2n wrapped grid
+        neighbours of each vertex k/grid and reports whether each meets the
+        inner sublevel {dist < level - eps}; also counts inner components so
+        that regular levels can be checked for an unchanged component count.
         """
         _check_connectivity_grid(self.dim, grid)
         guard = 2.0 * np.sqrt(self.dim) / grid
@@ -323,37 +339,16 @@ class TorusDistanceField:
             raise ValueError(
                 f"eps must exceed the grid guard 2*sqrt(n)/m = {guard:.4g}"
             )
-        shape = (grid,) * self.dim
-        axes = np.arange(grid) / grid
-        mesh = np.meshgrid(*([axes] * self.dim), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        dist = self.distance_many(pts)
+        dist = self._grid_distances(grid)
         outer = dist < level + eps
         inner = dist < level - eps
-
-        def component_labels(mask: np.ndarray) -> np.ndarray:
-            n_nodes = mask.size
-            idx = np.arange(n_nodes).reshape(shape)
-            rows, cols = [], []
-            for axis in range(self.dim):
-                nb = np.roll(idx, -1, axis=axis)
-                src, dst = idx.ravel(), nb.ravel()
-                keep = mask[src] & mask[dst]
-                rows.append(src[keep])
-                cols.append(dst[keep])
-            rows = np.concatenate(rows) if rows else np.empty(0, int)
-            cols = np.concatenate(cols) if cols else np.empty(0, int)
-            graph = coo_matrix(
-                (np.ones(rows.size), (rows, cols)), shape=(n_nodes, n_nodes)
-            )
-            return connected_components(graph, directed=False)[1]
-
-        outer_labels = component_labels(outer)
-        n_outer = np.unique(outer_labels[outer]).size
-        n_inner = np.unique(component_labels(inner)[inner]).size
-        # inner is a subset of outer (eps > 0), so this counts outer
+        outer_labels, outer_comp, n_outer = _torus_components(outer)
+        n_inner = _torus_components(inner)[2]
+        # inner is a subset of outer (eps > 0), so this marks the outer
         # components that meet inner
-        meets = np.unique(outer_labels[inner]).size
+        hit = np.zeros(n_outer + 1, dtype=bool)
+        hit[outer_comp[outer_labels[inner]]] = True
+        meets = hit.sum()
         return {
             "level": float(level),
             "eps": float(eps),
@@ -364,3 +359,18 @@ class TorusDistanceField:
             "all_outer_meet_inner": bool(meets == n_outer),
             "counts_equal": bool(n_outer == n_inner),
         }
+
+
+def _torus_components(mask: np.ndarray):
+    """``(labels, comp, count)`` for the torus components of ``mask``: ``comp``
+    maps ``ndimage.label``'s box labels, merged across each wrap face, to
+    components; label 0, outside ``mask``, is a component of its own."""
+    # imported here, not with the module: it adds about 65 ms to every import
+    from scipy import ndimage
+
+    labels, count = ndimage.label(mask)
+    src, dst = (np.concatenate([labels.take(e, axis).ravel() for axis in range(mask.ndim)]) for e in (0, -1))
+    keep = (src > 0) & (dst > 0)
+    graph = coo_matrix((np.ones(keep.sum()), (src[keep], dst[keep])), shape=(count + 1, count + 1))
+    n_comp, comp = connected_components(graph, directed=False)
+    return labels, comp, n_comp - 1

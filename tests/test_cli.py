@@ -290,10 +290,10 @@ def test_memory_ceilings_admit_the_benchmark_sizes(tmp_path, monkeypatch):
     assert main(args) == 0
 
     # the connectivity ceiling is checked before the grid is evaluated
-    def admitted(self, pts):
-        raise _Admitted(pts.shape)
+    def admitted(self, grid):
+        raise _Admitted(grid)
 
-    monkeypatch.setattr(TorusDistanceField, "distance_many", admitted)
+    monkeypatch.setattr(TorusDistanceField, "_grid_distances", admitted)
     for dim, grid in ((2, 400), (3, 80)):
         with pytest.raises(_Admitted):
             main(["torus-connectivity", "--dim", str(dim), "--grid", str(grid),
@@ -331,6 +331,25 @@ def test_run_config_dataclass_dispatch(capsys):
     assert run(config) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["counts"] == {"1": 2, "2": 1}
+
+
+def test_importing_the_cli_leaves_out_scipy_ndimage():
+    """scipy.ndimage adds about 65 ms to an import; only the connectivity
+    labelling needs it, so it is imported there."""
+    import pathlib
+    import subprocess
+    import sys
+
+    import subindex
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(pathlib.Path(subindex.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, subindex.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_parser_requires_subcommand():

@@ -8,8 +8,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from subindex import torus as torus_module
 from subindex.directions import DirectionSet
@@ -323,3 +325,87 @@ def test_scan_suspects_match_full_translates(n: int, resolution: int, tie_tol: f
     assert sorted(got) == sorted(want)
     for i, rows in want.items():
         np.testing.assert_array_equal(got[i], rows)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_grid_distances_equal_distance_many_bit_for_bit(n: int):
+    """Past dim 7 numpy's ``.sum(-1)`` is pairwise, so only a gathered sum of
+    the axis minima keeps ``distance_many``'s values."""
+    bases = (None, np.random.default_rng(n).random((3, n)))
+    for grid in [g for g in (2, 3, 7) if g**n <= 60_000]:
+        points = np.array(list(itertools.product(np.arange(grid) / grid, repeat=n)))
+        for field in (TorusDistanceField(dim=n, base=base) for base in bases):
+            got = field._grid_distances(grid)
+            assert got.shape == (grid,) * n
+            assert np.array_equal(got.ravel(), field.distance_many(points))
+
+
+def _reference_connectivity(field: TorusDistanceField, level: float, eps: float, grid: int) -> dict:
+    """Test-only copy of the graph labelling the product route replaced: every
+    grid node, with an edge to its wrapped successor on each axis when both
+    ends lie in the sublevel."""
+    axes = np.arange(grid) / grid
+    mesh = np.meshgrid(*([axes] * field.dim), indexing="ij")
+    dist = field.distance_many(np.stack([m.ravel() for m in mesh], axis=1))
+    outer, inner = dist < level + eps, dist < level - eps
+    idx = np.arange(dist.size).reshape((grid,) * field.dim)
+
+    def labels(mask):
+        src = np.concatenate([idx.ravel()] * field.dim)
+        dst = np.concatenate([np.roll(idx, -1, axis=a).ravel() for a in range(field.dim)])
+        keep = mask[src] & mask[dst]
+        graph = coo_matrix((np.ones(keep.sum()), (src[keep], dst[keep])), shape=(dist.size, dist.size))
+        return connected_components(graph, directed=False)[1]
+
+    outer_labels = labels(outer)
+    n_outer = np.unique(outer_labels[outer]).size
+    n_inner = np.unique(labels(inner)[inner]).size
+    meets = np.unique(outer_labels[inner]).size
+    return {
+        "level": float(level),
+        "eps": float(eps),
+        "grid": int(grid),
+        "outer_components": int(n_outer),
+        "inner_components": int(n_inner),
+        "components_meeting_inner": int(meets),
+        "all_outer_meet_inner": bool(meets == n_outer),
+        "counts_equal": bool(n_outer == n_inner),
+    }
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 4),
+    bases=st.integers(1, 3),
+    grid=st.integers(2, 30),
+    level=st.floats(0.0, 1.1),
+    past_guard=st.floats(1.0, 4.0, exclude_min=True),
+)
+def test_connectivity_matches_graph_labelling(seed, n, bases, grid, level, past_guard):
+    field = TorusDistanceField(dim=n, base=np.random.default_rng(seed).random((bases, n)))
+    guard = 2.0 * math.sqrt(n) / grid
+    eps = past_guard * guard
+    assume(eps > guard)
+    assert field.sublevel_connectivity(level, eps, grid) == _reference_connectivity(field, level, eps, grid)
+
+
+@pytest.mark.parametrize(
+    "dim, base, level, eps, grid, counts",
+    [
+        # two balls of radius 0.15 whose centres are sqrt(1/2) apart
+        (2, [[0.25, 0.25], [0.75, 0.75]], 0.1, 0.05, 100, (2, 2, 2)),
+        # a ball cut by the seam x = 0: one component only once the wrap
+        # faces are merged
+        (2, [[0.02, 0.5]], 0.1, 0.05, 100, (1, 1, 1)),
+        # two nodes, each the other's neighbour both ways; only 1/2 is inner
+        (1, None, 1.2, 1.1, 2, (1, 1, 1)),
+        (1, None, 0.0, 1.5, 2, (1, 0, 0)),
+    ],
+)
+def test_connectivity_known_answers(dim, base, level, eps, grid, counts):
+    field = TorusDistanceField(dim=dim, base=None if base is None else np.array(base))
+    report = field.sublevel_connectivity(level, eps, grid)
+    got = (report["outer_components"], report["inner_components"], report["components_meeting_inner"])
+    assert got == counts
+    assert report == _reference_connectivity(field, level, eps, grid)

@@ -34,9 +34,9 @@ _SCAN_RESOLUTION = {1: 101, 2: 31, 3: 13, 4: 7, 5: 5}
 _MAX_ENUMERATION_DIM = 8
 
 # Bound on grid**dim * (dim + 1) in sublevel_connectivity: about 10 bytes per
-# unit (a node's dim gathered axis minima, their sum, its labels), 30 in dim 1.
-# At the bound, every node in both sublevels, peak RSS was 235 MB in dim 1 and
-# 124-133 MB in dims 2-4 (2 vCPUs, py3.11, numpy 2.4).
+# unit (gathered axis minima, labels), 30 in dim 1 and past dim 4 (box merges).
+# At the bound, every node in both sublevels, peak RSS was 124-155 MB in dims
+# 2-11, 235 MB in dims 1 and 18 (grid 2): 2 vCPUs, py3.11, numpy 2.4.
 _MAX_CONNECTIVITY_ENTRIES = 5_000_000
 
 # Bound on the floats of one block of per-axis terms (points x base points x
@@ -310,19 +310,17 @@ class TorusDistanceField:
         return float(np.max(np.abs(dists - model) / ts**2))
 
     def _grid_distances(self, grid: int) -> np.ndarray:
-        """``distance_many`` on the grid k/grid per axis, shaped (grid,)*dim.
-        The per-axis minima are formed once per coordinate value; gathered,
-        their ``.sum(-1)`` is ``distance_many``'s bit for bit, which a
-        broadcast sum of the axes (a left fold, not pairwise) is not."""
+        """``distance_many`` bit for bit on the grid k/grid per axis, shaped
+        (grid,)*dim: the axis minima, formed once per coordinate, are gathered
+        for the same ``.sum(-1)``, as a broadcast left fold is not pairwise."""
         axes = np.arange(grid) / grid
         sq = np.empty((grid,) * self.dim + (self.dim,))
-        best = None
+        best = np.full((grid,) * self.dim, np.inf)
         for shifted in self.base[:, :, None] + _STEPS:
             gaps = shifted[:, None, :] - axes[:, None]
             for a, axis_min in enumerate((gaps * gaps).min(-1)):
                 sq[..., a] = axis_min.reshape((grid,) + (1,) * (self.dim - 1 - a))
-            total = sq.sum(-1)
-            best = total if best is None else np.minimum(best, total, out=best)
+            np.minimum(best, sq.sum(-1), out=best)
         return np.sqrt(best)
 
     def sublevel_connectivity(self, level: float, eps: float, grid: int) -> dict:
@@ -344,11 +342,8 @@ class TorusDistanceField:
         inner = dist < level - eps
         outer_labels, outer_comp, n_outer = _torus_components(outer)
         n_inner = _torus_components(inner)[2]
-        # inner is a subset of outer (eps > 0), so this marks the outer
-        # components that meet inner
-        hit = np.zeros(n_outer + 1, dtype=bool)
-        hit[outer_comp[outer_labels[inner]]] = True
-        meets = hit.sum()
+        # inner lies in outer (eps > 0): count the outer components it meets
+        meets = np.count_nonzero(np.bincount(outer_comp[outer_labels[inner]]))
         return {
             "level": float(level),
             "eps": float(eps),
@@ -363,14 +358,19 @@ class TorusDistanceField:
 
 def _torus_components(mask: np.ndarray):
     """``(labels, comp, count)`` for the torus components of ``mask``: ``comp``
-    maps ``ndimage.label``'s box labels, merged across each wrap face, to
-    components; label 0, outside ``mask``, is a component of its own."""
+    maps box labels to components, label 0 (outside ``mask``) to its own. Boxes
+    span the last four axes, as ``ndimage.label``'s structure and scan grow as
+    3**rank; labels meeting across the other axes or a wrap face are merged."""
     # imported here, not with the module: it adds about 65 ms to every import
     from scipy import ndimage
 
-    labels, count = ndimage.label(mask)
-    src, dst = (np.concatenate([labels.take(e, axis).ravel() for axis in range(mask.ndim)]) for e in (0, -1))
-    keep = (src > 0) & (dst > 0)
-    graph = coo_matrix((np.ones(keep.sum()), (src[keep], dst[keep])), shape=(count + 1, count + 1))
+    k = min(mask.ndim, 4)
+    structure = np.pad(ndimage.generate_binary_structure(k, 1)[None], [(1, 1)] + [(0, 0)] * k)
+    labels, count = ndimage.label(mask.reshape((-1,) + mask.shape[mask.ndim - k:]), structure)
+    labels = labels.reshape(mask.shape)
+    pairs = [(labels, np.roll(labels, 1, a)) for a in range(mask.ndim - k)]
+    pairs += [(labels.take(0, a), labels.take(-1, a)) for a in range(mask.ndim - k, mask.ndim)]
+    src, dst = (np.concatenate([p[e][(p[0] > 0) & (p[1] > 0)] for p in pairs]) for e in (0, 1))
+    graph = coo_matrix((np.ones(src.size), (src, dst)), shape=(count + 1, count + 1))
     n_comp, comp = connected_components(graph, directed=False)
     return labels, comp, n_comp - 1

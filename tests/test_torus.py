@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,24 @@ def test_connectivity_matches_graph_labelling(seed, n, bases, grid, level, past_
     assert field.sublevel_connectivity(level, eps, grid) == _reference_connectivity(field, level, eps, grid)
 
 
+@settings(deadline=None, max_examples=25)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(5, 8),
+    bases=st.integers(1, 3),
+    grid=st.integers(2, 4),
+    inner_radius=st.floats(0.0, 1.5),
+    past_guard=st.floats(1.0, 2.0, exclude_min=True),
+)
+def test_connectivity_past_four_axes_matches_graph_labelling(seed, n, bases, grid, inner_radius, past_guard):
+    """Past four axes the labelled boxes are merged along the leading axes."""
+    field = TorusDistanceField(dim=n, base=np.random.default_rng(seed).random((bases, n)))
+    eps = past_guard * 2.0 * math.sqrt(n) / grid
+    assume(eps > 2.0 * math.sqrt(n) / grid)
+    level = inner_radius + eps
+    assert field.sublevel_connectivity(level, eps, grid) == _reference_connectivity(field, level, eps, grid)
+
+
 @pytest.mark.parametrize(
     "dim, base, level, eps, grid, counts",
     [
@@ -408,4 +427,21 @@ def test_connectivity_known_answers(dim, base, level, eps, grid, counts):
     report = field.sublevel_connectivity(level, eps, grid)
     got = (report["outer_components"], report["inner_components"], report["components_meeting_inner"])
     assert got == counts
+    assert report == _reference_connectivity(field, level, eps, grid)
+
+
+@pytest.mark.parametrize("dim, grid, level, eps", [(18, 2, 5.1, 4.3), (11, 3, 2.75, 2.3), (9, 4, 1.9, 1.6)])
+def test_connectivity_at_the_highest_admitted_dims(dim, grid, level, eps):
+    """The ceiling admits grid 2 up to dim 18; labelling the full n-dim box
+    would need a 3**dim structure and a 3**(dim-1) scan per line there. The
+    inner sublevel is three balls, one around each base point."""
+    field = TorusDistanceField(dim=dim, base=np.random.default_rng(dim).random((3, dim)))
+    tracemalloc.start()
+    try:
+        report = field.sublevel_connectivity(level, eps, grid)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 256.0
+    assert report["inner_components"] == 3
     assert report == _reference_connectivity(field, level, eps, grid)

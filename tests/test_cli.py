@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from subindex.cli import RunConfig, build_parser, main, run
+from subindex.cli import build_parser, main
 from subindex.directions import DirectionSet
 from subindex.torus import TorusDistanceField
 
@@ -163,11 +163,12 @@ def test_flow_verify_skips_angle_suite_in_high_dimension(capsys):
 
 
 def test_flow_verify_reports_are_byte_identical(tmp_path):
-    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     args = ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "400", "--seed", "11"]
-    assert main(args + ["--out", a]) == 0
-    assert main(args + ["--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    for run in "ab":
+        out, traj = str(tmp_path / f"{run}.json"), str(tmp_path / f"{run}.csv")
+        assert main(args + ["--out", out, "--emit-trajectories", traj]) == 0
+    for suffix in ("json", "csv"):
+        assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
 
 
 def test_out_files_are_written_atomically(tmp_path):
@@ -263,6 +264,12 @@ def test_jacobi_verify_all_checks_pass(capsys):
         ["torus-connectivity", "--dim", "2", "--grid", "1291", "--level", "0.5", "--eps", "0.05"],
         ["torus-connectivity", "--dim", "3", "--grid", "108", "--level", "0.7", "--eps", "0.1"],
         ["torus-connectivity", "--dim", "40", "--grid", "1000000000", "--level", "1", "--eps", "1"],
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "50", "--tol", "-1"],
+        # the CSV refusal comes before the trajectories are written
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5", "--format", "csv",
+         "--emit-trajectories", "{tmp}/t.csv"],
+        ["torus-table", "--dim", "1", "--out", ""],
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5", "--emit-trajectories", ""],
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, tmp_path, capsys):
@@ -277,6 +284,75 @@ def test_bad_input_is_usage_error_without_traceback(argv, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torus-table", "--dim", "2", "--seed", "1"],
+        ["classify", "--input", "{dirs}", "--seed", "0"],
+        ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793", "--tol", "1e-3"],
+        ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793", "--tol", "-5", "--seed", "3"],
+        ["torus-connectivity", "--dim", "2", "--level", "0.5", "--eps", "0.05", "--grid", "50", "--tol", "1e-9"],
+    ],
+)
+def test_subcommands_refuse_flags_they_do_not_read(argv, dirs_file, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(dirs=dirs_file) for a in argv] + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--input", "d.json"],
+        ["torus-table", "--dim", "2"],
+        ["torus-classify", "--dim", "2", "--point", "0,0"],
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "10"],
+    ],
+)
+def test_tol_is_unset_unless_given(argv):
+    # the --tol action is shared by every subparser that takes it, so a
+    # default set on one of them would leak into the others
+    assert build_parser().parse_args(argv).tol is None
+
+
+def test_classify_keeps_the_file_tolerance_without_tol(tmp_path, capsys):
+    rows = [[1.0 + 1e-9, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps({"dim": 3, "directions": rows, "tol": 1e-6}))
+    assert main(["classify", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["sub_index"] == 1
+
+
+def test_flow_verify_default_tol_is_1e_12(tmp_path):
+    args = ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "50"]
+    assert main(args + ["--out", str(tmp_path / "a.json")]) == 0
+    assert main(args + ["--tol", "1e-12", "--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def _readme_commands() -> list[list[str]]:
+    """argv of each `subindex ...` line in the README's Command line sh block."""
+    import pathlib
+    import shlex
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("subindex ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_examples_run(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ds = DirectionSet.from_vectors(np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
+    (tmp_path / "directions.json").write_text(ds.to_json())
+    assert main(argv + ["--out", "report.out"]) == 0
+    assert (tmp_path / "report.out").stat().st_size > 0
 
 
 class _Admitted(Exception):
@@ -324,13 +400,6 @@ def test_oversized_torus_runs_are_refused_before_allocating(argv, capsys):
 def test_torus_table_smallest_scan_grid(capsys):
     assert main(["torus-table", "--dim", "2", "--grid", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["counts"] == {"1": 2, "2": 1}
-
-
-def test_run_config_dataclass_dispatch(capsys):
-    config = RunConfig(command="torus-table", options={"dim": 2, "grid": None})
-    assert run(config) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["counts"] == {"1": 2, "2": 1}
 
 
 def test_importing_the_cli_leaves_out_scipy_ndimage():

@@ -22,6 +22,7 @@ from subindex.flows import (
     bump_flow_trajectory,
     cutoff_linear_flow,
     drift_length,
+    flow_verify,
     gradient_like_check,
     hinge_angle,
     join_angle_and_gradient,
@@ -404,3 +405,22 @@ def test_fibonacci_covering_bound_is_honest(seed: int):
     v /= np.linalg.norm(v)
     nearest = float(np.arccos(np.clip(mesh @ v, -1.0, 1.0)).min())
     assert nearest <= covering_bound(3, 4000)
+
+
+@pytest.mark.parametrize(
+    "dim, radius, samples, tol",
+    [(1, 1.0, 5, 0.0), (2, 0.0, 5, 0.0), (2, math.nan, 5, 0.0), (2, math.inf, 5, 0.0),
+     (2, 1.0, 0, 0.0), (2, 1.0, 5, -1.0), (2, 1.0, 5, math.nan), (2, 1.0, 5, math.inf)],
+)
+def test_flow_verify_refuses_arguments_out_of_domain(dim, radius, samples, tol):
+    with pytest.raises(ValueError):
+        flow_verify(dim, radius, samples, seed=0, tol=tol, trajectories=False)
+
+
+def test_flow_verify_returns_trajectories_only_when_asked():
+    report, text = flow_verify(3, 1.0, 50, seed=4, tol=1e-12, trajectories=False)
+    assert text is None and report["passed"] is True
+    again, text = flow_verify(3, 1.0, 50, seed=4, tol=1e-12, trajectories=True)
+    assert again == report
+    lines = text.splitlines()
+    assert lines[0] == "t,x1,x2,x3" and len(lines) == 1 + 10 * 40

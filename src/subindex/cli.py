@@ -78,8 +78,6 @@ def _cmd_classify(args):
             dirset = DirectionSet.from_json(fh.read())
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read direction set from {args.input}: {exc}")
-    if args.tol is not None:
-        dirset = DirectionSet(dim=dirset.dim, directions=dirset.directions, tolerance=args.tol)
     return classification_report(dirset), True, None
 
 
@@ -199,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, table=table)
         return p
 
-    p = command("classify", _cmd_classify, "classify a direction set from JSON", tol)
+    p = command("classify", _cmd_classify, "classify a direction set from JSON")
     p.add_argument("--input", required=True, help="path to a direction-set JSON file")
 
     p = command("torus-table", _cmd_torus_table, "critical point counts by sub-index", tol, table=True)

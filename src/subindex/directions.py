@@ -166,8 +166,8 @@ class DirectionSet:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("directions must be finite")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not 0.0 <= self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
         norms = np.linalg.norm(arr, axis=1)
         if np.any(np.abs(norms - 1.0) > max(self.tolerance, 1e-12)):
             worst = float(np.abs(norms - 1.0).max())

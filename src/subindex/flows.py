@@ -128,14 +128,6 @@ def hinge_angle(vertex: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(np.clip(ta @ tb, -1.0, 1.0)))
 
 
-def embed_first_block(dirs: np.ndarray, total_dim: int) -> np.ndarray:
-    """Pad directions of the first factor sphere with zeros to total_dim."""
-    dirs = np.asarray(dirs, float)
-    out = np.zeros((dirs.shape[0], total_dim))
-    out[:, : dirs.shape[1]] = dirs
-    return out
-
-
 def gradient_like_check(
     net: DirectionSet,
     p: int,
@@ -166,7 +158,8 @@ def gradient_like_check(
             f"net is not an alpha-net of the factor sphere "
             f"(sampled max {worst:.4f} + mesh {slack:.4f} >= alpha {alpha:.4f})"
         )
-    embedded = embed_first_block(net.directions, n)
+    embedded = np.zeros((len(net), n))  # the net, padded with zeros to R^n
+    embedded[:, : p + 1] = net.directions
     points = sphere_samples(n, samples, seed=seed)
     max_hinge = 0.0
     for pt in points:
@@ -405,16 +398,6 @@ def terminal_cap_angle_bound(aligned: DirectionSet) -> CapAngleBound:
 # --------------------------------------------------------------------------
 
 
-def _mollifier(s):
-    """exp(-1/s) for s > 0, zero otherwise; smooth at 0."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    with np.errstate(over="ignore"):
-        out[pos] = np.exp(-1.0 / s[pos])
-    return out
-
-
 @dataclass(frozen=True)
 class BumpProfile:
     """Smooth radial profile: identically 1 on [0, inner], 0 on [outer, inf)."""
@@ -428,10 +411,11 @@ class BumpProfile:
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        num = _mollifier(self.outer - r)
-        den = num + _mollifier(r - self.inner)
-        with np.errstate(invalid="ignore"):
-            vals = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+        # exp(-1/s) for s > 0 and 0 for s <= 0, the mollifier smooth at 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            num = np.exp(-1.0 / np.maximum(self.outer - r, 0.0))
+            den = num + np.exp(-1.0 / np.maximum(r - self.inner, 0.0))
+            vals = np.where(den > 0, num / den, 0.0)
         vals = np.where(r <= self.inner, 1.0, vals)
         vals = np.where(r >= self.outer, 0.0, vals)
         return vals if vals.ndim else float(vals)

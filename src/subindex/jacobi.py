@@ -65,10 +65,6 @@ class ModelGeodesic:
         if self.frame_dim < 1:
             raise ValueError("frame_dim must be at least 1")
 
-    def is_conjugate(self, t: float) -> bool:
-        """Whether t > 0 is a conjugate parameter (sn vanishes)."""
-        return t > 0 and self.curvature > 0 and abs(sn(self.curvature, t)) < CONJUGATE_TOL
-
     def conjugate_times(self) -> list[float]:
         """Conjugate parameters in (0, length]. Empty when curvature <= 0."""
         if self.curvature <= 0:
@@ -82,7 +78,8 @@ class ModelGeodesic:
         return out
 
     def endpoint_conjugate(self) -> bool:
-        return self.is_conjugate(self.length)
+        """Whether the endpoint is a conjugate parameter (sn vanishes there)."""
+        return self.curvature > 0 and abs(sn(self.curvature, self.length)) < CONJUGATE_TOL
 
 
 @dataclass(frozen=True)
@@ -106,20 +103,12 @@ class JacobiField:
         return self.a.shape[0]
 
     def value(self, t):
-        c, s = cs(self.kappa, t), sn(self.kappa, t)
-        if np.ndim(t):
-            return np.multiply.outer(np.asarray(c), self.a) + np.multiply.outer(
-                np.asarray(s), self.b
-            )
-        return self.a * c + self.b * s
+        """J(t), with shape ``np.shape(t) + (frame_dim,)``."""
+        return np.multiply.outer(cs(self.kappa, t), self.a) + np.multiply.outer(sn(self.kappa, t), self.b)
 
     def derivative(self, t):
-        c, s = cs(self.kappa, t), sn(self.kappa, t)
-        if np.ndim(t):
-            return np.multiply.outer(-self.kappa * np.asarray(s), self.a) + np.multiply.outer(
-                np.asarray(c), self.b
-            )
-        return -self.kappa * s * self.a + c * self.b
+        """J'(t), with shape ``np.shape(t) + (frame_dim,)``."""
+        return np.multiply.outer(-self.kappa * sn(self.kappa, t), self.a) + np.multiply.outer(cs(self.kappa, t), self.b)
 
     @classmethod
     def from_two_point(cls, kappa: float, t0: float, v0, t1: float, v1) -> "JacobiField":
@@ -203,14 +192,10 @@ class PiecewiseJacobi:
         idx = int(np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, len(self.fields) - 1))
         return self.fields[idx].value(t)
 
-    @classmethod
-    def single(cls, field: JacobiField, t0: float, t1: float) -> "PiecewiseJacobi":
-        return cls(breaks=np.array([t0, t1]), fields=(field,))
-
 
 def _as_piecewise(v, geodesic: ModelGeodesic) -> PiecewiseJacobi:
     if isinstance(v, JacobiField):
-        return PiecewiseJacobi.single(v, 0.0, geodesic.length)
+        return PiecewiseJacobi(breaks=np.array([0.0, geodesic.length]), fields=(v,))
     return v
 
 
@@ -309,11 +294,7 @@ def index_form(
 
 def lagrange_wronskian(p: JacobiField, n: JacobiField, t) -> float | np.ndarray:
     """g(P, N') - g(P', N); constant in t for any two Jacobi fields."""
-    if np.ndim(t):
-        return (p.value(t) * n.derivative(t)).sum(axis=1) - (
-            p.derivative(t) * n.value(t)
-        ).sum(axis=1)
-    return float(p.value(t) @ n.derivative(t) - p.derivative(t) @ n.value(t))
+    return (p.value(t) * n.derivative(t)).sum(axis=-1) - (p.derivative(t) * n.value(t)).sum(axis=-1)
 
 
 def vanishing_family(geodesic: ModelGeodesic) -> list[JacobiField]:
@@ -321,12 +302,8 @@ def vanishing_family(geodesic: ModelGeodesic) -> list[JacobiField]:
     conjugate endpoint)."""
     if not geodesic.endpoint_conjugate():
         return []
-    out = []
-    for i in range(geodesic.frame_dim):
-        b = np.zeros(geodesic.frame_dim)
-        b[i] = 1.0
-        out.append(JacobiField(kappa=geodesic.curvature, a=np.zeros(geodesic.frame_dim), b=b))
-    return out
+    dim = geodesic.frame_dim
+    return [JacobiField(kappa=geodesic.curvature, a=np.zeros(dim), b=b) for b in np.eye(dim)]
 
 
 def boundary_family(geodesic: ModelGeodesic) -> list[JacobiField]:
@@ -338,14 +315,7 @@ def boundary_family(geodesic: ModelGeodesic) -> list[JacobiField]:
     """
     if geodesic.endpoint_conjugate():
         return []
-    kappa, c0 = geodesic.curvature, geodesic.length
-    ratio = cs(kappa, c0) / sn(kappa, c0)
-    out = []
-    for i in range(geodesic.frame_dim):
-        a = np.zeros(geodesic.frame_dim)
-        a[i] = 1.0
-        out.append(JacobiField(kappa=kappa, a=a, b=-ratio * a))
-    return out
+    return [solve_boundary_jacobi(geodesic, a) for a in np.eye(geodesic.frame_dim)]
 
 
 # --------------------------------------------------------------------------
@@ -393,11 +363,8 @@ def cutoff_field(geodesic: ModelGeodesic, w, eps: float) -> PiecewiseJacobi:
 
 def index_divergence(geodesic: ModelGeodesic, w, eps_values) -> np.ndarray:
     """I(V_eps, V_eps) for each eps; diverges to -infinity as eps -> 0."""
-    out = np.empty(len(eps_values))
-    for i, eps in enumerate(eps_values):
-        v = cutoff_field(geodesic, w, float(eps))
-        out[i] = index_form(geodesic, v, v, atol=1e-6)
-    return out
+    fields = (cutoff_field(geodesic, w, float(eps)) for eps in eps_values)
+    return np.array([index_form(geodesic, v, v, atol=1e-6) for v in fields])
 
 
 def boundary_norm_bound(geodesic: ModelGeodesic) -> float:
@@ -411,16 +378,13 @@ def boundary_norm_bound(geodesic: ModelGeodesic) -> float:
     top = length / 2
     if kappa > 0:
         top = min(top, 0.99 * math.pi / math.sqrt(kappa))
-    best = 0.0
-    for eps in np.linspace(top / 200, top, 200):
-        s_e, c_e = sn(kappa, eps), cs(kappa, eps)
-        if abs(s_e) < 1e-12:
-            raise NoSolutionError("eps is conjugate to 0; bound undefined there")
-        ts = np.linspace(0.0, eps, 512)
-        for target in (1.0, -1.0):
-            b = (target - c_e) / s_e
-            vals = np.abs(cs(kappa, ts) + b * sn(kappa, ts))
-            best = max(best, float(vals.max()))
+    eps = np.linspace(top / 200, top, 200)
+    s_e, c_e = sn(kappa, eps), cs(kappa, eps)
+    if np.any(np.abs(s_e) < 1e-12):
+        raise NoSolutionError("eps is conjugate to 0; bound undefined there")
+    ts = np.linspace(0.0, eps, 512, axis=1)  # row i samples [0, eps[i]]
+    s_t, c_t = sn(kappa, ts), cs(kappa, ts)
+    best = max(float(np.abs(c_t + ((target - c_e) / s_e)[:, None] * s_t).max()) for target in (1.0, -1.0))
     if not math.isfinite(best):
         raise InternalInconsistencyError("boundary norm bound overflowed")
     return best

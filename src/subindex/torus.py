@@ -16,6 +16,7 @@ lambda is the binomial coefficient C(n, lambda).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,11 @@ _MAX_ENUMERATION_DIM = 8
 # At the bound, every node in both sublevels, peak RSS was 124-155 MB in dims
 # 2-11, 235 MB in dims 1 and 18 (grid 2): 2 vCPUs, py3.11, numpy 2.4.
 _MAX_CONNECTIVITY_ENTRIES = 5_000_000
+
+# Bound on the candidate translates of one point, which the up-set's LPs get
+# as rows: 2**dim at the origin. On 2 vCPUs torus-classify there took 1.4 s and
+# 104 MB at dim 12, 7.6 s and 121 MB at dim 13, 28 s and 168 MB at dim 14.
+_MAX_UP_SET = 2**13
 
 # Bound on the floats of one block of per-axis terms (points x base points x
 # dim x 3 offsets) or of candidate translate differences.
@@ -146,6 +152,10 @@ class TorusDistanceField:
             _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
             groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
             for row, members in zip(first, groups):
+                # Python ints: an int64 product of 64 twos wraps to 0
+                count = sum(math.prod(int(k) for k in mask.sum(axis=-1)) for mask in cand[row])
+                if count > _MAX_UP_SET:
+                    raise UnsupportedConfigurationError(f"{count} candidate translates, the limit is {_MAX_UP_SET}")
                 offsets = [itertools.product(*(_STEPS[c] for c in mask)) for mask in cand[row]]
                 targets = np.concatenate([b + np.array(list(o)) for b, o in zip(self.base, offsets)])
                 step = max(1, _BLOCK_ENTRIES // targets.size)

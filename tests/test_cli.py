@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tempfile
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -294,6 +295,7 @@ def test_bad_input_is_usage_error_without_traceback(argv, tmp_path, capsys):
         ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793", "--tol", "1e-3"],
         ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793", "--tol", "-5", "--seed", "3"],
         ["torus-connectivity", "--dim", "2", "--level", "0.5", "--eps", "0.05", "--grid", "50", "--tol", "1e-9"],
+        ["classify", "--input", "{dirs}", "--tol", "1e-12"],
     ],
 )
 def test_subcommands_refuse_flags_they_do_not_read(argv, dirs_file, tmp_path, capsys):
@@ -308,7 +310,6 @@ def test_subcommands_refuse_flags_they_do_not_read(argv, dirs_file, tmp_path, ca
 @pytest.mark.parametrize(
     "argv",
     [
-        ["classify", "--input", "d.json"],
         ["torus-table", "--dim", "2"],
         ["torus-classify", "--dim", "2", "--point", "0,0"],
         ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "10"],
@@ -326,6 +327,30 @@ def test_classify_keeps_the_file_tolerance_without_tol(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 3, "directions": rows, "tol": 1e-6}))
     assert main(["classify", "--input", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["sub_index"] == 1
+
+
+@pytest.mark.parametrize("tol", ["NaN", "Infinity", "-Infinity"])
+def test_classify_refuses_a_non_finite_file_tolerance(tol, tmp_path, capsys):
+    # a NaN tolerance used to switch the unit-length check off
+    path = tmp_path / "dirs.json"
+    path.write_text('{"dim": 2, "directions": [[5.0, 0.0], [-0.1, 0.0]], "tol": %s}' % tol)
+    out = tmp_path / "report.json"
+    assert main(["classify", "--input", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dim", [14, 64])
+def test_torus_classify_refuses_the_origin_past_the_up_set_ceiling(dim, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main(["torus-classify", "--dim", str(dim), "--point", ",".join(["0"] * dim), "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_flow_verify_default_tol_is_1e_12(tmp_path):

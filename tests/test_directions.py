@@ -171,6 +171,13 @@ def test_direction_set_renormalizes_within_slack():
     assert np.linalg.norm(loose.directions[0]) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_tolerance_must_be_finite_and_nonnegative(bad: float):
+    # [3, 4] is far from unit length; a NaN or infinite tolerance let it in
+    with pytest.raises(ValueError, match="tolerance"):
+        DirectionSet(dim=2, directions=np.array([[3.0, 4.0]]), tolerance=bad)
+
+
 def test_direction_set_rejects_far_from_unit():
     with pytest.raises(ValueError):
         DirectionSet.from_vectors(np.array([[0.5, 0.0]]))

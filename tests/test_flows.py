@@ -222,6 +222,39 @@ def test_bump_profile_smooth_at_edges():
         assert abs(left) < 1e-3 and abs(right) < 1e-3
 
 
+def _two_mollifier_profile(prof: BumpProfile, r: np.ndarray) -> np.ndarray:
+    """The profile as the masked quotient of two mollifiers exp(-1/s), s > 0."""
+
+    def mollifier(s):
+        out = np.zeros_like(s)
+        with np.errstate(over="ignore"):
+            out[s > 0] = np.exp(-1.0 / s[s > 0])
+        return out
+
+    num = mollifier(prof.outer - r)
+    den = num + mollifier(r - prof.inner)
+    vals = np.zeros_like(r)
+    vals[den > 0] = num[den > 0] / den[den > 0]
+    vals[r <= prof.inner] = 1.0
+    vals[r >= prof.outer] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("radius", [1e-4, 1e-2, 1.0, 50.0])
+def test_bump_profile_matches_the_two_mollifier_reference_bit_for_bit(radius: float):
+    prof = BumpProfile.for_radius(radius)
+    edges = np.array([prof.inner, prof.outer])
+    special = np.concatenate(
+        [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [0.0, -radius, np.nan, np.inf, -np.inf]]
+    )
+    r = np.concatenate([np.random.default_rng(0).uniform(0.0, 2.5 * radius, 50_000), special])
+    want = _two_mollifier_profile(prof, r)
+    assert np.array_equal(prof(r).view(np.uint64), want.view(np.uint64))
+    for x, w in zip(special, want[-special.size :]):
+        got = prof(float(x))
+        assert type(got) is float and np.float64(got).view(np.uint64) == w.view(np.uint64)
+
+
 def test_bump_flow_identity_outside_support_is_exact():
     y = np.array([2.5, 0.3, -0.1])
     out = bump_flow(y, duration=5.0, radius=1.0)

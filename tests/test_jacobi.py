@@ -239,6 +239,41 @@ def test_boundary_norm_bound_sphere_is_sqrt_two():
     assert bound == pytest.approx(math.sqrt(2.0), abs=1e-4)
 
 
+def _boundary_norm_bound_loop(geodesic: ModelGeodesic) -> float:
+    """The bound as a loop over eps and the two targets J(eps) = +-1."""
+    kappa, length = geodesic.curvature, geodesic.length
+    top = length / 2
+    if kappa > 0:
+        top = min(top, 0.99 * math.pi / math.sqrt(kappa))
+    best = 0.0
+    for eps in np.linspace(top / 200, top, 200):
+        s_e, c_e = sn(kappa, eps), cs(kappa, eps)
+        ts = np.linspace(0.0, eps, 512)
+        for target in (1.0, -1.0):
+            b = (target - c_e) / s_e
+            best = max(best, float(np.abs(cs(kappa, ts) + b * sn(kappa, ts)).max()))
+    return best
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, 0.3, 1.0, 4.0])
+@pytest.mark.parametrize("length", [2.0, 12.0])
+def test_boundary_norm_bound_equals_the_loop_over_eps(kappa: float, length: float):
+    # length 12 puts every positive curvature's eps range at 0.99 pi / sqrt(kappa)
+    geodesic = ModelGeodesic(kappa, length, 1)
+    assert boundary_norm_bound(geodesic) == _boundary_norm_bound_loop(geodesic)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_scalar_t_gives_the_closed_form_bit_for_bit(kappa: float):
+    rng = np.random.default_rng(5)
+    f = JacobiField(kappa=kappa, a=rng.standard_normal(3), b=rng.standard_normal(3))
+    for t in rng.random(10) * 3:
+        c, s = cs(kappa, t), sn(kappa, t)
+        assert np.array_equal(f.value(t), f.a * c + f.b * s)
+        assert np.array_equal(f.derivative(t), -kappa * s * f.a + c * f.b)
+        assert np.array_equal(f.value(t), f.value(np.array([t]))[0])
+
+
 def test_vanishing_family_only_at_conjugate_endpoint():
     assert vanishing_family(ModelGeodesic(1.0, 1.0, 2)) == []
     fam = vanishing_family(ModelGeodesic(1.0, math.pi, 2))

@@ -227,6 +227,13 @@ def test_one_point_blocks_give_identical_results(monkeypatch):
             np.testing.assert_array_equal(a, b)
 
 
+def test_up_set_ceiling_admits_the_dim13_origin_and_refuses_dim14():
+    # the origin has 2**dim tied translates; the ceiling is 2**13
+    assert len(TorusDistanceField(dim=13).up_set(np.zeros(13))) == 2**13
+    with pytest.raises(UnsupportedConfigurationError, match="16384 candidate translates"):
+        TorusDistanceField(dim=14).up_set(np.zeros(14))
+
+
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_tie_tol_must_be_finite_and_nonnegative(bad: float):
     with pytest.raises(ValueError, match="tie_tol"):

@@ -35,7 +35,7 @@ from . import flows, jacobi
 from .convexity import classification_report, sub_index_to_json
 from .directions import DirectionSet
 from .errors import SubindexError, UnsupportedConfigurationError
-from .torus import TorusDistanceField, _check_connectivity_grid, _check_enumeration_dim
+from .torus import TorusDistanceField
 
 SCHEMA_VERSION = "1"
 
@@ -87,7 +87,6 @@ def _torus_field(args, base=None) -> TorusDistanceField:
 
 
 def _cmd_torus_table(args):
-    _check_enumeration_dim(args.dim)
     table = _torus_field(args).betti_table(scan_resolution=args.grid)
     report = {
         "dim": args.dim,
@@ -123,7 +122,6 @@ def _cmd_torus_classify(args):
 
 
 def _cmd_torus_connectivity(args):
-    _check_connectivity_grid(args.dim, args.grid)
     report = TorusDistanceField(args.dim).sublevel_connectivity(level=args.level, eps=args.eps, grid=args.grid)
     report["dim"] = args.dim
     return report, bool(report["all_outer_meet_inner"]), None

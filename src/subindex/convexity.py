@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from . import lp
-from .directions import DirectionSet
+from .directions import DirectionSet, min_angles_to_set
 from .errors import (
     AmbiguousClassificationError,
     InternalInconsistencyError,
@@ -68,12 +68,29 @@ def criticality_margin(dirset: DirectionSet) -> float:
     return lp.separation_margin(dirset.directions)
 
 
+def certified_regular(dirs, mask=None):
+    """Whether the summed direction certifies that 0 lies outside conv(U).
+
+    ``dirs`` is one (m, n) set U, or a (g, m, n) stack of sets whose kept rows
+    ``mask`` (g, m) marks; the answer is a bool, or one per set. With w the sum
+    of the kept rows, -w / |w|_inf is feasible in the separation LP with margin
+    min(U w) / |w|_inf, which certifies regularity at CERTIFIED_MARGIN or more.
+    """
+    u = np.asarray(dirs, dtype=float)
+    kept = u if mask is None else np.where(mask[..., None], u, 0.0)
+    w = kept.sum(axis=-2)
+    dots = np.matmul(u, w[..., None])[..., 0]
+    if mask is not None:
+        dots = np.where(mask, dots, np.inf)
+    scale = np.abs(w).max(axis=-1)
+    return (scale > 0.0) & (dots.min(axis=-1) >= CERTIFIED_MARGIN * scale)
+
+
 def is_critical(dirset: DirectionSet) -> bool:
     """Whether the origin lies in the convex hull of the direction set.
 
-    v = -sum(u_i) scaled to |v|_inf = 1 is feasible in the separation LP, so
-    s = -max(U v) / |v|_inf bounds its margin from below; at s >= CERTIFIED_MARGIN
-    the set is regular and no LP is solved. Otherwise the LP decides.
+    A set that :func:`certified_regular` certifies is regular without an LP;
+    otherwise the separation LP decides.
 
     Raises
     ------
@@ -81,10 +98,7 @@ def is_critical(dirset: DirectionSet) -> bool:
         If the LP margin falls between the feasibility margin (1e-9) and the
         ambiguity band (1e-7), where neither verdict is trustworthy.
     """
-    u = dirset.directions
-    v = -u.sum(axis=0)
-    scale = np.abs(v).max()
-    if scale > 0.0 and (u @ v).max() <= -CERTIFIED_MARGIN * scale:
+    if certified_regular(dirset.directions):
         return False
     margin = criticality_margin(dirset)
     if margin <= lp.FEASIBILITY_MARGIN:
@@ -189,8 +203,7 @@ def sampling_oracle_classify(
     polar region (min angle >= pi/2 - margin), for containment checks.
     """
     mesh = sphere_samples(dirset.dim, samples, seed=seed)
-    dots = mesh @ dirset.directions.T
-    min_angles = np.arccos(np.clip(dots, -1.0, 1.0)).min(axis=1)
+    min_angles = min_angles_to_set(mesh, dirset)
     critical = not bool(np.any(min_angles > np.pi / 2 + margin))
     near_polar = mesh[min_angles >= np.pi / 2 - margin]
     return critical, near_polar

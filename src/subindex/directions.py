@@ -10,7 +10,7 @@ import numpy as np
 # Two directions closer than this angle are treated as the same direction.
 DEDUP_ANGLE = 1e-8
 
-# How far a vector handed to angle() may be from unit length.
+# How far a vector handed to the angle functions may be from unit length.
 UNIT_SLACK = 1e-6
 
 # Chord |u - v| between unit vectors at angle DEDUP_ANGLE.
@@ -24,18 +24,6 @@ _GRAM_PREFILTER = 1e-9
 # Bound on the Gram entries of one row block times the dimension: this caps
 # both the block and the row differences of its candidate pairs.
 _GRAM_BLOCK_ENTRIES = 4_000_000
-
-
-def _check_unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        raise ValueError(f"{name} is numerically zero")
-    if abs(norm - 1.0) > UNIT_SLACK:
-        raise ValueError(f"{name} is not unit length (|v| = {norm})")
-    return v
 
 
 def _first_occurrences(arr: np.ndarray) -> np.ndarray:
@@ -67,26 +55,6 @@ def _first_occurrences(arr: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~dropped)
 
 
-def angle(v, w) -> float:
-    """Angle in [0, pi] between two unit vectors.
-
-    The dot product is clamped to [-1, 1] before arccos so that roundoff
-    never produces a NaN at nearly parallel or antipodal inputs.
-    """
-    v = _check_unit(v, "v")
-    w = _check_unit(w, "w")
-    if v.shape != w.shape:
-        raise ValueError("v and w have different dimensions")
-    return float(np.arccos(np.clip(np.dot(v, w), -1.0, 1.0)))
-
-
-def angles_to_set(v, directions: np.ndarray) -> np.ndarray:
-    """Angles from one unit vector to each row of a direction array."""
-    v = _check_unit(v, "v")
-    dots = np.clip(np.asarray(directions, dtype=float) @ v, -1.0, 1.0)
-    return np.arccos(dots)
-
-
 def row_norms(a) -> np.ndarray:
     """Euclidean norm of each row of a 2d array.
 
@@ -99,35 +67,44 @@ def row_norms(a) -> np.ndarray:
     return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
 
 
-def _directions_of(dirset) -> np.ndarray:
-    directions = dirset.directions if isinstance(dirset, DirectionSet) else np.asarray(dirset, float)
-    if directions.size == 0:
-        raise ValueError("direction set is empty")
-    return directions
-
-
-def min_angle_to_set(v, dirset) -> float:
-    """Smallest angle from v to a nonempty direction set."""
-    return float(angles_to_set(v, _directions_of(dirset)).min())
-
-
-def min_angles_to_set(vs, dirset) -> np.ndarray:
-    """Smallest angle from each row of a (k, dim) stack to a nonempty set.
-
-    Row i equals ``min_angle_to_set(vs[i], dirset)`` bit for bit: every row
-    gets the same unit-length check and the same matrix-vector product, here
-    one stacked product for all rows.
-    """
-    directions = _directions_of(dirset)
+def _unit_rows(vs) -> np.ndarray:
+    """``vs`` as a 2d float array, checked to hold rows of unit length."""
     vs = np.asarray(vs, dtype=float)
-    if vs.ndim != 2 or vs.shape[1] != directions.shape[1]:
-        raise ValueError(f"vs must have shape (k, {directions.shape[1]}), got {vs.shape}")
+    if vs.ndim != 2:
+        raise ValueError(f"expected a 2d stack of rows, got shape {vs.shape}")
     norms = row_norms(vs)
     bad = np.flatnonzero((norms < 1e-12) | (np.abs(norms - 1.0) > UNIT_SLACK))
     if bad.size:
         raise ValueError(f"row {bad[0]} is not unit length (|v| = {norms[bad[0]]})")
+    return vs
+
+
+def min_angles_to_set(vs, dirset) -> np.ndarray:
+    """Smallest angle from each unit row of a (k, dim) stack to a nonempty set.
+
+    Each row gets its own matrix-vector product, so its angle does not depend
+    on the rows beside it. Dot products are clamped to [-1, 1] before arccos
+    so that roundoff never produces a NaN at nearly parallel or antipodal
+    inputs.
+    """
+    directions = dirset.directions if isinstance(dirset, DirectionSet) else np.atleast_2d(np.asarray(dirset, float))
+    if directions.size == 0:
+        raise ValueError("direction set is empty")
+    vs = _unit_rows(vs)
+    if vs.shape[1] != directions.shape[1]:
+        raise ValueError(f"vs must have shape (k, {directions.shape[1]}), got {vs.shape}")
     dots = np.clip(np.matmul(directions, vs[:, :, None])[:, :, 0], -1.0, 1.0)
     return np.arccos(dots).min(axis=1)
+
+
+def min_angle_to_set(v, dirset) -> float:
+    """Smallest angle from the unit vector v to a nonempty direction set."""
+    return float(min_angles_to_set(np.asarray(v, dtype=float)[None], dirset)[0])
+
+
+def angle(v, w) -> float:
+    """Angle in [0, pi] between two unit vectors."""
+    return min_angle_to_set(v, _unit_rows(np.asarray(w, dtype=float)[None]))
 
 
 def theta_neighborhood_contains(v, dirset, theta: float) -> bool:

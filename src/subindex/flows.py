@@ -379,6 +379,8 @@ def terminal_cap_angle_bound(aligned: DirectionSet) -> CapAngleBound:
     cap = mesh[mesh[:, 0] <= -dilated]
     if cap.shape[0] == 0:
         raise InternalInconsistencyError("terminal cap sample is empty")
+    # one gemm, not min_angles_to_set's product per row: on 8052 / 35,988 cap
+    # rows (dims 2 / 3) it took 0.76 / 4.6 ms against 1.51 / 6.4 ms
     dots = np.clip(cap @ aligned.directions.T, -1.0, 1.0)
     min_angles = np.arccos(dots).min(axis=1)
     sampled_max = float(min_angles.max())

@@ -222,25 +222,21 @@ def _aligned_pieces(v: PiecewiseJacobi, w: PiecewiseJacobi):
         yield t0, t1, piece_at(v, mid), piece_at(w, mid)
 
 
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per node count.
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-node Gauss-Legendre rule on [-1, 1], built once.
 
     The arrays are shared by every caller, so they are read-only.
     """
-    x, wq = np.polynomial.legendre.leggauss(nodes)
+    x, wq = np.polynomial.legendre.leggauss(64)
     x.setflags(write=False)
     wq.setflags(write=False)
     return x, wq
 
 
-def index_form_quadrature(
-    geodesic: ModelGeodesic, v: PiecewiseJacobi, w: PiecewiseJacobi, nodes: int = 64
-) -> float:
-    """Gauss-Legendre evaluation of int g(V', W') - kappa g(V, W) dt."""
-    if nodes < 64:
-        raise ValueError("use at least 64 nodes per piece")
-    x, wq = _gauss_legendre(nodes)
+def index_form_quadrature(geodesic: ModelGeodesic, v: PiecewiseJacobi, w: PiecewiseJacobi) -> float:
+    """64-node Gauss-Legendre evaluation of int g(V', W') - kappa g(V, W) dt per piece."""
+    x, wq = _gauss_legendre()
     kappa = geodesic.curvature
     total = []
     for t0, t1, fv, fw in _aligned_pieces(v, w):
@@ -267,13 +263,7 @@ def index_form_boundary(v: PiecewiseJacobi, w: PiecewiseJacobi) -> float:
     return math.fsum(terms)
 
 
-def index_form(
-    geodesic: ModelGeodesic,
-    v,
-    w,
-    nodes: int = 64,
-    atol: float = 1e-8,
-) -> float:
+def index_form(geodesic: ModelGeodesic, v, w, atol: float = 1e-8) -> float:
     """Index form I(V, W), computed by quadrature and by boundary terms.
 
     The two routes are cross-asserted within ``atol``; disagreement raises,
@@ -283,7 +273,7 @@ def index_form(
     w = _as_piecewise(w, geodesic)
     if v.kappa != geodesic.curvature or w.kappa != geodesic.curvature:
         raise ValueError("field curvature does not match the geodesic")
-    quad = index_form_quadrature(geodesic, v, w, nodes=nodes)
+    quad = index_form_quadrature(geodesic, v, w)
     bdry = index_form_boundary(v, w)
     if abs(quad - bdry) > atol:
         raise InternalInconsistencyError(

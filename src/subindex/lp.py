@@ -152,8 +152,9 @@ def separation_margin(directions: np.ndarray) -> float:
 
     Computed as max s subject to u_i . v <= -s for all i and |v|_inf <= 1;
     the optimum is zero exactly when the origin lies in the hull, and is
-    otherwise the hull's L1 distance (so arcsin of it, up to the usual norm
-    equivalence, is the angular margin of the best separating direction).
+    otherwise the hull's L1 distance s. The Euclidean distance d2 obeys
+    d2 <= s <= sqrt(n) d2, and asin(d2) is the angular margin of the best
+    separating direction.
     """
     u = np.asarray(directions, dtype=float)
     m, n = u.shape

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .convexity import classify_polar_region, is_critical, sub_index_of_region
+from .convexity import certified_regular, classify_polar_region, is_critical, sub_index_of_region
 from .directions import DirectionSet
 from .errors import AmbiguousClassificationError, InternalInconsistencyError, UnsupportedConfigurationError
 
@@ -53,26 +53,6 @@ _STEPS = np.array([-1.0, 0.0, 1.0])  # the lattice offsets searched, per axis
 # Rounding slack of the candidate prefilter and of the up-set's gap test, far
 # above the error of a sum of n terms below 3.
 _PREFILTER = 1e-12
-
-
-# The two ceilings, checked by the methods below and by the CLI before a field
-# and its dim-length base are built.
-def _check_enumeration_dim(dim: int):
-    if dim > _MAX_ENUMERATION_DIM:
-        raise UnsupportedConfigurationError(f"enumeration is limited to dim <= {_MAX_ENUMERATION_DIM}")
-
-
-def _check_connectivity_grid(dim: int, grid: int):
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
-    nodes = 1
-    for _ in range(dim):
-        nodes *= grid
-        if nodes * (dim + 1) > _MAX_CONNECTIVITY_ENTRIES:
-            raise UnsupportedConfigurationError(
-                f"grid {grid} at dim {dim} exceeds the connectivity limit "
-                f"grid**dim * (dim + 1) <= {_MAX_CONNECTIVITY_ENTRIES}"
-            )
 
 
 def reduce_point(x) -> np.ndarray:
@@ -109,7 +89,8 @@ class TorusDistanceField:
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         if self.base is None:
-            self.base = np.full((1, self.dim), 0.5)
+            # a read-only view of one float, so nothing dim-long exists before a ceiling check
+            self.base = np.broadcast_to(0.5, (1, self.dim))
         else:
             arr = reduce_point(self.base)
             if arr.ndim == 1:
@@ -218,23 +199,25 @@ class TorusDistanceField:
 
     # -- ground-truth enumeration (centered single-point base only) ---------
 
-    def _require_centered_base(self, what: str):
-        if self.base.shape[0] != 1 or not np.allclose(self.base[0], 0.5, atol=1e-12):
-            raise UnsupportedConfigurationError(
-                f"{what} is implemented only for the single centered base point"
-            )
-
-    def enumerate_critical_points(
-        self, scan_resolution: int | None = None, verify: bool = True
-    ) -> list[CriticalPointRecord]:
+    def enumerate_critical_points(self, scan_resolution: int | None = None) -> list[CriticalPointRecord]:
         """All critical points of the centered field, classified.
 
         The candidates are the points with every coordinate in {0, 1/2},
-        excluding the base point itself. With ``verify`` a full grid scan
-        asserts that every other grid point is regular.
+        excluding the base point itself. A full grid scan then asserts that
+        every other grid point is regular. The dim ceiling, the scan
+        resolution and the base are checked before anything is classified.
         """
-        self._require_centered_base("critical point enumeration")
-        _check_enumeration_dim(self.dim)
+        if self.dim > _MAX_ENUMERATION_DIM:
+            raise UnsupportedConfigurationError(f"enumeration is limited to dim <= {_MAX_ENUMERATION_DIM}")
+        if scan_resolution is None:
+            scan_resolution = _SCAN_RESOLUTION.get(self.dim, 5)
+        elif scan_resolution < 3:
+            # at 1 and 2 every grid point is a candidate, so nothing is scanned
+            raise ValueError("scan_resolution must be at least 3")
+        if self.base.shape[0] != 1 or not np.allclose(self.base[0], 0.5, atol=1e-12):
+            raise UnsupportedConfigurationError(
+                "critical point enumeration is implemented only for the single centered base point"
+            )
         records = []
         for coords in itertools.product((0.0, 0.5), repeat=self.dim):
             point = np.array(coords)
@@ -246,17 +229,11 @@ class TorusDistanceField:
                     f"expected critical point at {point} classified regular"
                 )
             records.append(record)
-        if verify:
-            self._scan_for_extra_critical_points(scan_resolution)
+        self._scan_for_extra_critical_points(scan_resolution)
         return records
 
-    def _scan_grid(self, scan_resolution: int | None) -> np.ndarray:
+    def _scan_grid(self, scan_resolution: int) -> np.ndarray:
         """The scan's grid in ``itertools.product`` order, candidates dropped."""
-        if scan_resolution is None:
-            scan_resolution = _SCAN_RESOLUTION.get(self.dim, 5)
-        elif scan_resolution < 3:
-            # at 1 and 2 every grid point is a candidate, so nothing is scanned
-            raise ValueError("scan_resolution must be at least 3")
         axes = np.arange(scan_resolution) / scan_resolution
         grid = np.stack(np.meshgrid(*([axes] * self.dim), indexing="ij"), axis=-1).reshape(-1, self.dim)
         on_candidate = np.all(
@@ -264,17 +241,15 @@ class TorusDistanceField:
         )
         return grid[~on_candidate]
 
-    def _scan_for_extra_critical_points(self, scan_resolution: int | None):
+    def _scan_for_extra_critical_points(self, scan_resolution: int):
         grid = self._scan_grid(scan_resolution)
         failed = []
         for idx, diff, _, ties, _ in self._tie_groups(grid):
             suspect = ties.sum(axis=1) > 1
             idx, diff, ties = idx[suspect], diff[suspect], ties[suspect]
             dirs = diff / np.linalg.norm(diff, axis=2)[..., None]
-            # cheap separating certificate: the summed direction works for
-            # every regular tie on this lattice
-            w = np.where(ties[..., None], dirs, 0.0).sum(axis=1)
-            ok = np.all(~ties | (np.einsum("gjn,gn->gj", dirs, w) > 1e-12), axis=1)
+            # the summed direction certifies every regular tie on this lattice
+            ok = certified_regular(dirs, ties)
             failed += [(i, d[t]) for i, d, t in zip(idx[~ok], dirs[~ok], ties[~ok])]
         for i, dirs in sorted(failed, key=lambda f: f[0]):
             if is_critical(DirectionSet(self.dim, dirs)):
@@ -341,7 +316,16 @@ class TorusDistanceField:
         inner sublevel {dist < level - eps}; also counts inner components so
         that regular levels can be checked for an unchanged component count.
         """
-        _check_connectivity_grid(self.dim, grid)
+        if grid < 2:
+            raise ValueError("grid must be at least 2")
+        nodes = 1
+        for _ in range(self.dim):
+            nodes *= grid
+            if nodes * (self.dim + 1) > _MAX_CONNECTIVITY_ENTRIES:
+                raise UnsupportedConfigurationError(
+                    f"grid {grid} at dim {self.dim} exceeds the connectivity limit "
+                    f"grid**dim * (dim + 1) <= {_MAX_CONNECTIVITY_ENTRIES}"
+                )
         guard = 2.0 * np.sqrt(self.dim) / grid
         if eps <= guard:
             raise ValueError(

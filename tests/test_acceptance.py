@@ -12,11 +12,11 @@ import time
 import tracemalloc
 
 import numpy as np
+from test_lp import euclidean_hull_distance
 
 from subindex.convexity import (
     PolarVariant,
     classify_polar_region,
-    criticality_margin,
     is_critical,
     sampling_oracle_classify,
 )
@@ -62,7 +62,7 @@ def test_criterion_1_torus_ground_truth():
         table = torus.betti_table()
         expected = {lam: math.comb(n, lam) for lam in range(1, n + 1)}
         all_ok &= table == expected
-        for rec in torus.enumerate_critical_points(verify=False):
+        for rec in torus.enumerate_critical_points():
             half = int(np.sum(np.isclose(rec.point, 0.5)))
             all_ok &= rec.sub_index == n - half
     elapsed = time.perf_counter() - start
@@ -100,9 +100,11 @@ def test_criterion_2_classifier_oracle_agreement():
         if lp_says == oracle_says:
             continue
         # the only excusable split: oracle failed to find a separating
-        # witness whose margin is below its angular resolution
+        # witness whose angular margin, asin of the Euclidean distance to the
+        # hull (which the LP's L1 margin only bounds from above), is below
+        # its resolution
         band = 1e-2 + covering_bound(n, 10_000)
-        separation = math.asin(min(1.0, criticality_margin(ds)))
+        separation = math.asin(min(1.0, euclidean_hull_distance(ds.directions)))
         if (not lp_says) and oracle_says and separation <= band:
             band_excused += 1
         else:
@@ -305,7 +307,7 @@ def test_criterion_9_first_order_law():
     worst = 0.0
     for n in (2, 3):
         torus = TorusDistanceField(dim=n)
-        for rec in torus.enumerate_critical_points(verify=False):
+        for rec in torus.enumerate_critical_points():
             for _ in range(100):
                 v = rng.standard_normal(n)
                 v /= np.linalg.norm(v)

@@ -427,6 +427,47 @@ def test_torus_table_smallest_scan_grid(capsys):
     assert json.loads(capsys.readouterr().out)["counts"] == {"1": 2, "2": 1}
 
 
+def test_torus_table_refuses_a_small_grid_before_classifying(monkeypatch, capsys):
+    """--grid 2 at dim 8 is refused before any of the 255 candidates gets an LP."""
+    from subindex import lp
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lp, "_solve", no_solve)
+    assert main(["torus-table", "--dim", "8", "--grid", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    """Each decision stays with its owner module: no package module imports a
+    sibling's ``_``-prefixed name or reads one off a sibling it imported."""
+    import ast
+    import pathlib
+
+    import subindex
+
+    found = []
+    for path in sorted(pathlib.Path(subindex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("subindex")):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        found.append(f"{path.name}: from {node.module} import {alias.name}")
+                    elif node.module in (None, "subindex"):
+                        siblings.add(alias.asname or alias.name)
+        found += [
+            f"{path.name}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in siblings and node.attr.startswith("_")
+        ]
+    assert found == []
+
+
 def test_importing_the_cli_leaves_out_scipy_ndimage():
     """scipy.ndimage adds about 65 ms to an import; only the connectivity
     labelling needs it, so it is imported there."""

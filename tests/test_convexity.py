@@ -12,14 +12,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_lp import _direction_rows
+from test_lp import _direction_rows, euclidean_hull_distance
 
 from subindex import lp
 from subindex.convexity import (
     CERTIFIED_MARGIN,
     PolarVariant,
+    certified_regular,
     classification_report,
     classify_polar_region,
     criticality_margin,
@@ -153,12 +154,17 @@ def _random_direction_set(rng: np.random.Generator, n: int, m: int) -> Direction
 
 @settings(deadline=None, max_examples=120)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 3), m=st.integers(1, 8))
+@example(seed=157246918, n=2, m=4)
+@example(seed=95522, n=2, m=5)
 def test_lp_agrees_with_sampling_oracle(seed: int, n: int, m: int):
     """LP criticality and the spherical scan only disagree inside the band.
 
     The scan can miss a separating direction whose witness margin is below
     its resolution, so LP-regular versus oracle-critical is excused exactly
-    when the separation is that small; nothing else is.
+    when the separation is that small; nothing else is. The scan resolves
+    angles, so the separation is asin of the Euclidean distance d2 from the
+    origin to the hull, not of the LP's L1 margin s >= d2: the two examples
+    have asin(s) above the band and asin(d2) below it.
     """
     rng = np.random.default_rng(seed)
     ds = _random_direction_set(rng, n, m)
@@ -171,7 +177,7 @@ def test_lp_agrees_with_sampling_oracle(seed: int, n: int, m: int):
         return
     assert not lp_says and oracle_says, "oracle found a witness the LP ruled out"
     band = 1e-2 + covering_bound(n, 4000)
-    assert math.asin(min(1.0, criticality_margin(ds))) <= band
+    assert math.asin(min(1.0, euclidean_hull_distance(ds.directions))) <= band
 
 
 @settings(deadline=None, max_examples=60)
@@ -300,6 +306,21 @@ def test_certificate_answers_only_far_from_the_band(seed, kind, n, near_copy):
     if not calls:
         assert verdict is False
         assert criticality_margin(ds) >= CERTIFIED_MARGIN
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 5), m=st.integers(1, 8), g=st.integers(1, 6))
+def test_certificate_on_a_masked_stack_equals_it_on_each_kept_set(seed: int, n: int, m: int, g: int):
+    """The torus scan's (g, m, n) form with a row mask gives, set by set,
+    the verdict of the single-set form that is_critical calls."""
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((g, m, n))
+    stack[rng.random((g, m)) < 0.5, 0] += 2.0  # lean some rows one way, so some sets certify
+    stack /= np.linalg.norm(stack, axis=2, keepdims=True)
+    mask = rng.random((g, m)) < 0.7
+    mask[:, 0] = True
+    want = [bool(certified_regular(u[k])) for u, k in zip(stack, mask)]
+    assert certified_regular(stack, mask).tolist() == want
 
 
 def _fan(count: int, half_angle: float) -> list[list[float]]:

@@ -16,7 +16,6 @@ from subindex.directions import (
     DEDUP_ANGLE,
     DirectionSet,
     angle,
-    angles_to_set,
     min_angle_to_set,
     min_angles_to_set,
     row_norms,
@@ -217,7 +216,9 @@ def test_min_angle_to_set_basic():
     ds = DirectionSet.from_vectors(np.eye(3))
     v = np.array([0.0, 0.0, -1.0])
     assert min_angle_to_set(v, ds) == pytest.approx(math.pi / 2)
-    assert angles_to_set(v, ds.directions).shape == (3,)
+    assert min_angles_to_set(np.array([v, -v]), ds.directions).shape == (2,)
+    # a bare vector is a one-row set, as in DirectionSet
+    assert min_angle_to_set(v, [0.0, 1.0, 0.0]) == pytest.approx(math.pi / 2)
 
 
 @settings(deadline=None, max_examples=60)

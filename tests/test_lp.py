@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
 from scipy.sparse import csc_array, vstack
 
@@ -113,6 +113,41 @@ def _linprog_separation_margin(u):
     if res.status != 0:
         raise InternalInconsistencyError("separation margin LP reported infeasible")
     return float(-res.fun)
+
+
+def euclidean_hull_distance(u) -> float:
+    """Euclidean distance d2 from the origin to the convex hull of the rows.
+
+    Least-distance programming (Lawson & Hanson, ch. 23), an independent
+    route to the separation LP: the shortest x with u_i . x <= -1 for every i
+    has |x| = 1 / d2. With E = [-U^T; 1^T], f = e_{n+1}, mu = nnls(E, f) and
+    r = E mu - f, that x is -r[:n] / r[n], and r = 0 exactly when the origin
+    lies in the hull.
+    """
+    u = np.asarray(u, dtype=float)
+    m, n = u.shape
+    e = np.vstack([-u.T, np.ones((1, m))])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    mu, _ = nnls(e, f)
+    r = e @ mu - f
+    if np.linalg.norm(r) <= 1e-12:
+        return 0.0
+    return float(abs(r[n]) / np.linalg.norm(r[:n]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 6), m=st.integers(1, 10))
+def test_separation_margin_lies_within_the_norm_bounds_of_the_euclidean_distance(seed: int, n: int, m: int):
+    """The separation margin s is the L1 distance from the origin to the
+    hull, so d2 <= s <= sqrt(n) d2 against the least-distance route's d2."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((m, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    s = lp.separation_margin(u)
+    d2 = euclidean_hull_distance(u)
+    assert d2 <= s + 1e-9
+    assert s <= math.sqrt(n) * d2 + 1e-9
 
 
 def _interior_blocks(u):

@@ -90,7 +90,7 @@ def test_classify_point_regular_returns_none():
 def test_subcube_centers_have_expected_sub_index(n: int):
     """A candidate with j coordinates at 1/2 carries sub-index n - j."""
     torus = TorusDistanceField(dim=n)
-    records = torus.enumerate_critical_points(verify=False)
+    records = torus.enumerate_critical_points()
     assert len(records) == 2**n - 1
     for rec in records:
         half_coords = int(np.sum(np.isclose(rec.point, 0.5)))
@@ -106,7 +106,7 @@ def test_betti_table_counts_are_binomial(n: int):
 
 def test_regularity_scan_passes_on_default_grid():
     # the scan itself raises InternalInconsistencyError on any surprise
-    TorusDistanceField(dim=2).enumerate_critical_points(scan_resolution=41, verify=True)
+    TorusDistanceField(dim=2).enumerate_critical_points(scan_resolution=41)
 
 
 def test_enumeration_requires_centered_base():

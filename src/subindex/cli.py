@@ -102,9 +102,9 @@ def _cmd_torus_classify(args):
         raise ValueError("--point must have --dim coordinates")
     base = None
     if args.base:
-        base = np.array([_parse_point(p) for p in args.base.split(";")])
-        if base.shape[1] != args.dim:
-            raise ValueError("base points must match --dim")
+        base = [_parse_point(p) for p in args.base.split(";")]
+        if any(b.shape[0] != args.dim for b in base):
+            raise ValueError("base points must each have --dim coordinates")
     torus = _torus_field(args, base)
     record = torus.classify_point(point)
     report = {
@@ -231,11 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args):
-    """Usage errors the parser does not catch: a non-finite float, an output
-    path that cannot be written, or CSV for a report that is not a table."""
+    """Usage errors the parser misses: a non-finite float, a negative seed, an
+    output path that cannot be written, or CSV for a report that is not a table."""
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     for path in (args.out, getattr(args, "emit_trajectories", None)):
         if path is None:
             continue

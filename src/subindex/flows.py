@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .convexity import PolarVariant, classify_polar_region
 from .directions import DirectionSet, angle, min_angles_to_set, row_norms
@@ -443,6 +442,13 @@ def _regimes(ys: np.ndarray, durations: np.ndarray, radius: float):
     ends[:, 0] -= durations
     core = ~still & (np.maximum(norms, row_norms(ends)) <= profile.inner)
     return still, core
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported on the first ODE (``scipy.integrate`` adds
+    about 0.25 s to an import); tracing counts the ODEs through this name."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 def _flow_x0(y: np.ndarray, times: np.ndarray, radius: float) -> np.ndarray:

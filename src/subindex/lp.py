@@ -21,28 +21,45 @@ what the front end gives; the tests hold it to that.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 
 from .errors import InternalInconsistencyError
 
-try:
-    from scipy.optimize._highspy._core import (
-        HighsDebugLevel,
-        HighsLp,
-        HighsModelStatus,
-        HighsOptions,
-        HighsStatus,
-        MatrixFormat,
-        _Highs,
-        simplex_constants,
-    )
-except ImportError as exc:
-    raise ImportError(
-        "subindex needs scipy>=1.15, the first release that ships HiGHS as "
-        "scipy.optimize._highspy._core"
-    ) from exc
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's HiGHS bindings. The extension is loaded from its file under its own
+    name, so ``scipy/optimize/__init__.py`` (half a second of imports) never runs
+    and a later ``import scipy.optimize`` reuses it; else the normal import."""
+    scipy = None if _HIGHS in sys.modules else importlib.util.find_spec("scipy")
+    for root in (scipy and scipy.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+            spec = importlib.util.spec_from_file_location(_HIGHS, path)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except ImportError:
+                continue  # no such file, or it does not load
+            return sys.modules.setdefault(_HIGHS, module)
+    try:
+        return importlib.import_module(_HIGHS)
+    except ImportError as exc:
+        raise ImportError(
+            "subindex needs scipy>=1.15, the first release that ships HiGHS as "
+            "scipy.optimize._highspy._core"
+        ) from exc
+
+
+_core = _load_highs()
+_Highs = _core._Highs  # the solver class; tests replace this name with a fake
 
 # Margins below FEASIBILITY_MARGIN count as exactly zero; margins inside
 # (FEASIBILITY_MARGIN, AMBIGUITY_BAND) are refused rather than guessed.
@@ -50,10 +67,10 @@ FEASIBILITY_MARGIN = 1e-9
 AMBIGUITY_BAND = 1e-7
 
 # The options the front end sets when given none.
-_OPTIONS = HighsOptions()
+_OPTIONS = _core.HighsOptions()
 _OPTIONS.presolve = "on"
-_OPTIONS.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
-_OPTIONS.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+_OPTIONS.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_OPTIONS.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
 _OPTIONS.output_flag = False
 _OPTIONS.log_to_console = False
 
@@ -61,7 +78,7 @@ _OPTIONS.log_to_console = False
 _CHECK_TOL = math.sqrt(1e-9) * 10
 
 # Model statuses that the front end reports as infeasible (its status 2).
-_INFEASIBLE = (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError)
+_INFEASIBLE = (_core.HighsModelStatus.kInfeasible, _core.HighsModelStatus.kModelError)
 
 
 def _dense_csc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,10 +115,10 @@ def _solve(c, a, n_ub, rhs, lb, ub, what):
     start, index, value = a
     lhs = rhs.copy()
     lhs[:n_ub] = -np.inf
-    model = HighsLp()
+    model = _core.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = c.size
     model.num_row_ = model.a_matrix_.num_row_ = rhs.size
-    model.a_matrix_.format_ = MatrixFormat.kColwise
+    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
     model.col_cost_ = c
     model.col_lower_ = lb
     model.col_upper_ = ub
@@ -112,13 +129,13 @@ def _solve(c, a, n_ub, rhs, lb, ub, what):
     model.a_matrix_.value_ = value
     highs = _Highs()
     highs.passOptions(_OPTIONS)
-    if highs.passModel(model) == HighsStatus.kError:
+    if highs.passModel(model) == _core.HighsStatus.kError:
         return None  # the front end reports a model it cannot load as infeasible
-    ran = highs.run() != HighsStatus.kError
+    ran = highs.run() != _core.HighsStatus.kError
     status = highs.getModelStatus()
     if status in _INFEASIBLE:
         return None
-    if not ran or status != HighsModelStatus.kOptimal:
+    if not ran or status != _core.HighsModelStatus.kOptimal:
         raise InternalInconsistencyError(
             f"LP solver failed on {what}: {highs.modelStatusToString(status)}"
         )

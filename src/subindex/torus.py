@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .convexity import certified_regular, classify_polar_region, is_critical, sub_index_of_region
 from .directions import DirectionSet
@@ -355,8 +353,10 @@ def _torus_components(mask: np.ndarray):
     maps box labels to components, label 0 (outside ``mask``) to its own. Boxes
     span the last four axes, as ``ndimage.label``'s structure and scan grow as
     3**rank; labels meeting across the other axes or a wrap face are merged."""
-    # imported here, not with the module: it adds about 65 ms to every import
+    # imported here, not with the module: they add about 0.5 s to every import
     from scipy import ndimage
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
 
     k = min(mask.ndim, 4)
     structure = np.pad(ndimage.generate_binary_structure(k, 1)[None], [(1, 1)] + [(0, 0)] * k)

@@ -129,6 +129,25 @@ def test_torus_classify_dimension_mismatch(capsys):
     assert code == 2
 
 
+def test_torus_classify_names_a_ragged_base(capsys):
+    code = main(["torus-classify", "--dim", "2", "--point", "0.5,0.5", "--base", "0.1,0.2;0.3"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: base points must each have --dim coordinates\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5", "--seed", "-3"],
+        ["jacobi-verify", "--seed", "-3"],
+    ],
+)
+def test_a_negative_seed_is_named(argv, capsys):
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == "error: --seed must be nonnegative, got -3\n"
+
+
 def test_torus_connectivity_critical_level(capsys):
     code = main(
         ["torus-connectivity", "--dim", "2", "--level", "0.5", "--eps", "0.05", "--grid", "150"]
@@ -468,12 +487,15 @@ def test_no_module_reaches_into_another_modules_private_names():
     assert found == []
 
 
-def test_importing_the_cli_leaves_out_scipy_ndimage():
-    """scipy.ndimage adds about 65 ms to an import; only the connectivity
-    labelling needs it, so it is imported there."""
+def test_importing_the_package_and_cli_leaves_out_unused_scipy_parts(tmp_path):
+    """Neither ``import subindex`` nor ``import subindex.cli`` runs scipy.optimize's
+    package (HiGHS is loaded from its file) or imports scipy.integrate, sparse,
+    ndimage or linalg. A connectivity run and an ODE trajectory in the same
+    process then import what they need and succeed."""
     import pathlib
     import subprocess
     import sys
+    import textwrap
 
     import subindex
 
@@ -481,10 +503,30 @@ def test_importing_the_cli_leaves_out_scipy_ndimage():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(pathlib.Path(subindex.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
     )
-    code = "import sys, subindex.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    code = textwrap.dedent("""
+        import sys
+        heavy = ("scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.ndimage", "scipy.linalg")
+
+        def loaded():
+            return sorted(m for m in heavy if m in sys.modules)
+
+        import subindex
+        print(loaded())
+        import subindex.cli
+        print(loaded())
+        tmp = sys.argv[1]
+        print(subindex.cli.main(["torus-connectivity", "--dim", "2", "--level", "0.5", "--eps", "0.05",
+                                 "--grid", "150", "--out", tmp + "/conn.json"]))
+        print(subindex.cli.main(["flow-verify", "--dim", "2", "--radius", "1", "--samples", "50",
+                                 "--out", tmp + "/flow.json", "--emit-trajectories", tmp + "/t.csv"]))
+        print(all(m in sys.modules for m in ("scipy.integrate", "scipy.ndimage", "scipy.sparse")))
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]", "0", "0", "True"]
+    assert len((tmp_path / "t.csv").read_text().splitlines()) > 10
 
 
 def test_parser_requires_subcommand():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from subindex import flows
 from subindex.directions import DirectionSet, angle, min_angle_to_set
 from subindex.errors import SingularSplitError, UnsupportedConfigurationError
 from subindex.flows import (
@@ -363,6 +364,24 @@ def test_stacked_cutoff_flow_matches_per_row_calls(seed, n, radius, t, regimes):
     one_row = cutoff_linear_flow(ys[:1], t, radius)
     assert one_row.shape == (1, n)
     np.testing.assert_array_equal(one_row[0], cutoff_linear_flow(ys[0], t, radius))
+
+
+def test_each_ode_row_goes_through_the_module_level_solve_ivp(monkeypatch):
+    """``subindex.flows.solve_ivp`` stays a module-level name that every ODE
+    row calls once: tracing patches that binding to count the flow's ODEs."""
+    solve_ivp, calls = flows.solve_ivp, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_ivp(*args, **kwargs)
+
+    ys = np.array([[0.1, 0.1], [0.0, 1.7], [2.5, 0.0], [1.0, 1.2], [-0.3, 0.2]])
+    want = cutoff_linear_flow(ys, 1.0, 1.0)
+    monkeypatch.setattr(flows, "solve_ivp", counting)
+    got = cutoff_linear_flow(ys, 1.0, 1.0)
+    np.testing.assert_array_equal(got, want)
+    # rows 1 and 3 lie in the 1.5R-2R shell; the others are in the core or outside 2R
+    assert len(calls) == 2
 
 
 def test_cutoff_flow_rejects_deeper_stacks():

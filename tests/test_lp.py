@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import os
+import pathlib
 import re
+import subprocess
 import sys
+import textwrap
 from types import SimpleNamespace
 from unittest import mock
 
@@ -277,6 +281,114 @@ def test_old_scipy_fails_at_import_with_the_floor():
     with mock.patch.dict(sys.modules, {"scipy.optimize._highspy._core": None}):
         with pytest.raises(ImportError, match=re.escape("scipy>=1.15")):
             spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def _fresh_python(fragments: list[str], *args: str) -> str:
+    """stdout of the code fragments, each dedented, run in a new interpreter
+    that imports this checkout."""
+    env = dict(os.environ)
+    root = str(pathlib.Path(lp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    code = "".join(map(textwrap.dedent, fragments))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# One seeded set's two LP margins, printed bit for bit.
+_SEEDED_MARGINS = """
+    import numpy as np
+    from subindex import lp
+    u = np.random.default_rng(7).standard_normal((9, 4))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    print(float.hex(lp.separation_margin(u)), float.hex(lp.interior_weight_margin(u)))
+"""
+
+# Makes the by-file lookup find no loadable file: ``find_spec("scipy")`` names
+# the directory argv[2], which for argv[1] == "unloadable" holds an empty file
+# where the extension should be.
+_NO_HIGHS_FILE = """
+    import importlib.machinery, importlib.util, os, sys
+    root = sys.argv[2]
+    if sys.argv[1] == "unloadable":
+        os.makedirs(os.path.join(root, "optimize", "_highspy"))
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        open(os.path.join(root, "optimize", "_highspy", "_core" + suffix), "w").close()
+    find_spec = importlib.util.find_spec
+
+    def no_highs_file(name, *args):
+        if name != "scipy":
+            return find_spec(name, *args)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [root]
+        return spec
+
+    importlib.util.find_spec = no_highs_file
+"""
+
+
+def _in_process_margins() -> str:
+    u = np.random.default_rng(7).standard_normal((9, 4))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return f"{float.hex(lp.separation_margin(u))} {float.hex(lp.interior_weight_margin(u))}\n"
+
+
+def test_both_import_orders_share_one_highs_module_and_give_the_same_bits():
+    """Imported first, subindex loads HiGHS from its file and scipy.optimize
+    then reuses that module; imported second, it takes scipy's. Either way
+    the front end and ``lp`` run one module, and the margins agree bit for bit."""
+    shared = """
+        import sys
+        from scipy.optimize import linprog
+        core = sys.modules["scipy.optimize._highspy._core"]
+        assert core is lp._core and lp._Highs is core._Highs
+        assert sys.modules["scipy.optimize._highspy._highs_wrapper"]._h is core
+        assert linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs").fun == 1.0
+    """
+    cli_first = _fresh_python(
+        ["""
+        import sys
+        import subindex.cli
+        assert "scipy.optimize" not in sys.modules
+        import scipy.optimize
+        """, _SEEDED_MARGINS, shared]
+    )
+    scipy_first = _fresh_python(["import scipy.optimize\nimport subindex.cli\n", _SEEDED_MARGINS, shared])
+    assert cli_first == scipy_first == _in_process_margins()
+
+
+@pytest.mark.parametrize("layout", ["missing", "unloadable"])
+def test_without_a_loadable_highs_file_the_normal_import_is_used(layout, tmp_path):
+    out = _fresh_python(
+        [_NO_HIGHS_FILE, _SEEDED_MARGINS, """
+        assert "scipy.optimize" in sys.modules
+        assert lp._core is sys.modules["scipy.optimize._highspy._core"]
+        """],
+        layout,
+        str(tmp_path),
+    )
+    assert out == _in_process_margins()
+
+
+def test_old_scipy_without_a_highs_file_fails_at_import_with_the_floor(tmp_path):
+    """No extension file and no importable module, as in scipy < 1.15."""
+    out = _fresh_python(
+        [_NO_HIGHS_FILE, """
+        class NoHighs:
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy.optimize._highspy._core":
+                    raise ModuleNotFoundError(name)
+
+        sys.meta_path.insert(0, NoHighs())
+        try:
+            import subindex.lp
+        except ImportError as exc:
+            print(exc)
+        """],
+        "missing",
+        str(tmp_path),
+    )
+    assert "scipy>=1.15" in out
 
 
 class _ReportingHighs:

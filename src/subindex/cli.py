@@ -76,7 +76,7 @@ def _cmd_classify(args):
     try:
         with open(args.input) as fh:
             dirset = DirectionSet.from_json(fh.read())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:  # OverflowError: an integer past the float range
         raise ValueError(f"cannot read direction set from {args.input}: {exc}")
     return classification_report(dirset), True, None
 

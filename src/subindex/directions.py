@@ -188,11 +188,16 @@ class DirectionSet:
 
     @classmethod
     def from_json(cls, text: str) -> "DirectionSet":
+        """A set from a JSON object with an integer ``dim``, rows of numbers and
+        an optional number ``tol``. Types are exact: JSON true is no number."""
         data = json.loads(text)
-        try:
-            dim = int(data["dim"])
-            directions = data["directions"]
-            tol = float(data.get("tol", 1e-9))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed direction-set JSON: {exc}") from exc
-        return cls(dim=dim, directions=np.asarray(directions, dtype=float), tolerance=tol)
+        if not isinstance(data, dict):
+            raise ValueError("a direction set must be a JSON object")
+        dim, rows, tol = data.get("dim"), data.get("directions"), data.get("tol", 1e-9)
+        if type(dim) is not int:
+            raise ValueError(f"'dim' must be an integer, got {dim!r}")
+        if type(tol) not in (int, float):
+            raise ValueError(f"'tol' must be a number, got {tol!r}")
+        if type(rows) is not list or any(type(r) is not list or {type(x) for x in r} - {int, float} for r in rows):
+            raise ValueError("'directions' must be a list of rows of numbers")
+        return cls(dim=dim, directions=np.asarray(rows, dtype=float), tolerance=float(tol))

@@ -36,7 +36,6 @@ COS_TERMINAL = -math.sqrt(1.0 / 11.0)
 BLOCK_TOL = 1e-6  # distance to a factor sphere below which splits are refused
 ODE_ATOL = 1e-10  # tolerances of the scalar cutoff-flow ODE
 ODE_RTOL = 1e-9
-PATH_SAMPLES = 64  # points per trajectory at which the arrival path bound is sampled
 
 
 def drift_length(radius: float) -> float:
@@ -160,21 +159,22 @@ def gradient_like_check(
     embedded = np.zeros((len(net), n))  # the net, padded with zeros to R^n
     embedded[:, : p + 1] = net.directions
     points = sphere_samples(n, samples, seed=seed)
-    max_hinge = 0.0
-    for pt in points:
-        try:
-            split = SphereSplit.from_point(pt, p)
-        except SingularSplitError:
-            continue
-        _, g = join_angle_and_gradient(split)
-        dots = embedded @ pt
-        best = float(dots.max())
-        for idx in np.nonzero(dots >= best - 1e-12)[0]:
-            gamma = embedded[idx]
-            tangent = _tangent_toward(pt, gamma)
-            h = float(np.arccos(np.clip(g @ tangent, -1.0, 1.0)))
-            max_hinge = max(max_hinge, h)
-    return max_hinge
+    a, b = row_norms(points[:, : p + 1]), row_norms(points[:, p + 1 :])
+    keep = (a >= BLOCK_TOL) & (b >= BLOCK_TOL)  # where SphereSplit.from_point succeeds
+    points, a, b = points[keep], a[keep], b[keep]
+    theta = np.arctan2(a, b)
+    g = np.concatenate(
+        [points[:, : p + 1] / a[:, None] * np.cos(theta)[:, None],
+         -(points[:, p + 1 :] / b[:, None]) * np.sin(theta)[:, None]],
+        axis=1,
+    )
+    dots = points @ embedded.T
+    rows, cols = np.nonzero(dots >= dots.max(axis=1)[:, None] - 1e-12)
+    # |gamma - (p.gamma) p|^2 = 1 - (p.gamma)^2 >= b^2 >= BLOCK_TOL^2: no zero tangent
+    tangents = embedded[cols] - np.clip(dots[rows, cols], -1.0, 1.0)[:, None] * points[rows]
+    tangents /= row_norms(tangents)[:, None]
+    cos_h = np.matmul(g[rows, None, :], tangents[:, :, None])[:, 0, 0]
+    return float(np.arccos(np.clip(cos_h, -1.0, 1.0)).max(initial=0.0))
 
 
 def join_right_triangle_residuals(
@@ -213,22 +213,13 @@ def right_triangle_residuals(dim: int, count: int, seed: int = 0) -> np.ndarray:
     if dim < 3:
         raise ValueError("need dim >= 3 for a nondegenerate spherical triangle")
     rng = np.random.default_rng(seed)
-    out = np.empty(count)
-    for i in range(count):
-        c = rng.standard_normal(dim)
-        c /= np.linalg.norm(c)
-        t1 = rng.standard_normal(dim)
-        t1 -= (t1 @ c) * c
-        t1 /= np.linalg.norm(t1)
-        t2 = rng.standard_normal(dim)
-        t2 -= (t2 @ c) * c
-        t2 -= (t2 @ t1) * t1
-        t2 /= np.linalg.norm(t2)
-        a, b = rng.uniform(0.1, 1.4, 2)
-        pa = c * math.cos(a) + t1 * math.sin(a)
-        pb = c * math.cos(b) + t2 * math.sin(b)
-        out[i] = abs(float(np.clip(pa @ pb, -1, 1)) - math.cos(a) * math.cos(b))
-    return out
+    # orthonormal (c, t1, t2) per row: the columns of one stacked QR
+    frames = np.linalg.qr(rng.standard_normal((count, dim, 3)))[0]
+    c, t1, t2 = frames[..., 0], frames[..., 1], frames[..., 2]
+    a, b = rng.uniform(0.1, 1.4, (2, count))
+    pa = c * np.cos(a)[:, None] + t1 * np.sin(a)[:, None]
+    pb = c * np.cos(b)[:, None] + t2 * np.sin(b)[:, None]
+    return np.abs(np.clip((pa * pb).sum(axis=1), -1, 1) - np.cos(a) * np.cos(b))
 
 
 # --------------------------------------------------------------------------
@@ -244,13 +235,13 @@ def linear_flow(y, t: float) -> np.ndarray:
     return out
 
 
-def perp_time(y) -> float:
-    """Flow time at which the trajectory passes the perpendicular foot of e1.
+def perp_time(y):
+    """Flow time at which the trajectory passes the perpendicular foot of e1,
+    for one point or for each row of a stack.
 
     Zero when the point already lies in the closed half-space e1 . y <= 0.
     """
-    y = np.asarray(y, dtype=float)
-    return float(max(0.0, y[0]))
+    return np.maximum(np.asarray(y, dtype=float)[..., 0], 0.0)
 
 
 def linear_flow_rates(y) -> tuple[float, float]:
@@ -298,16 +289,12 @@ def arrival_bounds_many(ys: np.ndarray, radius: float):
     """Vectorized arrival bounds; returns six arrays matching ArrivalBounds."""
     ys = np.asarray(ys, dtype=float)
     drift = drift_length(radius)
-    t_y = np.maximum(0.0, ys[:, 0])
     finals = ys.copy()
-    finals[:, 0] -= t_y + drift
+    finals[:, 0] -= perp_time(ys) + drift
     norm_final = np.linalg.norm(finals, axis=1)
     cos_final = finals[:, 0] / norm_final
-    ts = np.linspace(0.0, drift, PATH_SAMPLES)
-    first = ys[:, 0, None] - (t_y[:, None] + ts[None, :])
-    rest_sq = (ys[:, 1:] ** 2).sum(axis=1)
-    norms_path = np.sqrt(first**2 + rest_sq[:, None])
-    norm_path_max = norms_path.max(axis=1)
+    # e1 . y falls from min(y0, 0) <= 0 along the segment, so |y| peaks at its end
+    norm_path_max = np.sqrt(finals[:, 0] ** 2 + (ys[:, 1:] ** 2).sum(axis=1))
     norm_y = np.linalg.norm(ys, axis=1)
     slack_cos = COS_TERMINAL - cos_final
     slack_path = (norm_y + drift) - norm_path_max
@@ -505,7 +492,7 @@ def cutoff_linear_flow(y, t: float, radius: float) -> np.ndarray:
     if y.ndim not in (1, 2):
         raise ValueError(f"y must be a point or a (k, dim) stack, got shape {y.shape}")
     ys = np.atleast_2d(y)
-    durations = (np.maximum(ys[:, 0], 0.0) + drift_length(radius)) * t
+    durations = (perp_time(ys) + drift_length(radius)) * t
     still, core = _regimes(ys, durations, radius)
     out = ys.copy()
     out[core, 0] -= durations[core]
@@ -529,10 +516,10 @@ def bump_flow_trajectory(
 # the flow-verify suite
 # --------------------------------------------------------------------------
 
-# Bound on the floats flow_verify holds: samples x (dim + PATH_SAMPLES) for the
-# sample stack and the path of each arrival bound, plus 8 per value of the
-# 10 x 40 x dim trajectory values written as text. At the bound peak RSS
-# stays under 512 MB: 0.39 GB at most on 2 vCPUs with py3.11 and numpy 2.4.
+# Bound on the floats flow_verify holds: samples x (dim + 8) for the sample
+# stack and the eight per-sample values of the arrival bounds, plus 8 per value
+# of the 10 x 40 x dim trajectory values written as text. At the bound peak RSS
+# stays under 512 MB: 0.29 GB at most on 2 vCPUs with py3.11 and numpy 2.4.
 _MAX_FLOW_ENTRIES = 8_000_000
 
 
@@ -556,13 +543,14 @@ def flow_verify(
     """
     if dim < 2:
         raise ValueError("flow verification needs dim >= 2")
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be finite and positive, got {radius}")
+    # below 1e-3 the fixed 1e-8 / 1e-9 allowances outweigh the drift; far above 1e100 norms overflow
+    if not 1e-3 <= radius <= 1e100:
+        raise ValueError(f"radius must lie in [1e-3, 1e100], got {radius}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    entries = samples * (dim + PATH_SAMPLES) + (8 * 400 * dim if trajectories else 0)
+    entries = samples * (dim + 8) + (8 * 400 * dim if trajectories else 0)
     if entries > _MAX_FLOW_ENTRIES:
         raise UnsupportedConfigurationError(
             f"flow verification holds {entries} floats for {samples} samples in dim {dim}; "
@@ -579,9 +567,7 @@ def flow_verify(
             "worst_slack": float(slacks.min()) if slacks.size else 0.0,
         }
 
-    ys = _ball_samples(rng, samples, dim, radius)
-    ys = ys[np.linalg.norm(ys, axis=1) > 1e-9]
-    _, _, _, s_cos, s_path, s_exit = arrival_bounds_many(ys, radius)
+    _, _, _, s_cos, s_path, s_exit = arrival_bounds_many(_ball_samples(rng, samples, dim, radius), radius)
     record("arrive_cos", s_cos, tol)
     record("arrive_path", s_path, tol)
     record("arrive_exit", s_exit, tol)
@@ -594,9 +580,7 @@ def flow_verify(
     moved = np.max(np.abs(cutoff_linear_flow(outside, 1.0, radius) - outside), axis=1)
     record("omega_identity", -moved, 0.0)
 
-    inner = _ball_samples(rng, min(samples, 1000), dim, radius)
-    inner = inner[np.linalg.norm(inner, axis=1) > 1e-9]
-    arrivals = cutoff_linear_flow(inner, 1.0, radius)
+    arrivals = cutoff_linear_flow(_ball_samples(rng, min(samples, 1000), dim, radius), 1.0, radius)
     exit_slack = np.linalg.norm(arrivals, axis=1) - drift
     record("omega_exit", exit_slack + 1e-8, 0.0)
 
@@ -621,7 +605,7 @@ def flow_verify(
         probe = _ball_samples(rng, 5, dim, radius)
         ring = probe / np.linalg.norm(probe, axis=1, keepdims=True) * (1.6 * radius)
         for y in np.vstack([probe, ring]):
-            ts, points = bump_flow_trajectory(y, drift + max(0.0, y[0]), radius, steps=40)
+            ts, points = bump_flow_trajectory(y, drift + perp_time(y), radius, steps=40)
             for t, x in zip(ts, points):
                 lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in x]))
         csv_text = "\n".join(lines) + "\n"

@@ -188,9 +188,13 @@ class PiecewiseJacobi:
     def frame_dim(self) -> int:
         return self.fields[0].frame_dim
 
+    def pieces_at(self, ts) -> list:
+        """The piece active at each parameter of ``ts``, the right one at a break."""
+        idx = np.clip(np.searchsorted(self.breaks, ts, side="right") - 1, 0, len(self.fields) - 1)
+        return [self.fields[i] for i in np.atleast_1d(idx)]
+
     def value(self, t: float) -> np.ndarray:
-        idx = int(np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, len(self.fields) - 1))
-        return self.fields[idx].value(t)
+        return self.pieces_at(t)[0].value(t)
 
 
 def _as_piecewise(v, geodesic: ModelGeodesic) -> PiecewiseJacobi:
@@ -212,14 +216,8 @@ def _aligned_pieces(v: PiecewiseJacobi, w: PiecewiseJacobi):
     for c in cuts[1:]:
         if float(c) - merged[-1] > 1e-12:
             merged.append(float(c))
-
-    def piece_at(field: PiecewiseJacobi, t: float) -> JacobiField:
-        idx = int(np.clip(np.searchsorted(field.breaks, t) - 1, 0, len(field.fields) - 1))
-        return field.fields[idx]
-
-    for t0, t1 in zip(merged[:-1], merged[1:]):
-        mid = 0.5 * (t0 + t1)
-        yield t0, t1, piece_at(v, mid), piece_at(w, mid)
+    mids = 0.5 * (np.array(merged[:-1]) + np.array(merged[1:]))
+    return zip(merged[:-1], merged[1:], v.pieces_at(mids), w.pieces_at(mids))
 
 
 @functools.cache

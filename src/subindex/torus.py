@@ -32,6 +32,11 @@ _SCAN_RESOLUTION = {1: 101, 2: 31, 3: 13, 4: 7, 5: 5}
 # dim 8 takes 3.8 s and 271 MB of peak RSS, dim 9 14 s and 643 MB.
 _MAX_ENUMERATION_DIM = 8
 
+# Bound on grid**dim * dim, the floats of the scan grid, which is built whole
+# before the blocked kernel runs: at the bound peak RSS was 225-348 MB in dims
+# 1-8 on 2 vCPUs (py3.11, numpy 2.4). The default grids need at most 5**8 * 8.
+_MAX_SCAN_ENTRIES = 8_000_000
+
 # Bound on grid**dim * (dim + 1) in sublevel_connectivity: about 10 bytes per
 # unit (gathered axis minima, labels), 30 in dim 1 and past dim 4 (box merges).
 # At the bound, every node in both sublevels, peak RSS was 124-155 MB in dims
@@ -203,7 +208,8 @@ class TorusDistanceField:
         The candidates are the points with every coordinate in {0, 1/2},
         excluding the base point itself. A full grid scan then asserts that
         every other grid point is regular. The dim ceiling, the scan
-        resolution and the base are checked before anything is classified.
+        resolution, its grid size and the base are checked before anything is
+        classified.
         """
         if self.dim > _MAX_ENUMERATION_DIM:
             raise UnsupportedConfigurationError(f"enumeration is limited to dim <= {_MAX_ENUMERATION_DIM}")
@@ -212,6 +218,8 @@ class TorusDistanceField:
         elif scan_resolution < 3:
             # at 1 and 2 every grid point is a candidate, so nothing is scanned
             raise ValueError("scan_resolution must be at least 3")
+        if scan_resolution**self.dim * self.dim > _MAX_SCAN_ENTRIES:
+            raise UnsupportedConfigurationError(f"scan grid {scan_resolution} at dim {self.dim} exceeds grid**dim * dim <= {_MAX_SCAN_ENTRIES}")
         if self.base.shape[0] != 1 or not np.allclose(self.base[0], 0.5, atol=1e-12):
             raise UnsupportedConfigurationError(
                 "critical point enumeration is implemented only for the single centered base point"

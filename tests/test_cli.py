@@ -9,6 +9,7 @@ import os
 import tempfile
 import time
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -278,7 +279,7 @@ def test_jacobi_verify_all_checks_pass(capsys):
         ["flow-verify", "--dim", "2", "--radius", "nan", "--samples", "5"],
         ["torus-table", "--dim", "9"],
         # just past the memory ceilings: refused before anything is allocated
-        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "121213"],
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "800001"],
         ["flow-verify", "--dim", "2500", "--radius", "1", "--samples", "1",
          "--emit-trajectories", "{tmp}/t.csv"],
         ["torus-connectivity", "--dim", "2", "--grid", "1291", "--level", "0.5", "--eps", "0.05"],
@@ -290,6 +291,12 @@ def test_jacobi_verify_all_checks_pass(capsys):
          "--emit-trajectories", "{tmp}/t.csv"],
         ["torus-table", "--dim", "1", "--out", ""],
         ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5", "--emit-trajectories", ""],
+        # radii outside [1e-3, 1e100]: below it the suites checked nothing (or
+        # wrote NaN) and passed, above it the shell norms overflow
+        ["flow-verify", "--dim", "3", "--radius", "1e-300", "--samples", "300"],
+        ["flow-verify", "--dim", "3", "--radius", "1e-10", "--samples", "300"],
+        ["flow-verify", "--dim", "3", "--radius", "1e-4", "--samples", "300"],
+        ["flow-verify", "--dim", "3", "--radius", "1e160", "--samples", "300"],
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, tmp_path, capsys):
@@ -457,6 +464,52 @@ def test_torus_table_refuses_a_small_grid_before_classifying(monkeypatch, capsys
     assert main(["torus-table", "--dim", "8", "--grid", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "dim, grid", [("1", "8000001"), ("2", "2001"), ("3", "139"), ("8", "6"), ("8", "1000000000")]
+)
+def test_torus_table_refuses_a_grid_past_the_scan_ceiling_before_classifying(dim, grid, monkeypatch, capsys):
+    """grid**dim * dim above 8,000,000 is refused before the grid is built or an LP runs."""
+    from subindex import lp
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lp, "_solve", no_solve)
+    assert main(["torus-table", "--dim", dim, "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "grid**dim * dim" in err
+
+
+@pytest.mark.parametrize("radius", ["1e-3", "1e100"])
+def test_flow_verify_runs_clean_at_the_radius_bounds(radius, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["flow-verify", "--dim", "3", "--radius", radius, "--samples", "300", "--out", str(out)])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"dim": 2.7, "directions": [[1, 0], [-1, 0]]}', "'dim'"),
+    ('{"dim": true, "directions": [[1], [-1]]}', "'dim'"),
+    ('{"dim": "2", "directions": [[1, 0], [-1, 0]]}', "'dim'"),
+    ('{"directions": [[1, 0], [-1, 0]]}', "'dim'"),
+    ('{"dim": 2, "directions": [[1, 0], [-1, 0]], "tol": true}', "'tol'"),
+    ('{"dim": 2, "directions": [[1, 0], [-1, 0]], "tol": "1e-9"}', "'tol'"),
+    ('{"dim": 2, "directions": [["1", "0"], ["-1", "0"]]}', "'directions'"),
+    ('{"dim": 2, "directions": [[true, false], [false, true]]}', "'directions'"),
+    ('{"dim": 2, "directions": [1, 0]}', "'directions'"),
+    ('[[1, 0], [-1, 0]]', "JSON object"),
+])
+def test_classify_refuses_malformed_fields(text, field, tmp_path, capsys):
+    path = tmp_path / "dirs.json"
+    path.write_text(text)
+    assert main(["classify", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
 
 def test_no_module_reaches_into_another_modules_private_names():
@@ -637,7 +690,7 @@ def _commands(bad: bool):
         st.tuples(st.just("classify"), st.fixed_dictionaries({"--input": st.one_of(*files)})),
         st.tuples(st.just("torus-table"), st.fixed_dictionaries(
             {"--dim": integer(1, 3, -1, 3, "9", "12")},
-            optional={"--grid": integer(3, 9, -1, 9), "--tol": tol},
+            optional={"--grid": integer(3, 9, -1, 9, "2001", "100000000"), "--tol": tol},
         )),
         st.integers(1, 3).flatmap(lambda dim: st.tuples(st.just("torus-classify"), st.fixed_dictionaries(
             {"--dim": st.just(str(dim)), "--point": point(dim)},
@@ -653,7 +706,7 @@ def _commands(bad: bool):
             {
                 "--dim": integer(2, 5, -1, 5),
                 "--radius": number(0.05, 3.0, -1.0, 3.0),
-                "--samples": integer(1, 60, -1, 60, "121213", "2000000"),
+                "--samples": integer(1, 60, -1, 60, "800001", "2000000"),
             },
             optional={"--emit-trajectories": st.just("{tmp}/t.csv"), "--tol": tol},
         )),

@@ -34,7 +34,7 @@ from subindex.flows import (
     right_triangle_residuals,
     terminal_cap_angle_bound,
 )
-from subindex.sampling import circle_samples, covering_bound, fibonacci_sphere
+from subindex.sampling import circle_samples, covering_bound, fibonacci_sphere, sphere_samples
 
 CANONICAL = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
@@ -148,6 +148,38 @@ def test_gradient_like_check_rejects_sparse_net():
         gradient_like_check(sparse, p=1, q=0, alpha=0.1, samples=100, seed=1)
 
 
+def _per_point_hinge_max(net: DirectionSet, p: int, q: int, samples: int, seed: int) -> float:
+    """gradient_like_check's scan as a loop over sample points, with SphereSplit."""
+    n = p + q + 2
+    embedded = np.zeros((len(net), n))
+    embedded[:, : p + 1] = net.directions
+    max_hinge = 0.0
+    for pt in sphere_samples(n, samples, seed=seed):
+        try:
+            split = SphereSplit.from_point(pt, p)
+        except SingularSplitError:
+            continue
+        _, g = join_angle_and_gradient(split)
+        dots = embedded @ pt
+        for gamma in embedded[dots >= dots.max() - 1e-12]:
+            rest = gamma - float(np.clip(pt @ gamma, -1.0, 1.0)) * pt
+            tangent = rest / np.linalg.norm(rest)
+            max_hinge = max(max_hinge, float(np.arccos(np.clip(g @ tangent, -1.0, 1.0))))
+    return max_hinge
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 0), (2, 1), (0, 2), (1, 2)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_gradient_like_check_matches_the_per_point_loop(p: int, q: int, seed: int):
+    net, alpha = {
+        0: (DirectionSet.from_vectors(np.array([[1.0], [-1.0]])), 0.3),
+        1: (DirectionSet.from_vectors(circle_samples(24)), 0.3),
+        2: (DirectionSet.from_vectors(fibonacci_sphere(400)), 0.4),
+    }[p]
+    got = gradient_like_check(net, p, q, alpha, samples=1500, seed=seed)
+    assert got == pytest.approx(_per_point_hinge_max(net, p, q, 1500, seed), abs=1e-12)
+
+
 def test_linear_flow_moves_only_first_coordinate():
     y = np.array([0.4, -0.2, 0.1])
     out = linear_flow(y, 0.25)
@@ -202,6 +234,38 @@ def test_arrival_bounds_single_matches_batch():
 def test_arrival_bounds_reject_outside_ball():
     with pytest.raises(ValueError):
         arrival_bounds(np.array([2.0, 0.0]), 1.0)
+
+
+def _sampled_path_max(ys: np.ndarray, radius: float) -> np.ndarray:
+    """The path bound as it was once computed: the largest |y| over 64 points
+    of the flown segment [t_y, t_y + drift]."""
+    t_y = np.maximum(0.0, ys[:, 0])
+    ts = np.linspace(0.0, drift_length(radius), 64)
+    first = ys[:, 0, None] - (t_y[:, None] + ts[None, :])
+    rest_sq = (ys[:, 1:] ** 2).sum(axis=1)
+    return np.sqrt(first**2 + rest_sq[:, None]).max(axis=1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 8),
+    log_radius=st.floats(-3.0, 3.0),
+)
+def test_path_bound_at_the_segment_end_equals_the_sampled_maximum(seed: int, n: int, log_radius: float):
+    """The first coordinate starts at min(y0, 0) <= 0 and only falls, so the
+    sampled maximum is the last sample, bit for bit; y0 = +0.0, -0.0 and
+    negative rows are forced in."""
+    radius = 10.0**log_radius
+    rng = np.random.default_rng(seed)
+    ys = rng.standard_normal((300, n))
+    ys *= (radius * rng.random((300, 1)) ** (1 / n)) / np.linalg.norm(ys, axis=1, keepdims=True)
+    ys[:20, 0] = 0.0
+    ys[20:40, 0] = -0.0
+    ys[40:60, 0] = -np.abs(ys[40:60, 0])
+    norm_path_max = arrival_bounds_many(ys, radius)[1]
+    np.testing.assert_array_equal(norm_path_max, _sampled_path_max(ys, radius))
+    np.testing.assert_array_equal(perp_time(ys), [perp_time(y) for y in ys])
 
 
 def test_bump_profile_exact_plateaus():

@@ -42,4 +42,4 @@ class NoSolutionError(SubindexError):
 
 
 class IntegrationFailureError(SubindexError):
-    """The ODE integrator did not converge to the requested tolerance."""
+    """A numerical solve (the bump flow's flow-time inversion) did not converge."""

@@ -30,12 +30,12 @@ from .errors import (
     SingularSplitError,
     UnsupportedConfigurationError,
 )
-from .sampling import covering_bound, sphere_samples
+from .sampling import covering_bound, gauss_legendre, sphere_samples
 
 COS_TERMINAL = -math.sqrt(1.0 / 11.0)
 BLOCK_TOL = 1e-6  # distance to a factor sphere below which splits are refused
-ODE_ATOL = 1e-10  # tolerances of the scalar cutoff-flow ODE
-ODE_RTOL = 1e-9
+_SHELL_PANELS = 4  # Gauss-Legendre panels per shell piece of the flow time
+_NEWTON_CAP = 100  # steps before the flow-time inversion is refused; bisection alone stops within 53
 
 
 def drift_length(radius: float) -> float:
@@ -413,67 +413,97 @@ class BumpProfile:
         return cls(inner=1.5 * radius, outer=2.0 * radius)
 
 
-def _regimes(ys: np.ndarray, durations: np.ndarray, radius: float):
-    """Masks of the rows of ys that never move, and of those that stay in the core.
+def _inverse_rate(r, profile: BumpProfile):
+    """1/f(r) = 1 + exp(1/(outer - r) - 1/(r - inner)): 1 on the core, infinite
+    from the outer radius on, and finite inside the shell even where f's own
+    two mollifiers underflow (radii below about 0.006)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 + np.exp(1.0 / np.maximum(profile.outer - r, 0.0) - 1.0 / np.maximum(r - profile.inner, 0.0))
 
-    A row on or outside the profile's support, or flown for zero time, never
-    moves: the field vanishes there, exactly. |y - s*e1| is a convex parabola
-    in s, so its max over the flown segment is at an endpoint; both ends
-    inside the f == 1 core means the field is -e1 all along, and x0 = y0 - t.
-    Every other row needs the scalar ODE.
+
+def _invert_flow_time(ys: np.ndarray, times: np.ndarray, radius: float) -> np.ndarray:
+    """x0 at the given times (one row per point) for points in the cutoff shell.
+
+    x0 falls at rate f(hypot(x0, rho)) > 0, so x0(t) solves tau(x) = t for
+    tau(x) = int_x^y0 ds / f(hypot(s, rho)): the plain length on the core
+    |s| <= c, Gauss-Legendre in u on each shell piece, crossed as
+    u^3 (10 - 15u + 6u^2) to crowd the nodes at the piece ends, where 1/f
+    leaves 1 and blows up towards the support edge e (equal panels miss those
+    unit-wide features: 4.5e-7 R off at R = 1e4). Newton (tau' = -1/f)
+    bisects the bracket [max(y0 - t, -e), y0] instead of a step that leaves
+    it or exceeds half the last step, as plain Newton crawls near the edge.
     """
     profile = BumpProfile.for_radius(radius)
-    norms = row_norms(ys)
-    still = (norms >= profile.outer) | (durations == 0.0)
-    ends = ys.copy()
+    y0, t = np.repeat(ys[:, 0], times.shape[1]), times.ravel()
+    rho = np.repeat(row_norms(ys[:, 1:]), times.shape[1])
+    core = np.sqrt(np.maximum((profile.inner - rho) * (profile.inner + rho), 0.0))
+    edge = np.sqrt((profile.outer - rho) * (profile.outer + rho))
+    gx, gw = gauss_legendre()
+    u = ((np.arange(_SHELL_PANELS)[:, None] + 0.5 * (gx + 1.0)) / _SHELL_PANELS).ravel()
+    nodes = u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
+    weights = (np.tile(gw, _SHELL_PANELS) / (2 * _SHELL_PANELS) * 30.0 * (u * (1.0 - u)) ** 2)[:, None]
+
+    def flow_time(x, i):
+        """tau at x for the points i: the core length and both shell pieces."""
+        c, y = core[i], y0[i]
+        a = np.concatenate([np.maximum(x, c), np.minimum(x, -c)])
+        span = np.concatenate([np.maximum(y, c), np.minimum(y, -c)]) - a
+        k = np.flatnonzero(span)  # the shell pieces of positive length
+        inverse = _inverse_rate(np.hypot(a[k, None] + span[k, None] * nodes, rho[i[k % x.size], None]), profile)
+        # one dot product per piece, so a point's time does not depend on its neighbours
+        span[k] *= np.matmul(inverse[:, None, :], weights)[:, 0, 0]
+        return span[: x.size] + (np.clip(y, -c, c) - np.clip(x, -c, c)) + span[x.size :]
+
+    lo, hi, x = np.maximum(y0 - t, -edge), y0.copy(), y0.copy()
+    live, prev = np.arange(x.size), np.full(x.size, np.inf)
+    g, slope = -t, -_inverse_rate(np.hypot(y0, rho), profile)  # tau(y0) - t and tau'(y0)
+    tol = 4.0 * np.finfo(float).eps * radius  # a few ulps at any radius flow-verify takes
+    for _ in range(_NEWTON_CAP):
+        with np.errstate(invalid="ignore"):  # inf / inf where tau overflows near the edge
+            newton = x[live] - g / slope
+        take = (lo[live] <= newton) & (newton <= hi[live]) & (np.abs(newton - x[live]) <= 0.5 * np.abs(prev))
+        new = np.where(take, newton, 0.5 * (lo[live] + hi[live]))
+        step = new - x[live]
+        x[live] = new
+        moving = np.abs(step) > tol
+        live, prev = live[moving], step[moving]
+        if not live.size:
+            return x.reshape(times.shape)
+        g = flow_time(x[live], live) - t[live]
+        slope = -_inverse_rate(np.hypot(x[live], rho[live]), profile)
+        hi[live] = np.where(g < 0.0, x[live], hi[live])
+        lo[live] = np.where(g > 0.0, x[live], lo[live])
+    raise IntegrationFailureError(f"flow-time inversion did not converge in {_NEWTON_CAP} steps")
+
+
+def _flow_x0(ys: np.ndarray, times: np.ndarray, radius: float) -> np.ndarray:
+    """First coordinate of the bump flow from each row of ys at that row's times.
+
+    The field -f(|x|) e1 never moves the perpendicular coordinates. A row on
+    or outside the profile's support, or flown for zero time, never moves:
+    the field vanishes there, exactly. |y - s*e1| is a convex parabola in s,
+    so its max over the flown segment is at an endpoint; both ends inside the
+    f == 1 core means the field is -e1 all along, and x0 = y0 - t. The other
+    rows are in the shell, and all of them are solved in one call.
+    """
+    if not (np.isfinite(ys).all() and np.isfinite(times).all() and (times >= 0).all()):
+        raise ValueError("points and durations must be finite, and durations nonnegative")
+    profile = BumpProfile.for_radius(radius)
+    norms, durations, ends = row_norms(ys), times.max(axis=1), ys.copy()
     ends[:, 0] -= durations
-    core = ~still & (np.maximum(norms, row_norms(ends)) <= profile.inner)
-    return still, core
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy's ``solve_ivp``, imported on the first ODE (``scipy.integrate`` adds
-    about 0.25 s to an import); tracing counts the ODEs through this name."""
-    from scipy.integrate import solve_ivp
-    return solve_ivp(*args, **kwargs)
-
-
-def _flow_x0(y: np.ndarray, times: np.ndarray, radius: float) -> np.ndarray:
-    """First coordinate of the bump flow from y at the sorted times.
-
-    The field -f(|x|) e1 never moves the perpendicular coordinates, so the
-    flow is the scalar ODE x0' = -f(sqrt(x0^2 + rho^2)) with rho = |y_perp|
-    fixed. It is integrated adaptively unless :func:`_regimes` finds the
-    point still (x0 = y0) or in the core (x0 = y0 - t).
-    """
-    duration = float(times[-1])
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    still, core = _regimes(y[None, :], np.array([duration]), radius)
-    if still[0]:
-        return np.full(times.shape, y[0])
-    if core[0]:
-        return y[0] - times
-    profile = BumpProfile.for_radius(radius)
-    rho = float(np.linalg.norm(y[1:]))
-    sol = solve_ivp(
-        lambda _t, x: -profile(np.hypot(x, rho)),
-        (0.0, duration),
-        y[:1],
-        method="DOP853",
-        t_eval=times,
-        atol=ODE_ATOL,
-        rtol=ODE_RTOL,
-    )
-    if not sol.success:
-        raise IntegrationFailureError(f"flow integration failed: {sol.message}")
-    return sol.y[0]
+    still = (norms >= profile.outer) | (durations == 0.0)
+    shell = ~still & (np.maximum(norms, row_norms(ends)) > profile.inner)
+    out = ys[:, :1] - times
+    out[still] = ys[still, :1]
+    if shell.any():
+        out[shell] = _invert_flow_time(ys[shell], times[shell], radius)
+    return out
 
 
 def bump_flow(y, duration: float, radius: float) -> np.ndarray:
     """Flow of the field x -> -f(|x|) e1 for the given time."""
     out = np.array(y, dtype=float)
-    out[0] = _flow_x0(out, np.array([float(duration)]), radius)[0]
+    out[0] = _flow_x0(out[None, :], np.array([[float(duration)]]), radius)[0, 0]
     return out
 
 
@@ -483,8 +513,8 @@ def cutoff_linear_flow(y, t: float, radius: float) -> np.ndarray:
     The total flow time of a point at t = 1 is its perpendicular-foot time
     plus the drift length R/sqrt(10), so points of B(0, R) arrive in the
     terminal cone while everything outside the bump support never moves.
-    Each row follows the per-point rules of :func:`_regimes`; only the rows
-    that need the ODE go, one by one, through :func:`_flow_x0`.
+    Each row follows the per-point rules of :func:`_flow_x0`, and the whole
+    stack goes through one call of it.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
@@ -492,12 +522,10 @@ def cutoff_linear_flow(y, t: float, radius: float) -> np.ndarray:
     if y.ndim not in (1, 2):
         raise ValueError(f"y must be a point or a (k, dim) stack, got shape {y.shape}")
     ys = np.atleast_2d(y)
-    durations = (perp_time(ys) + drift_length(radius)) * t
-    still, core = _regimes(ys, durations, radius)
+    if not np.isfinite(ys).all():  # before inf * 0 can turn a duration into NaN
+        raise ValueError("points must be finite")
     out = ys.copy()
-    out[core, 0] -= durations[core]
-    for i in np.flatnonzero(~(still | core)):
-        out[i, 0] = _flow_x0(ys[i], durations[i : i + 1], radius)[0]
+    out[:, 0] = _flow_x0(ys, ((perp_time(ys) + drift_length(radius)) * t)[:, None], radius)[:, 0]
     return out.reshape(y.shape)
 
 
@@ -505,10 +533,12 @@ def bump_flow_trajectory(
     y, duration: float, radius: float, steps: int = 50
 ) -> tuple[np.ndarray, np.ndarray]:
     """(times, points) along the bump flow, for reports and CSV emission."""
+    if steps < 1 or not math.isfinite(duration):
+        raise ValueError("a trajectory needs at least one step and a finite duration")
     y = np.asarray(y, dtype=float)
     times = np.linspace(0.0, duration, steps)
     points = np.tile(y, (steps, 1))
-    points[:, 0] = _flow_x0(y, times, radius)
+    points[:, 0] = _flow_x0(y[None, :], times[None, :], radius)[0]
     return times, points
 
 

@@ -12,13 +12,13 @@ Jacobi fields.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalInconsistencyError, NoSolutionError
+from .sampling import gauss_legendre
 
 CONJUGATE_TOL = 1e-12
 
@@ -220,21 +220,9 @@ def _aligned_pieces(v: PiecewiseJacobi, w: PiecewiseJacobi):
     return zip(merged[:-1], merged[1:], v.pieces_at(mids), w.pieces_at(mids))
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 64-node Gauss-Legendre rule on [-1, 1], built once.
-
-    The arrays are shared by every caller, so they are read-only.
-    """
-    x, wq = np.polynomial.legendre.leggauss(64)
-    x.setflags(write=False)
-    wq.setflags(write=False)
-    return x, wq
-
-
 def index_form_quadrature(geodesic: ModelGeodesic, v: PiecewiseJacobi, w: PiecewiseJacobi) -> float:
     """64-node Gauss-Legendre evaluation of int g(V', W') - kappa g(V, W) dt per piece."""
-    x, wq = _gauss_legendre()
+    x, wq = gauss_legendre()
     kappa = geodesic.curvature
     total = []
     for t0, t1, fv, fw in _aligned_pieces(v, w):

@@ -1,4 +1,4 @@
-"""Deterministic sample meshes on round spheres.
+"""Deterministic sample meshes on round spheres, and the shared quadrature rule.
 
 Dimensions 1-3 use low-discrepancy constructions with known covering radii;
 higher dimensions fall back to a seeded random sample, which is fine for
@@ -7,6 +7,7 @@ statistical oracles but carries no covering certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -74,3 +75,15 @@ def covering_bound(dim: int, count: int) -> float:
     if dim == 3:
         return 2.0 * math.sqrt(4.0 * math.pi / count)
     raise ValueError(f"no covering bound available for dim {dim}")
+
+
+@functools.cache
+def gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-node Gauss-Legendre rule on [-1, 1], built on first use.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    x, wq = np.polynomial.legendre.leggauss(64)
+    x.setflags(write=False)
+    wq.setflags(write=False)
+    return x, wq

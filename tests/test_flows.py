@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
-from subindex import flows
 from subindex.directions import DirectionSet, angle, min_angle_to_set
 from subindex.errors import SingularSplitError, UnsupportedConfigurationError
 from subindex.flows import (
@@ -355,18 +356,31 @@ def test_bump_flow_trajectory_shapes():
     assert np.all(np.diff(pts[:, 0]) <= 1e-15)
 
 
+def _inverse_rate(r: float, radius: float) -> float:
+    """1/f(r) for the bump profile of the given radius, as the exponent
+    difference of its two mollifiers, which stays finite where f underflows."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(1.0 + np.exp(1.0 / np.maximum(2.0 * radius - r, 0.0) - 1.0 / np.maximum(r - 1.5 * radius, 0.0)))
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     seed=st.integers(0, 2**31 - 1),
     n=st.integers(2, 5),
-    radius=st.floats(0.5, 2.0),
-    scale=st.floats(1.5, 1.8),
+    radius=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    scale=st.floats(1.5, 1.99),
 )
+# a shell-to-core segment on which DOP853 at rtol 1e-9, atol 1e-10 is 1.33e-6 off in time
+@example(seed=2991, n=2, radius=1.6968599341166142, scale=1.6266230908465225)
 def test_shell_flow_matches_quadrature_oracle(seed: int, n: int, radius: float, scale: float):
-    """Second route for the ODE path in the cutoff shell 1.5R <= |y| < 2R.
+    """Second route for the flow in the cutoff shell 1.5R <= |y| < 2R.
 
     x0 falls at rate f(sqrt(x0^2 + rho^2)), so the time to reach x0(t) from
-    y0 is the integral of 1/f(sqrt(s^2 + rho^2)) over [x0(t), y0].
+    y0 is the integral of 1/f(sqrt(s^2 + rho^2)) over [x0(t), y0]; it is split
+    where the segment crosses the core sphere, as a shell piece can be far
+    shorter than the segment. x0 itself is exact only to a few ulps of R,
+    which is worth 1/f(x0) times as much time: near 2R, where f underflows,
+    the flow cannot move x0 at all.
     """
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(n)
@@ -375,13 +389,57 @@ def test_shell_flow_matches_quadrature_oracle(seed: int, n: int, radius: float, 
     ts, pts = bump_flow_trajectory(y, drift_length(radius) + y[0], radius, steps=25)
     assert np.array_equal(pts[:, 1:], np.tile(y[1:], (ts.size, 1)))
     assert np.all(np.diff(pts[:, 0]) <= 0)
+    rho = float(np.linalg.norm(y[1:]))
+    core = math.sqrt(max((1.5 * radius) ** 2 - rho**2, 0.0))
+    for t, x0 in zip(ts, pts[:, 0]):
+        crossings = [c for c in (-core, core) if x0 < c < y[0]] or None
+        elapsed, _ = quad(
+            lambda s: _inverse_rate(math.hypot(s, rho), radius), x0, y[0],
+            epsabs=0.0, epsrel=1e-10, limit=200, points=crossings,
+        )
+        rounding = 4.0 * np.finfo(float).eps * radius * _inverse_rate(math.hypot(x0, rho), radius)
+        assert elapsed == pytest.approx(t, rel=1e-6, abs=rounding)
+
+
+def _dop853_x0(y: np.ndarray, times: np.ndarray, radius: float) -> np.ndarray:
+    """x0 along the flow by DOP853 at rtol 3e-14 on x0' = -f(hypot(x0, rho))."""
     profile = BumpProfile.for_radius(radius)
     rho = float(np.linalg.norm(y[1:]))
-    for t, x0 in zip(ts, pts[:, 0]):
-        elapsed, _ = quad(
-            lambda s: 1.0 / profile(math.hypot(s, rho)), x0, y[0], epsabs=0.0, epsrel=1e-10, limit=200
-        )
-        assert elapsed == pytest.approx(t, rel=1e-6)
+    sol = solve_ivp(
+        lambda _t, x: -profile(np.hypot(x, rho)), (0.0, times[-1]), y[:1], method="DOP853",
+        t_eval=times, rtol=3e-14, atol=1e-15 * radius,
+    )
+    assert sol.success, sol.message
+    return sol.y[0]
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 5),
+    radius=st.floats(0.5, 2.0),
+    scale=st.floats(1.5, 1.95),
+)
+def test_shell_flow_matches_the_dop853_oracle(seed: int, n: int, radius: float, scale: float):
+    """Third route: a tight adaptive ODE solve of the same flow, on rows of
+    both signs of y0 and a flow time past the perpendicular foot."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(n)
+    y *= scale * radius / np.linalg.norm(y)
+    ts, pts = bump_flow_trajectory(y, drift_length(radius) + perp_time(y), radius, steps=40)
+    np.testing.assert_allclose(pts[:, 0], _dop853_x0(y, ts, radius), rtol=0.0, atol=1e-11 * radius)
+
+
+@pytest.mark.parametrize(("radius", "angle"), [(100.0, 1.2), (1e4, 0.6), (1e6, 0.0)])
+def test_flow_towards_the_support_edge_converges(radius: float, angle: float):
+    """A row at |y| = 1.992R flown outwards ends a few 1e-8 R from the edge,
+    where 1/f explodes; plain Newton, bisecting only when it leaves the
+    bracket, does not converge in 100 steps on these rows."""
+    y = 1.992 * radius * np.array([-math.cos(angle), math.sin(angle)])
+    ts, pts = bump_flow_trajectory(y, drift_length(radius), radius, steps=40)
+    assert np.all(np.diff(pts[:, 0]) <= 0)
+    assert pts[-1, 0] < y[0] - 0.005 * radius
+    np.testing.assert_allclose(pts[:, 0], _dop853_x0(y, ts, radius), rtol=0.0, atol=1e-11 * radius)
 
 
 def test_cutoff_flow_time_zero_is_identity():
@@ -409,7 +467,7 @@ _REGIMES = {"core": (0.0, 1.5), "shell": (1.5, 2.0), "outside": (2.0, 3.0)}
 def test_stacked_cutoff_flow_matches_per_row_calls(seed, n, radius, t, regimes):
     """A (k, dim) stack flows bit for bit like its rows one at a time.
 
-    Rows are drawn in the f == 1 core, in the 1.5R-2R shell (the ODE rows)
+    Rows are drawn in the f == 1 core, in the 1.5R-2R shell (the solved rows)
     and outside 2R; the per-point definition through ``bump_flow`` is a
     second reference.
     """
@@ -430,27 +488,45 @@ def test_stacked_cutoff_flow_matches_per_row_calls(seed, n, radius, t, regimes):
     np.testing.assert_array_equal(one_row[0], cutoff_linear_flow(ys[0], t, radius))
 
 
-def test_each_ode_row_goes_through_the_module_level_solve_ivp(monkeypatch):
-    """``subindex.flows.solve_ivp`` stays a module-level name that every ODE
-    row calls once: tracing patches that binding to count the flow's ODEs."""
-    solve_ivp, calls = flows.solve_ivp, []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve_ivp(*args, **kwargs)
-
-    ys = np.array([[0.1, 0.1], [0.0, 1.7], [2.5, 0.0], [1.0, 1.2], [-0.3, 0.2]])
-    want = cutoff_linear_flow(ys, 1.0, 1.0)
-    monkeypatch.setattr(flows, "solve_ivp", counting)
-    got = cutoff_linear_flow(ys, 1.0, 1.0)
-    np.testing.assert_array_equal(got, want)
-    # rows 1 and 3 lie in the 1.5R-2R shell; the others are in the core or outside 2R
-    assert len(calls) == 2
-
-
 def test_cutoff_flow_rejects_deeper_stacks():
     with pytest.raises(ValueError):
         cutoff_linear_flow(np.zeros((2, 2, 2)), 1.0, 1.0)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError in the main thread after ``seconds``, so a hang fails."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_SHELL_POINT = np.array([1.7, 0.2])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bump_flow(_SHELL_POINT, math.nan, 1.0),
+        lambda: bump_flow(_SHELL_POINT, math.inf, 1.0),
+        lambda: cutoff_linear_flow([[math.inf, 0.1]], 1.0, 1.0),
+        lambda: cutoff_linear_flow([[math.inf, 0.1]], 0.0, 1.0),
+        lambda: bump_flow_trajectory(_SHELL_POINT, math.inf, 1.0),
+        lambda: bump_flow_trajectory(_SHELL_POINT, 0.5, 1.0, steps=0),
+    ],
+    ids=["nan-duration", "inf-duration", "inf-point", "inf-point-at-time-zero", "inf-trajectory", "zero-steps"],
+)
+def test_flow_entry_points_refuse_non_finite_input_and_empty_trajectories(call):
+    with _deadline(10.0), pytest.raises(ValueError):
+        call()
 
 
 def test_align_soul_canonical_set():

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subindex import jacobi
 from subindex.cli import main
 from subindex.errors import InternalInconsistencyError, NoSolutionError
 from subindex.jacobi import (
@@ -32,6 +31,7 @@ from subindex.jacobi import (
     solve_boundary_jacobi,
     vanishing_family,
 )
+from subindex.sampling import gauss_legendre
 
 KAPPAS = (-1.0, 0.0, 1.0)
 
@@ -144,11 +144,11 @@ def test_index_form_routes_agree_on_random_fields(kappa: float):
 
 @pytest.mark.parametrize("nodes", [64])
 def test_gauss_legendre_rule_is_exact_shared_and_read_only(nodes: int):
-    x, wq = jacobi._gauss_legendre()
+    x, wq = gauss_legendre()
     want_x, want_w = np.polynomial.legendre.leggauss(nodes)
     np.testing.assert_array_equal(x, want_x)
     np.testing.assert_array_equal(wq, want_w)
-    assert jacobi._gauss_legendre()[0] is x
+    assert gauss_legendre()[0] is x
     with pytest.raises(ValueError):
         x[0] = 0.0
     with pytest.raises(ValueError):
@@ -164,12 +164,12 @@ def test_jacobi_verify_builds_the_rule_once(monkeypatch, tmp_path):
         built[nodes] += 1
         return leggauss(nodes)
 
-    jacobi._gauss_legendre.cache_clear()
+    gauss_legendre.cache_clear()
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     try:
         assert main(["jacobi-verify", "--seed", "5", "--out", str(tmp_path / "r.json")]) == 0
     finally:
-        jacobi._gauss_legendre.cache_clear()
+        gauss_legendre.cache_clear()
     assert built == {64: 1}
 
 

@@ -9,8 +9,8 @@ Core objects:
   obtuse-or-right angle with every direction in the set.
 - TorusDistanceField: exact distance to a point set on the flat unit torus,
   with enumeration and classification of its critical points.
-- flows: radial comparison flows near a regular point and certified bounds
-  on where they arrive.
+- flows: the cut-off flow near a critical point, certified bounds on where
+  it arrives, and the flow-verify suite.
 - jacobi: closed-form Jacobi fields in constant curvature, index forms with
   a dual-route cross-check, and second-order distance models.
 """
@@ -22,11 +22,10 @@ from .convexity import (
     classify_polar_region,
     criticality_margin,
     is_critical,
-    sampling_oracle_classify,
     sub_index,
     sub_index_of_region,
 )
-from .directions import DirectionSet, angle, min_angle_to_set, theta_neighborhood_contains
+from .directions import DirectionSet, angle, min_angle_to_set
 from .errors import (
     AmbiguousClassificationError,
     IntegrationFailureError,
@@ -34,24 +33,15 @@ from .errors import (
     NetHypothesisError,
     NoSolutionError,
     NotCriticalError,
-    SingularSplitError,
     SubindexError,
     UnsupportedConfigurationError,
 )
 from .flows import (
-    ArrivalBounds,
     BumpProfile,
     CapAngleBound,
-    SphereSplit,
-    arrival_bounds,
     arrival_bounds_many,
-    bump_flow,
     cutoff_linear_flow,
     drift_length,
-    gradient_like_check,
-    join_angle_and_gradient,
-    linear_flow,
-    linear_flow_rates,
     terminal_cap_angle_bound,
 )
 from .jacobi import (
@@ -76,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousClassificationError",
-    "ArrivalBounds",
     "BumpProfile",
     "CapAngleBound",
     "CriticalPointRecord",
@@ -92,39 +81,29 @@ __all__ = [
     "PolarRegion",
     "PolarVariant",
     "SecondOrderModel",
-    "SingularSplitError",
-    "SphereSplit",
     "SubindexError",
     "TorusDistanceField",
     "UnsupportedConfigurationError",
     "angle",
-    "arrival_bounds",
     "arrival_bounds_many",
     "boundary_family",
     "boundary_norm_bound",
-    "bump_flow",
     "classification_report",
     "classify_polar_region",
     "criticality_margin",
     "cutoff_field",
     "cutoff_linear_flow",
     "drift_length",
-    "gradient_like_check",
     "index_divergence",
     "index_form",
     "is_critical",
-    "join_angle_and_gradient",
     "lagrange_wronskian",
-    "linear_flow",
-    "linear_flow_rates",
     "min_angle_to_set",
     "model_distance",
-    "sampling_oracle_classify",
     "second_variation_check",
     "solve_boundary_jacobi",
     "sub_index",
     "sub_index_of_region",
     "terminal_cap_angle_bound",
-    "theta_neighborhood_contains",
     "vanishing_family",
 ]

@@ -24,13 +24,12 @@ from enum import Enum
 import numpy as np
 
 from . import lp
-from .directions import DirectionSet, min_angles_to_set
+from .directions import DirectionSet
 from .errors import (
     AmbiguousClassificationError,
     InternalInconsistencyError,
     NotCriticalError,
 )
-from .sampling import sphere_samples
 
 RANK_CUTOFF = 1e-9  # relative singular-value cutoff for span computations
 
@@ -187,26 +186,6 @@ def sub_index_of_region(dim: int, region: PolarRegion) -> int | float:
 def sub_index(dirset: DirectionSet) -> int | float:
     """Sub-index of a critical direction set: an int in 1..dim, or math.inf."""
     return sub_index_of_region(dirset.dim, classify_polar_region(dirset))
-
-
-def sampling_oracle_classify(
-    dirset: DirectionSet,
-    samples: int = 10_000,
-    margin: float = 1e-2,
-    seed: int = 0,
-) -> tuple[bool, np.ndarray]:
-    """Sampling cross-check, independent of the LP path.
-
-    Scans a sphere mesh for a direction making angle > pi/2 + margin with
-    every member of the set; absence of such a witness is the sampled notion
-    of criticality. Also returns the mesh points lying within margin of the
-    polar region (min angle >= pi/2 - margin), for containment checks.
-    """
-    mesh = sphere_samples(dirset.dim, samples, seed=seed)
-    min_angles = min_angles_to_set(mesh, dirset)
-    critical = not bool(np.any(min_angles > np.pi / 2 + margin))
-    near_polar = mesh[min_angles >= np.pi / 2 - margin]
-    return critical, near_polar
 
 
 def sub_index_to_json(value: int | float):

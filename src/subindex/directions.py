@@ -107,13 +107,6 @@ def angle(v, w) -> float:
     return min_angle_to_set(v, _unit_rows(np.asarray(w, dtype=float)[None]))
 
 
-def theta_neighborhood_contains(v, dirset, theta: float) -> bool:
-    """Whether v lies strictly within angle theta of the set."""
-    if not 0.0 < theta <= np.pi:
-        raise ValueError(f"theta must lie in (0, pi], got {theta}")
-    return min_angle_to_set(v, dirset) < theta
-
-
 @dataclass(frozen=True)
 class DirectionSet:
     """A nonempty finite set of unit vectors in R^dim.

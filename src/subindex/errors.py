@@ -32,11 +32,6 @@ class NetHypothesisError(SubindexError):
     """A direction set failed the covering-net hypothesis required by a flow bound."""
 
 
-class SingularSplitError(SubindexError):
-    """A sphere point lies on one of the two factor spheres, so join coordinates
-    are undefined there."""
-
-
 class NoSolutionError(SubindexError):
     """A two-point Jacobi problem has no solution (conjugate endpoints)."""
 

@@ -1,17 +1,9 @@
-"""Sphere-join geometry and the cut-off linear flow with its arrival bounds.
+"""The cut-off linear flow with its arrival bounds, and the flow-verify suite.
 
-Two geometric devices live here. The first is join coordinates on a round
-sphere split as S^p * S^q: every point off the two factor spheres is
-P = (X sin t, Y cos t) with X in S^p, Y in S^q and split angle t in (0, pi/2).
-The split angle grows at unit rate along g = (X cos t, -Y sin t), which is
-also the direction of steepest descent for the distance to the first factor
-sphere, and for any direction set U inside S^p the distance to U falls along
-g at rate cos of the hinge angle at P between X and the nearest member of U.
-
-The second device is the linear flow y -> y - t*e1 together with a smooth
-radial cutoff, used to push a ball B(0, R) into the cone of directions making
-angle >= some terminal bound with e1. All the quantitative bounds carry the
-constants sqrt(1/11) (terminal cosine) and R/sqrt(10) (drift length).
+The linear flow y -> y - t*e1 together with a smooth radial cutoff pushes a
+ball B(0, R) into the cone of directions making angle >= some terminal bound
+with e1. All the quantitative bounds carry the constants sqrt(1/11)
+(terminal cosine) and R/sqrt(10) (drift length).
 """
 
 from __future__ import annotations
@@ -27,13 +19,11 @@ from .errors import (
     IntegrationFailureError,
     InternalInconsistencyError,
     NetHypothesisError,
-    SingularSplitError,
     UnsupportedConfigurationError,
 )
 from .sampling import covering_bound, gauss_legendre, sphere_samples
 
 COS_TERMINAL = -math.sqrt(1.0 / 11.0)
-BLOCK_TOL = 1e-6  # distance to a factor sphere below which splits are refused
 _SHELL_PANELS = 4  # Gauss-Legendre panels per shell piece of the flow time
 _NEWTON_CAP = 100  # steps before the flow-time inversion is refused; bisection alone stops within 53
 
@@ -46,193 +36,8 @@ def drift_length(radius: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# join coordinates
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SphereSplit:
-    """Join coordinates of a sphere point relative to the block split
-    R^n = R^(p+1) x R^(q+1)."""
-
-    p: int
-    q: int
-    x: np.ndarray
-    y: np.ndarray
-    theta: float
-
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValueError("factor dimensions must be nonnegative")
-        if not 0.0 < self.theta < math.pi / 2:
-            raise ValueError("split angle must lie strictly between 0 and pi/2")
-        for v, d, name in ((self.x, self.p, "x"), (self.y, self.q, "y")):
-            v = np.asarray(v, float)
-            if v.shape != (d + 1,):
-                raise ValueError(f"{name} must have shape ({d + 1},)")
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must be a unit vector")
-
-    @classmethod
-    def from_point(cls, point, p: int) -> "SphereSplit":
-        point = np.asarray(point, dtype=float)
-        n = point.shape[0]
-        q = n - p - 2
-        if q < 0:
-            raise ValueError("point dimension too small for the requested split")
-        if abs(np.linalg.norm(point) - 1.0) > 1e-9:
-            raise ValueError("point must lie on the unit sphere")
-        first, second = point[: p + 1], point[p + 1 :]
-        a, b = float(np.linalg.norm(first)), float(np.linalg.norm(second))
-        if a < BLOCK_TOL or b < BLOCK_TOL:
-            raise SingularSplitError(
-                "point lies on a factor sphere; join coordinates are undefined"
-            )
-        return cls(p=p, q=q, x=first / a, y=second / b, theta=math.atan2(a, b))
-
-    def point(self) -> np.ndarray:
-        return np.concatenate(
-            [self.x * math.sin(self.theta), self.y * math.cos(self.theta)]
-        )
-
-
-def join_angle_and_gradient(split: SphereSplit) -> tuple[float, np.ndarray]:
-    """Split angle and the unit tangent direction along which it grows.
-
-    The returned vector g = (X cos t, -Y sin t) is tangent to the sphere at
-    the split's point; the split angle increases at unit rate along g, and
-    the distance to the first factor sphere S^p decreases at unit rate.
-    """
-    g = np.concatenate(
-        [split.x * math.cos(split.theta), -split.y * math.sin(split.theta)]
-    )
-    return split.theta, g
-
-
-def _tangent_toward(origin: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Unit tangent at ``origin`` of the minimal great-circle arc to ``target``."""
-    c = float(np.clip(origin @ target, -1.0, 1.0))
-    rest = target - c * origin
-    norm = float(np.linalg.norm(rest))
-    if norm < 1e-14:
-        raise ValueError("tangent direction undefined at coincident or antipodal points")
-    return rest / norm
-
-
-def hinge_angle(vertex: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Angle at ``vertex`` between the geodesics toward ``a`` and toward ``b``."""
-    ta = _tangent_toward(vertex, a)
-    tb = _tangent_toward(vertex, b)
-    return float(np.arccos(np.clip(ta @ tb, -1.0, 1.0)))
-
-
-def gradient_like_check(
-    net: DirectionSet,
-    p: int,
-    q: int,
-    alpha: float,
-    samples: int = 2000,
-    seed: int = 0,
-) -> float:
-    """Largest hinge angle between the split direction and the nearest net member.
-
-    ``net`` must be an alpha-net of S^p (every point of S^p within angle alpha
-    of the set); the check then scans sphere points off the factor spheres and
-    returns the maximal angle at P between the tangent toward X and the tangent
-    toward the nearest net member. The contract is that this stays strictly
-    below pi/2, which makes the split direction gradient-like for the distance
-    to the net.
-    """
-    if net.dim != p + 1:
-        raise ValueError("net dimension must match the first factor sphere")
-    if not 0 < alpha < math.pi / 2:
-        raise ValueError("alpha must lie in (0, pi/2)")
-    n = p + q + 2
-    probe = sphere_samples(p + 1, 20_000)
-    worst = float(min_angles_to_set(probe, net).max())
-    slack = covering_bound(p + 1, probe.shape[0]) if p + 1 <= 3 else 0.0
-    if worst + slack >= alpha:
-        raise NetHypothesisError(
-            f"net is not an alpha-net of the factor sphere "
-            f"(sampled max {worst:.4f} + mesh {slack:.4f} >= alpha {alpha:.4f})"
-        )
-    embedded = np.zeros((len(net), n))  # the net, padded with zeros to R^n
-    embedded[:, : p + 1] = net.directions
-    points = sphere_samples(n, samples, seed=seed)
-    a, b = row_norms(points[:, : p + 1]), row_norms(points[:, p + 1 :])
-    keep = (a >= BLOCK_TOL) & (b >= BLOCK_TOL)  # where SphereSplit.from_point succeeds
-    points, a, b = points[keep], a[keep], b[keep]
-    theta = np.arctan2(a, b)
-    g = np.concatenate(
-        [points[:, : p + 1] / a[:, None] * np.cos(theta)[:, None],
-         -(points[:, p + 1 :] / b[:, None]) * np.sin(theta)[:, None]],
-        axis=1,
-    )
-    dots = points @ embedded.T
-    rows, cols = np.nonzero(dots >= dots.max(axis=1)[:, None] - 1e-12)
-    # |gamma - (p.gamma) p|^2 = 1 - (p.gamma)^2 >= b^2 >= BLOCK_TOL^2: no zero tangent
-    tangents = embedded[cols] - np.clip(dots[rows, cols], -1.0, 1.0)[:, None] * points[rows]
-    tangents /= row_norms(tangents)[:, None]
-    cos_h = np.matmul(g[rows, None, :], tangents[:, :, None])[:, 0, 0]
-    return float(np.arccos(np.clip(cos_h, -1.0, 1.0)).max(initial=0.0))
-
-
-def join_right_triangle_residuals(
-    p: int, q: int, count: int, seed: int = 0
-) -> np.ndarray:
-    """|cos d(G,P) - cos d(G,X) cos d(X,P)| over random split points P and
-    random vertices G on the first factor sphere.
-
-    The hinge at X between the arc to G (inside S^p) and the meridian to P is
-    right, so the spherical Pythagoras identity must hold to rounding error.
-    """
-    rng = np.random.default_rng(seed)
-    n = p + q + 2
-    xs = rng.standard_normal((count, p + 1))
-    xs /= np.linalg.norm(xs, axis=1)[:, None]
-    ys = rng.standard_normal((count, q + 1))
-    ys /= np.linalg.norm(ys, axis=1)[:, None]
-    thetas = rng.uniform(0.05, math.pi / 2 - 0.05, count)
-    gammas = rng.standard_normal((count, p + 1))
-    gammas /= np.linalg.norm(gammas, axis=1)[:, None]
-    p_pts = np.concatenate(
-        [xs * np.sin(thetas)[:, None], ys * np.cos(thetas)[:, None]], axis=1
-    )
-    g_pts = np.zeros((count, n))
-    g_pts[:, : p + 1] = gammas
-    x_pts = np.zeros((count, n))
-    x_pts[:, : p + 1] = xs
-    cos_gp = np.clip((g_pts * p_pts).sum(axis=1), -1, 1)
-    cos_gx = np.clip((g_pts * x_pts).sum(axis=1), -1, 1)
-    cos_xp = np.clip((x_pts * p_pts).sum(axis=1), -1, 1)
-    return np.abs(cos_gp - cos_gx * cos_xp)
-
-
-def right_triangle_residuals(dim: int, count: int, seed: int = 0) -> np.ndarray:
-    """Same identity on generic right triangles built from orthonormal tangents."""
-    if dim < 3:
-        raise ValueError("need dim >= 3 for a nondegenerate spherical triangle")
-    rng = np.random.default_rng(seed)
-    # orthonormal (c, t1, t2) per row: the columns of one stacked QR
-    frames = np.linalg.qr(rng.standard_normal((count, dim, 3)))[0]
-    c, t1, t2 = frames[..., 0], frames[..., 1], frames[..., 2]
-    a, b = rng.uniform(0.1, 1.4, (2, count))
-    pa = c * np.cos(a)[:, None] + t1 * np.sin(a)[:, None]
-    pb = c * np.cos(b)[:, None] + t2 * np.sin(b)[:, None]
-    return np.abs(np.clip((pa * pb).sum(axis=1), -1, 1) - np.cos(a) * np.cos(b))
-
-
-# --------------------------------------------------------------------------
 # the linear flow and its arrival bounds
 # --------------------------------------------------------------------------
-
-
-def linear_flow(y, t: float) -> np.ndarray:
-    """Translation flow of the constant field -e1."""
-    y = np.asarray(y, dtype=float)
-    out = y.copy()
-    out[..., 0] = out[..., 0] - t
-    return out
 
 
 def perp_time(y):
@@ -244,49 +49,15 @@ def perp_time(y):
     return np.maximum(np.asarray(y, dtype=float)[..., 0], 0.0)
 
 
-def linear_flow_rates(y) -> tuple[float, float]:
-    """(d/dt |psi_t(y)|, d/dt cos angle(psi_t(y), e1)) at t = 0.
-
-    Closed forms -(y . e1)/|y| and -|y_perp|^2 / |y|^3.
-    """
-    y = np.asarray(y, dtype=float)
-    norm = float(np.linalg.norm(y))
-    if norm < 1e-12:
-        raise ValueError("rates are undefined at the origin")
-    perp_sq = norm * norm - y[0] * y[0]
-    return -y[0] / norm, -perp_sq / norm**3
-
-
-@dataclass(frozen=True)
-class ArrivalBounds:
-    """Slack triple for one trajectory of the linear flow.
-
-    All three slacks are nonnegative up to rounding: the terminal direction
-    satisfies cos angle(., e1) <= -sqrt(1/11), the path stays inside
-    |y| + R/sqrt(10), and the terminal point stays outside R/sqrt(10).
-    """
-
-    cos_final: float
-    norm_path_max: float
-    norm_final: float
-    slack_cos: float
-    slack_path: float
-    slack_exit: float
-
-
-def arrival_bounds(y, radius: float) -> ArrivalBounds:
-    y = np.asarray(y, dtype=float)
-    if np.linalg.norm(y) >= radius:
-        raise ValueError("y must lie in the open ball of the given radius")
-    res = arrival_bounds_many(y[None, :], radius)
-    out = ArrivalBounds(*(float(v[0]) for v in res))
-    if min(out.slack_cos, out.slack_path, out.slack_exit) < -1e-12:
-        raise InternalInconsistencyError(f"arrival bound violated: {out}")
-    return out
-
-
 def arrival_bounds_many(ys: np.ndarray, radius: float):
-    """Vectorized arrival bounds; returns six arrays matching ArrivalBounds."""
+    """Arrival bounds for each row of a stack of points of B(0, radius).
+
+    Returns six arrays: cos_final, norm_path_max, norm_final and the slacks
+    slack_cos, slack_path, slack_exit. All three slacks are nonnegative up to
+    rounding: the terminal direction satisfies cos angle(., e1) <= -sqrt(1/11),
+    the path stays inside |y| + R/sqrt(10), and the terminal point stays
+    outside R/sqrt(10).
+    """
     ys = np.asarray(ys, dtype=float)
     drift = drift_length(radius)
     finals = ys.copy()
@@ -398,14 +169,9 @@ class BumpProfile:
             raise ValueError("need 0 < inner < outer")
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        # exp(-1/s) for s > 0 and 0 for s <= 0, the mollifier smooth at 0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            num = np.exp(-1.0 / np.maximum(self.outer - r, 0.0))
-            den = num + np.exp(-1.0 / np.maximum(r - self.inner, 0.0))
-            vals = np.where(den > 0, num / den, 0.0)
-        vals = np.where(r <= self.inner, 1.0, vals)
-        vals = np.where(r >= self.outer, 0.0, vals)
+        """f(r), the reciprocal of :func:`_inverse_rate`: exactly 1 up to inner
+        and 0 from outer on, and NaN at NaN."""
+        vals = 1.0 / _inverse_rate(np.asarray(r, dtype=float), self)
         return vals if vals.ndim else float(vals)
 
     @classmethod
@@ -414,9 +180,10 @@ class BumpProfile:
 
 
 def _inverse_rate(r, profile: BumpProfile):
-    """1/f(r) = 1 + exp(1/(outer - r) - 1/(r - inner)): 1 on the core, infinite
-    from the outer radius on, and finite inside the shell even where f's own
-    two mollifiers underflow (radii below about 0.006)."""
+    """1/f(r) = 1 + exp(1/(outer - r) - 1/(r - inner)), the quotient of the
+    mollifiers exp(-1/s) as one exponent: 1 on the core, infinite from the
+    outer radius on, and finite inside the shell even where each mollifier
+    underflows (radii below about 0.006)."""
     with np.errstate(divide="ignore", over="ignore"):
         return 1.0 + np.exp(1.0 / np.maximum(profile.outer - r, 0.0) - 1.0 / np.maximum(r - profile.inner, 0.0))
 
@@ -497,13 +264,6 @@ def _flow_x0(ys: np.ndarray, times: np.ndarray, radius: float) -> np.ndarray:
     out[still] = ys[still, :1]
     if shell.any():
         out[shell] = _invert_flow_time(ys[shell], times[shell], radius)
-    return out
-
-
-def bump_flow(y, duration: float, radius: float) -> np.ndarray:
-    """Flow of the field x -> -f(|x|) e1 for the given time."""
-    out = np.array(y, dtype=float)
-    out[0] = _flow_x0(out[None, :], np.array([[float(duration)]]), radius)[0, 0]
     return out
 
 

@@ -65,18 +65,6 @@ class ModelGeodesic:
         if self.frame_dim < 1:
             raise ValueError("frame_dim must be at least 1")
 
-    def conjugate_times(self) -> list[float]:
-        """Conjugate parameters in (0, length]. Empty when curvature <= 0."""
-        if self.curvature <= 0:
-            return []
-        step = math.pi / math.sqrt(self.curvature)
-        out = []
-        k = 1
-        while k * step <= self.length + 1e-12:
-            out.append(k * step)
-            k += 1
-        return out
-
     def endpoint_conjugate(self) -> bool:
         """Whether the endpoint is a conjugate parameter (sn vanishes there)."""
         return self.curvature > 0 and abs(sn(self.curvature, self.length)) < CONJUGATE_TOL

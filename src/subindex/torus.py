@@ -272,34 +272,6 @@ class TorusDistanceField:
             table[key] = table.get(key, 0) + 1
         return dict(sorted(table.items()))
 
-    # -- verification helpers ------------------------------------------------
-
-    def first_order_residual(
-        self, x, v, t_max: float = 0.1, steps: int = 32, t_min: float | None = None
-    ) -> float:
-        """max_t |dist(x + t v) - (c0 - t cos a)| / t^2 with a the smallest
-        angle from v to the up-set at x.
-
-        A bounded value as t -> 0 is the numerical form of first-order
-        behavior of the distance along geodesics.
-        """
-        if not 0 < t_max <= 0.2:
-            raise ValueError("t_max must lie in (0, 0.2]")
-        x = reduce_point(x)
-        v = np.asarray(v, dtype=float)
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError("v must be a unit vector")
-        dirs = self.up_set(x)
-        c0 = self.distance(x)
-        cos_a = float(np.max(np.clip(dirs.directions @ v, -1.0, 1.0)))
-        lo = t_min if t_min is not None else t_max / steps
-        ts = np.geomspace(lo, t_max, steps)
-        points = x[None, :] + ts[:, None] * v[None, :]
-        dists = self.distance_many(points)
-        model = c0 - ts * cos_a
-        return float(np.max(np.abs(dists - model) / ts**2))
-
     def _grid_distances(self, grid: int) -> np.ndarray:
         """``distance_many`` bit for bit on the grid k/grid per axis, shaped
         (grid,)*dim: the axis minima, formed once per coordinate, are gathered

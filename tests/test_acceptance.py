@@ -12,13 +12,19 @@ import time
 import tracemalloc
 
 import numpy as np
+from oracles import (
+    first_order_residual,
+    gradient_like_check,
+    join_right_triangle_residuals,
+    right_triangle_residuals,
+    sampling_oracle_classify,
+)
 from test_lp import euclidean_hull_distance
 
 from subindex.convexity import (
     PolarVariant,
     classify_polar_region,
     is_critical,
-    sampling_oracle_classify,
 )
 from subindex.directions import DirectionSet, min_angle_to_set
 from subindex.errors import AmbiguousClassificationError
@@ -27,9 +33,6 @@ from subindex.flows import (
     arrival_bounds_many,
     cutoff_linear_flow,
     drift_length,
-    gradient_like_check,
-    join_right_triangle_residuals,
-    right_triangle_residuals,
     terminal_cap_angle_bound,
 )
 from subindex.jacobi import (
@@ -311,8 +314,8 @@ def test_criterion_9_first_order_law():
             for _ in range(100):
                 v = rng.standard_normal(n)
                 v /= np.linalg.norm(v)
-                res = torus.first_order_residual(
-                    rec.point, v, t_min=1e-3, t_max=1e-1, steps=24
+                res = first_order_residual(
+                    torus, rec.point, v, t_min=1e-3, t_max=1e-1, steps=24
                 )
                 worst = max(worst, res)
     ok = worst <= 2.0

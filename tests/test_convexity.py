@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import sampling_oracle_classify
 from test_lp import _direction_rows, euclidean_hull_distance
 
 from subindex import lp
@@ -25,7 +26,6 @@ from subindex.convexity import (
     classify_polar_region,
     criticality_margin,
     is_critical,
-    sampling_oracle_classify,
     sub_index,
     sub_index_of_region,
     sub_index_to_json,

@@ -19,7 +19,6 @@ from subindex.directions import (
     min_angle_to_set,
     min_angles_to_set,
     row_norms,
-    theta_neighborhood_contains,
 )
 from subindex.errors import SubindexError
 
@@ -248,13 +247,6 @@ def test_min_angles_to_set_checks_every_row():
         min_angles_to_set(np.array([[0.0, 0.0]]), ds)
     with pytest.raises(ValueError):
         min_angles_to_set(np.array([1.0, 0.0]), ds)
-
-
-def test_theta_neighborhood_is_strict():
-    ds = DirectionSet.from_vectors(np.array([[1.0, 0.0]]))
-    v = np.array([0.0, 1.0])
-    assert not theta_neighborhood_contains(v, ds, math.pi / 2)
-    assert theta_neighborhood_contains(v, ds, math.pi / 2 + 1e-6)
 
 
 def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -10,34 +10,37 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad, solve_ivp
-
-from subindex.directions import DirectionSet, angle, min_angle_to_set
-from subindex.errors import SingularSplitError, UnsupportedConfigurationError
-from subindex.flows import (
-    BumpProfile,
+from oracles import (
     SphereSplit,
-    align_soul,
-    arrival_bounds,
-    arrival_bounds_many,
-    bump_flow,
-    bump_flow_trajectory,
-    cutoff_linear_flow,
-    drift_length,
-    flow_verify,
     gradient_like_check,
     hinge_angle,
     join_angle_and_gradient,
     join_right_triangle_residuals,
-    linear_flow,
-    linear_flow_rates,
-    perp_time,
     right_triangle_residuals,
+)
+from scipy.integrate import quad, solve_ivp
+
+from subindex.directions import DirectionSet, angle, min_angle_to_set
+from subindex.errors import UnsupportedConfigurationError
+from subindex.flows import (
+    BumpProfile,
+    align_soul,
+    arrival_bounds_many,
+    bump_flow_trajectory,
+    cutoff_linear_flow,
+    drift_length,
+    flow_verify,
+    perp_time,
     terminal_cap_angle_bound,
 )
 from subindex.sampling import circle_samples, covering_bound, fibonacci_sphere, sphere_samples
 
 CANONICAL = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def bump_flow(y, duration: float, radius: float) -> np.ndarray:
+    """The flow of -f(|x|) e1 from y for the given time: a two-step trajectory's end."""
+    return bump_flow_trajectory(y, duration, radius, steps=2)[1][-1]
 
 
 def test_drift_length_values():
@@ -53,7 +56,7 @@ def test_sphere_split_roundtrip():
 
 
 def test_sphere_split_rejects_singular_blocks():
-    with pytest.raises(SingularSplitError):
+    with pytest.raises(ValueError, match="factor sphere"):
         SphereSplit.from_point(np.array([1.0, 0.0, 0.0, 0.0]), p=1)
 
 
@@ -158,7 +161,7 @@ def _per_point_hinge_max(net: DirectionSet, p: int, q: int, samples: int, seed: 
     for pt in sphere_samples(n, samples, seed=seed):
         try:
             split = SphereSplit.from_point(pt, p)
-        except SingularSplitError:
+        except ValueError:  # on a factor sphere
             continue
         _, g = join_angle_and_gradient(split)
         dots = embedded @ pt
@@ -183,32 +186,10 @@ def test_gradient_like_check_matches_the_per_point_loop(p: int, q: int, seed: in
 
 def test_linear_flow_moves_only_first_coordinate():
     y = np.array([0.4, -0.2, 0.1])
-    out = linear_flow(y, 0.25)
+    out = bump_flow(y, 0.25, 1.0)  # the core of the bump flow, where it is linear
     np.testing.assert_allclose(out, [0.15, -0.2, 0.1], atol=1e-15)
     assert perp_time(y) == pytest.approx(0.4)
     assert perp_time(np.array([-0.4, 0.2, 0.0])) == 0.0
-
-
-@settings(deadline=None, max_examples=60)
-@given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 5))
-def test_linear_flow_rates_match_finite_differences(seed: int, n: int):
-    rng = np.random.default_rng(seed)
-    y = rng.standard_normal(n)
-    if np.linalg.norm(y) < 0.3:
-        y = y + 0.5
-    d_norm, d_cos = linear_flow_rates(y)
-    h = 1e-6
-    before, after = linear_flow(y, -h), linear_flow(y, h)
-    fd_norm = (np.linalg.norm(after) - np.linalg.norm(before)) / (2 * h)
-    cos_angle = lambda z: z[0] / np.linalg.norm(z)
-    fd_cos = (cos_angle(after) - cos_angle(before)) / (2 * h)
-    assert d_norm == pytest.approx(fd_norm, abs=1e-6)
-    assert d_cos == pytest.approx(fd_cos, abs=1e-6)
-
-
-def test_linear_flow_rates_reject_origin():
-    with pytest.raises(ValueError):
-        linear_flow_rates(np.zeros(3))
 
 
 def test_arrival_bounds_on_seeded_ball():
@@ -222,19 +203,6 @@ def test_arrival_bounds_on_seeded_ball():
         assert s_cos.min() >= -1e-12
         assert s_path.min() >= -1e-12
         assert s_exit.min() >= -1e-12
-
-
-def test_arrival_bounds_single_matches_batch():
-    y = np.array([0.3, -0.1, 0.2])
-    single = arrival_bounds(y, 1.0)
-    batch = arrival_bounds_many(y[None, :], 1.0)
-    assert single.cos_final == pytest.approx(float(batch[0][0]), abs=1e-14)
-    assert single.slack_exit == pytest.approx(float(batch[5][0]), abs=1e-14)
-
-
-def test_arrival_bounds_reject_outside_ball():
-    with pytest.raises(ValueError):
-        arrival_bounds(np.array([2.0, 0.0]), 1.0)
 
 
 def _sampled_path_max(ys: np.ndarray, radius: float) -> np.ndarray:
@@ -308,17 +276,31 @@ def _two_mollifier_profile(prof: BumpProfile, r: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("radius", [1e-4, 1e-2, 1.0, 50.0])
 def test_bump_profile_matches_the_two_mollifier_reference_bit_for_bit(radius: float):
+    """Bit for bit at the plateau edges, their neighbours and the far points,
+    where the true values are exact, and a float for a float. Inside the shell
+    the reference is a quotient of two mollifiers that underflow at small
+    radii, so it is held to rtol 1e-13 only where it is normal, at R >= 1."""
     prof = BumpProfile.for_radius(radius)
     edges = np.array([prof.inner, prof.outer])
     special = np.concatenate(
         [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [0.0, -radius, np.nan, np.inf, -np.inf]]
     )
-    r = np.concatenate([np.random.default_rng(0).uniform(0.0, 2.5 * radius, 50_000), special])
-    want = _two_mollifier_profile(prof, r)
-    assert np.array_equal(prof(r).view(np.uint64), want.view(np.uint64))
-    for x, w in zip(special, want[-special.size :]):
+    want = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, np.nan, 0.0, 1.0])
+    assert np.array_equal(prof(special).view(np.uint64), want.view(np.uint64))
+    for x, w in zip(special, want):
         got = prof(float(x))
         assert type(got) is float and np.float64(got).view(np.uint64) == w.view(np.uint64)
+    if radius >= 1.0:
+        r = np.random.default_rng(0).uniform(0.0, 2.5 * radius, 50_000)
+        ref = _two_mollifier_profile(prof, r)
+        normal = ref >= 1e-290
+        np.testing.assert_allclose(prof(r[normal]), ref[normal], rtol=1e-13, atol=0.0)
+
+
+def test_bump_profile_is_one_near_the_core_at_small_radii():
+    """Where both mollifiers underflow, f is still the true value: the
+    reciprocal of 1 + exp(1/(2R - r) - 1/(r - 1.5R)), not 0."""
+    assert BumpProfile.for_radius(1e-3)(1.6e-3) == 1.0
 
 
 def test_bump_flow_identity_outside_support_is_exact():

@@ -71,13 +71,6 @@ def test_two_point_interpolation_rejects_conjugate_parameters():
         JacobiField.from_two_point(1.0, 0.0, [1.0], math.pi, [1.0])
 
 
-def test_conjugate_times_enumeration():
-    geo = ModelGeodesic(4.0, 5.0, 1)  # conjugate spacing pi/2
-    assert geo.conjugate_times() == pytest.approx([math.pi / 2, math.pi, 3 * math.pi / 2])
-    assert ModelGeodesic(-1.0, 50.0, 1).conjugate_times() == []
-    assert ModelGeodesic(0.0, 50.0, 1).conjugate_times() == []
-
-
 def test_piecewise_rejects_discontinuity():
     f0 = JacobiField(kappa=0.0, a=[1.0], b=[0.0])
     f1 = JacobiField(kappa=0.0, a=[5.0], b=[0.0])

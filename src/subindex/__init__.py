@@ -25,7 +25,7 @@ from .convexity import (
     sub_index,
     sub_index_of_region,
 )
-from .directions import DirectionSet, angle, min_angle_to_set
+from .directions import DirectionSet
 from .errors import (
     AmbiguousClassificationError,
     IntegrationFailureError,
@@ -84,7 +84,6 @@ __all__ = [
     "SubindexError",
     "TorusDistanceField",
     "UnsupportedConfigurationError",
-    "angle",
     "arrival_bounds_many",
     "boundary_family",
     "boundary_norm_bound",
@@ -98,7 +97,6 @@ __all__ = [
     "index_form",
     "is_critical",
     "lagrange_wronskian",
-    "min_angle_to_set",
     "model_distance",
     "second_variation_check",
     "solve_boundary_jacobi",

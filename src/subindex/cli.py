@@ -138,8 +138,6 @@ def _cmd_flow_verify(args):
 
 
 def _cmd_jacobi_index(args):
-    if args.curvature <= 0:
-        raise ValueError("the cutoff construction needs positive curvature")
     if not 0 < args.eps_min <= args.eps_max:
         raise ValueError("need 0 < eps-min <= eps-max")
     eps_values = [args.eps_max]

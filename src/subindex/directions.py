@@ -97,16 +97,6 @@ def min_angles_to_set(vs, dirset) -> np.ndarray:
     return np.arccos(dots).min(axis=1)
 
 
-def min_angle_to_set(v, dirset) -> float:
-    """Smallest angle from the unit vector v to a nonempty direction set."""
-    return float(min_angles_to_set(np.asarray(v, dtype=float)[None], dirset)[0])
-
-
-def angle(v, w) -> float:
-    """Angle in [0, pi] between two unit vectors."""
-    return min_angle_to_set(v, _unit_rows(np.asarray(w, dtype=float)[None]))
-
-
 @dataclass(frozen=True)
 class DirectionSet:
     """A nonempty finite set of unit vectors in R^dim.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexity import PolarVariant, classify_polar_region
-from .directions import DirectionSet, angle, min_angles_to_set, row_norms
+from .directions import DirectionSet, min_angles_to_set, row_norms
 from .errors import (
     IntegrationFailureError,
     InternalInconsistencyError,
@@ -101,34 +101,28 @@ def align_soul(dirset: DirectionSet) -> tuple[np.ndarray, DirectionSet]:
 
 @dataclass(frozen=True)
 class CapAngleBound:
-    """Certified bound on angles from the terminal cap to a direction set."""
+    """Certified bound on angles from the terminal cap to a soul-aligned direction set."""
 
-    value: float  # sampled_max + mesh_slack
-    sampled_max: float
+    value: float  # the largest sampled angle plus mesh_slack
     mesh_slack: float
-    samples_used: int
+    aligned: DirectionSet  # the input set after align_soul, soul at e1
 
 
-def terminal_cap_angle_bound(aligned: DirectionSet) -> CapAngleBound:
-    """Largest angle from the cap {z . e1 <= -sqrt(1/11)} to the set, plus mesh slack.
+def terminal_cap_angle_bound(dirset: DirectionSet) -> CapAngleBound:
+    """Largest angle from the cap {z . e1 <= -sqrt(1/11)} to the aligned set, plus mesh slack.
 
-    Requires an aligned boundary-variant set (soul at e1): then the polar
+    The set is aligned first (soul at e1); the one classification that does
+    this also refuses sets without the boundary variant. The aligned polar
     region sits inside the closed half-space z . e1 >= 0, the cap misses it,
     and the bound is strictly below pi/2. The sample filter is dilated by the
     mesh covering radius so that Lipschitz-1 continuity of the angle function
     makes value an upper bound for the whole cap.
     """
-    region = classify_polar_region(aligned)
-    if region.variant is not PolarVariant.WITH_BOUNDARY:
-        raise UnsupportedConfigurationError("cap bound needs the boundary variant")
-    e1 = np.zeros(aligned.dim)
-    e1[0] = 1.0
-    if angle(region.soul, e1) > 1e-6:
-        raise ValueError("direction set is not soul-aligned; call align_soul first")
-    if aligned.dim not in (2, 3):
+    if dirset.dim not in (2, 3):
         raise UnsupportedConfigurationError(
             "certified cap sampling is implemented for dimensions 2 and 3"
         )
+    _, aligned = align_soul(dirset)
     mesh = sphere_samples(aligned.dim, 100_000 if aligned.dim == 3 else 20_000)
     slack = covering_bound(aligned.dim, mesh.shape[0])
     cap_radius = math.acos(-COS_TERMINAL)  # angular radius of the cap around -e1
@@ -139,17 +133,13 @@ def terminal_cap_angle_bound(aligned: DirectionSet) -> CapAngleBound:
     # one gemm, not min_angles_to_set's product per row: on 8052 / 35,988 cap
     # rows (dims 2 / 3) it took 0.76 / 4.6 ms against 1.51 / 6.4 ms
     dots = np.clip(cap @ aligned.directions.T, -1.0, 1.0)
-    min_angles = np.arccos(dots).min(axis=1)
-    sampled_max = float(min_angles.max())
-    value = sampled_max + slack
+    value = float(np.arccos(dots).min(axis=1).max()) + slack
     if value >= math.pi / 2:
         raise NetHypothesisError(
             f"cap angle bound {value:.4f} is not below pi/2; "
             "the set does not cover its quarter sphere tightly enough"
         )
-    return CapAngleBound(
-        value=value, sampled_max=sampled_max, mesh_slack=slack, samples_used=cap.shape[0]
-    )
+    return CapAngleBound(value=value, mesh_slack=slack, aligned=aligned)
 
 
 # --------------------------------------------------------------------------
@@ -289,19 +279,6 @@ def cutoff_linear_flow(y, t: float, radius: float) -> np.ndarray:
     return out.reshape(y.shape)
 
 
-def bump_flow_trajectory(
-    y, duration: float, radius: float, steps: int = 50
-) -> tuple[np.ndarray, np.ndarray]:
-    """(times, points) along the bump flow, for reports and CSV emission."""
-    if steps < 1 or not math.isfinite(duration):
-        raise ValueError("a trajectory needs at least one step and a finite duration")
-    y = np.asarray(y, dtype=float)
-    times = np.linspace(0.0, duration, steps)
-    points = np.tile(y, (steps, 1))
-    points[:, 0] = _flow_x0(y[None, :], times[None, :], radius)[0]
-    return times, points
-
-
 # --------------------------------------------------------------------------
 # the flow-verify suite
 # --------------------------------------------------------------------------
@@ -365,8 +342,8 @@ def flow_verify(
     # identity outside the bump support: the flow must return its input
     # byte-for-byte, so the slack here is a plain sup distance.
     outside = _ball_samples(rng, min(samples, 200), dim, radius)
-    shell = 2.0 * radius + np.linalg.norm(outside, axis=1)
-    outside = outside / np.linalg.norm(outside, axis=1, keepdims=True) * shell[:, None]
+    outside_norms = np.linalg.norm(outside, axis=1)
+    outside = outside / outside_norms[:, None] * (2.0 * radius + outside_norms)[:, None]
     moved = np.max(np.abs(cutoff_linear_flow(outside, 1.0, radius) - outside), axis=1)
     record("omega_identity", -moved, 0.0)
 
@@ -379,11 +356,10 @@ def flow_verify(
         canonical[0, 0] = 1.0
         canonical[1, 0] = -1.0
         canonical[2, 1] = 1.0
-        _, aligned = align_soul(DirectionSet(dim=dim, directions=canonical))
-        bound = terminal_cap_angle_bound(aligned)
+        bound = terminal_cap_angle_bound(DirectionSet(dim=dim, directions=canonical))
         norms = row_norms(arrivals)
         away = norms > 1e-9
-        angles = min_angles_to_set(arrivals[away] / norms[away, None], aligned)
+        angles = min_angles_to_set(arrivals[away] / norms[away, None], bound.aligned)
         record("omega_angle", bound.value - angles + 1e-9, 0.0)
         angle_note = {"cap_bound": float(bound.value), "mesh_slack": float(bound.mesh_slack)}
     else:
@@ -394,10 +370,11 @@ def flow_verify(
         lines = [",".join(["t"] + [f"x{i + 1}" for i in range(dim)])]
         probe = _ball_samples(rng, 5, dim, radius)
         ring = probe / np.linalg.norm(probe, axis=1, keepdims=True) * (1.6 * radius)
-        for y in np.vstack([probe, ring]):
-            ts, points = bump_flow_trajectory(y, drift + perp_time(y), radius, steps=40)
-            for t, x in zip(ts, points):
-                lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in x]))
+        ys = np.vstack([probe, ring])
+        times = np.linspace(0.0, drift + perp_time(ys), 40, axis=1)
+        points = np.repeat(ys, 40, axis=0)
+        points[:, 0] = _flow_x0(ys, times, radius).ravel()
+        lines += [",".join(map(repr, row)) for row in np.column_stack([times.ravel(), points]).tolist()]
         csv_text = "\n".join(lines) + "\n"
 
     report = {

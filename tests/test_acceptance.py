@@ -26,10 +26,9 @@ from subindex.convexity import (
     classify_polar_region,
     is_critical,
 )
-from subindex.directions import DirectionSet, min_angle_to_set
+from subindex.directions import DirectionSet, min_angles_to_set
 from subindex.errors import AmbiguousClassificationError
 from subindex.flows import (
-    align_soul,
     arrival_bounds_many,
     cutoff_linear_flow,
     drift_length,
@@ -170,13 +169,12 @@ def test_criterion_4_cutoff_flow_suite():
     norms = np.linalg.norm(arrivals, axis=1)
     exit_ok = bool(np.all(norms >= drift - 1e-8))
 
-    _, aligned = align_soul(
+    bound = terminal_cap_angle_bound(
         DirectionSet.from_vectors(
             np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.0, 1.0, 0.0]])
         )
     )
-    bound = terminal_cap_angle_bound(aligned)
-    angles = np.array([min_angle_to_set(z / n, aligned) for z, n in zip(arrivals, norms)])
+    angles = min_angles_to_set(arrivals / norms[:, None], bound.aligned)
     angle_ok = bool(np.all(angles <= bound.value + 1e-9))
 
     ok = identity_exact and exit_ok and angle_ok

@@ -15,8 +15,6 @@ from subindex.convexity import classification_report
 from subindex.directions import (
     DEDUP_ANGLE,
     DirectionSet,
-    angle,
-    min_angle_to_set,
     min_angles_to_set,
     row_norms,
 )
@@ -24,24 +22,24 @@ from subindex.errors import SubindexError
 
 
 def test_angle_orthogonal_pair():
-    assert angle(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(math.pi / 2)
+    assert min_angles_to_set([[1.0, 0.0]], [0.0, 1.0])[0] == pytest.approx(math.pi / 2)
 
 
 def test_angle_clamps_rounding_noise():
     # nearly parallel unit vectors can push the inner product past 1.0
     v = np.array([0.6, 0.8])
     w = v / np.linalg.norm(v)
-    assert angle(v, w) == 0.0
+    assert min_angles_to_set(v[None], w)[0] == 0.0
 
 
 def test_angle_rejects_non_unit():
     with pytest.raises(ValueError):
-        angle(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+        min_angles_to_set([[2.0, 0.0]], [1.0, 0.0])
 
 
 def test_angle_rejects_dim_mismatch():
     with pytest.raises(ValueError):
-        angle(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        min_angles_to_set([[1.0, 0.0]], [1.0, 0.0, 0.0])
 
 
 def test_direction_set_dedups_near_duplicates():
@@ -214,10 +212,10 @@ def test_json_roundtrip_is_exact():
 def test_min_angle_to_set_basic():
     ds = DirectionSet.from_vectors(np.eye(3))
     v = np.array([0.0, 0.0, -1.0])
-    assert min_angle_to_set(v, ds) == pytest.approx(math.pi / 2)
+    assert min_angles_to_set(v[None], ds)[0] == pytest.approx(math.pi / 2)
     assert min_angles_to_set(np.array([v, -v]), ds.directions).shape == (2,)
     # a bare vector is a one-row set, as in DirectionSet
-    assert min_angle_to_set(v, [0.0, 1.0, 0.0]) == pytest.approx(math.pi / 2)
+    assert min_angles_to_set(v[None], [0.0, 1.0, 0.0])[0] == pytest.approx(math.pi / 2)
 
 
 @settings(deadline=None, max_examples=60)
@@ -228,14 +226,14 @@ def test_min_angle_to_set_basic():
     k=st.integers(0, 40),
 )
 def test_min_angles_to_set_matches_per_row_loop(seed: int, n: int, m: int, k: int):
-    """The stacked angle check equals the per-row min_angle_to_set loop bit
-    for bit, rows normalized one at a time as flow-verify used to."""
+    """The stacked angle check equals a loop of one-row calls bit for bit,
+    rows normalized one at a time as flow-verify used to."""
     rng = np.random.default_rng(seed)
     ds = DirectionSet.from_vectors(_unit_rows(rng.standard_normal((m, n))))
     zs = rng.standard_normal((k, n)) * rng.uniform(0.1, 3.0, (k, 1))
     np.testing.assert_array_equal(row_norms(zs), [np.linalg.norm(z) for z in zs])
     vs = zs / row_norms(zs)[:, None]
-    loop = np.array([min_angle_to_set(z / np.linalg.norm(z), ds) for z in zs])
+    loop = np.array([min_angles_to_set((z / np.linalg.norm(z))[None], ds)[0] for z in zs])
     np.testing.assert_array_equal(min_angles_to_set(vs, ds), loop.reshape(k))
 
 
@@ -267,8 +265,8 @@ def test_transformed_preserves_pairwise_angles(seed: int, n: int, m: int):
     assert len(moved) == len(ds)
     for i in range(len(ds)):
         for j in range(i + 1, len(ds)):
-            before = angle(ds.directions[i], ds.directions[j])
-            after = angle(moved.directions[i], moved.directions[j])
+            before = min_angles_to_set(ds.directions[i : i + 1], ds.directions[j])[0]
+            after = min_angles_to_set(moved.directions[i : i + 1], moved.directions[j])[0]
             assert after == pytest.approx(before, abs=1e-9)
 
 

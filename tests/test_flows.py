@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import math
 import signal
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,13 +21,14 @@ from oracles import (
 )
 from scipy.integrate import quad, solve_ivp
 
-from subindex.directions import DirectionSet, angle, min_angle_to_set
-from subindex.errors import UnsupportedConfigurationError
+from subindex import lp
+from subindex.directions import DirectionSet, min_angles_to_set
+from subindex.errors import NotCriticalError, UnsupportedConfigurationError
 from subindex.flows import (
     BumpProfile,
+    _flow_x0,
     align_soul,
     arrival_bounds_many,
-    bump_flow_trajectory,
     cutoff_linear_flow,
     drift_length,
     flow_verify,
@@ -38,9 +40,17 @@ from subindex.sampling import circle_samples, covering_bound, fibonacci_sphere, 
 CANONICAL = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
+def bump_trajectory(y, times: np.ndarray, radius: float) -> np.ndarray:
+    """Points of the flow of -f(|x|) e1 from y at the given times, one row each."""
+    y = np.asarray(y, dtype=float)
+    points = np.tile(y, (times.size, 1))
+    points[:, 0] = _flow_x0(y[None, :], times[None, :], radius)[0]
+    return points
+
+
 def bump_flow(y, duration: float, radius: float) -> np.ndarray:
-    """The flow of -f(|x|) e1 from y for the given time: a two-step trajectory's end."""
-    return bump_flow_trajectory(y, duration, radius, steps=2)[1][-1]
+    """The flow of -f(|x|) e1 from y for the given time."""
+    return bump_trajectory(y, np.array([duration]), radius)[0]
 
 
 def test_drift_length_values():
@@ -125,8 +135,8 @@ def test_distance_to_target_decreases_at_hinge_rate():
         hinge = hinge_angle(point, gamma4, _geodesic_step(point, grad, 1e-7))
         h = 1e-6
         moved = _geodesic_step(point, grad, h)
-        d0 = angle(point, gamma4)
-        d1 = angle(moved / np.linalg.norm(moved), gamma4)
+        d0 = min_angles_to_set(point[None], gamma4)[0]
+        d1 = min_angles_to_set((moved / np.linalg.norm(moved))[None], gamma4)[0]
         assert (d1 - d0) / h == pytest.approx(-math.cos(hinge), abs=1e-4)
 
 
@@ -331,13 +341,6 @@ def test_bump_flow_only_moves_first_coordinate():
     assert out[0] < y[0]
 
 
-def test_bump_flow_trajectory_shapes():
-    ts, pts = bump_flow_trajectory(np.array([1.7, 0.0]), 0.5, 1.0, steps=12)
-    assert ts.shape == (12,)
-    assert pts.shape == (12, 2)
-    assert np.all(np.diff(pts[:, 0]) <= 1e-15)
-
-
 def _inverse_rate(r: float, radius: float) -> float:
     """1/f(r) for the bump profile of the given radius, as the exponent
     difference of its two mollifiers, which stays finite where f underflows."""
@@ -368,7 +371,8 @@ def test_shell_flow_matches_quadrature_oracle(seed: int, n: int, radius: float, 
     y = rng.standard_normal(n)
     y[0] = abs(y[0])
     y *= scale * radius / np.linalg.norm(y)
-    ts, pts = bump_flow_trajectory(y, drift_length(radius) + y[0], radius, steps=25)
+    ts = np.linspace(0.0, drift_length(radius) + y[0], 25)
+    pts = bump_trajectory(y, ts, radius)
     assert np.array_equal(pts[:, 1:], np.tile(y[1:], (ts.size, 1)))
     assert np.all(np.diff(pts[:, 0]) <= 0)
     rho = float(np.linalg.norm(y[1:]))
@@ -408,7 +412,8 @@ def test_shell_flow_matches_the_dop853_oracle(seed: int, n: int, radius: float, 
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(n)
     y *= scale * radius / np.linalg.norm(y)
-    ts, pts = bump_flow_trajectory(y, drift_length(radius) + perp_time(y), radius, steps=40)
+    ts = np.linspace(0.0, drift_length(radius) + perp_time(y), 40)
+    pts = bump_trajectory(y, ts, radius)
     np.testing.assert_allclose(pts[:, 0], _dop853_x0(y, ts, radius), rtol=0.0, atol=1e-11 * radius)
 
 
@@ -418,7 +423,8 @@ def test_flow_towards_the_support_edge_converges(radius: float, angle: float):
     where 1/f explodes; plain Newton, bisecting only when it leaves the
     bracket, does not converge in 100 steps on these rows."""
     y = 1.992 * radius * np.array([-math.cos(angle), math.sin(angle)])
-    ts, pts = bump_flow_trajectory(y, drift_length(radius), radius, steps=40)
+    ts = np.linspace(0.0, drift_length(radius), 40)
+    pts = bump_trajectory(y, ts, radius)
     assert np.all(np.diff(pts[:, 0]) <= 0)
     assert pts[-1, 0] < y[0] - 0.005 * radius
     np.testing.assert_allclose(pts[:, 0], _dop853_x0(y, ts, radius), rtol=0.0, atol=1e-11 * radius)
@@ -501,10 +507,9 @@ _SHELL_POINT = np.array([1.7, 0.2])
         lambda: bump_flow(_SHELL_POINT, math.inf, 1.0),
         lambda: cutoff_linear_flow([[math.inf, 0.1]], 1.0, 1.0),
         lambda: cutoff_linear_flow([[math.inf, 0.1]], 0.0, 1.0),
-        lambda: bump_flow_trajectory(_SHELL_POINT, math.inf, 1.0),
-        lambda: bump_flow_trajectory(_SHELL_POINT, 0.5, 1.0, steps=0),
+        lambda: _flow_x0(_SHELL_POINT[None], np.array([[0.0, 0.5, math.inf]]), 1.0),
     ],
-    ids=["nan-duration", "inf-duration", "inf-point", "inf-point-at-time-zero", "inf-trajectory", "zero-steps"],
+    ids=["nan-duration", "inf-duration", "inf-point", "inf-point-at-time-zero", "inf-trajectory"],
 )
 def test_flow_entry_points_refuse_non_finite_input_and_empty_trajectories(call):
     with _deadline(10.0), pytest.raises(ValueError):
@@ -527,9 +532,8 @@ def test_align_soul_rejects_boundaryless_sets():
 
 
 def test_terminal_cap_bound_brackets_analytic_value():
-    """For the aligned canonical set the exact cap maximum is known."""
-    _, aligned = align_soul(DirectionSet.from_vectors(CANONICAL))
-    bound = terminal_cap_angle_bound(aligned)
+    """For the canonical set, once aligned, the exact cap maximum is known."""
+    bound = terminal_cap_angle_bound(DirectionSet.from_vectors(CANONICAL))
     alpha_true = math.acos(math.sqrt(1 / 11))
     assert alpha_true == pytest.approx(1.2645189576, abs=1e-9)
     assert bound.value >= alpha_true - 1e-12
@@ -541,10 +545,38 @@ def test_terminal_cap_bound_2d():
     """On the circle the aligned set {-e1, +-e2} splits the cap into arcs;
     the farthest cap point from the set sits midway between -e1 and -e2."""
     canonical_2d = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    _, aligned = align_soul(DirectionSet.from_vectors(canonical_2d))
-    bound = terminal_cap_angle_bound(aligned)
+    bound = terminal_cap_angle_bound(DirectionSet.from_vectors(canonical_2d))
     alpha_true = math.pi / 4
     assert alpha_true - 1e-12 <= bound.value <= alpha_true + 2 * bound.mesh_slack + 1e-9
+
+
+@pytest.mark.parametrize(
+    ("dim", "value"), [(2, float.fromhex("0x1.921fb54442d19p-1")), (3, float.fromhex("0x1.4f27c415f071ep+0"))]
+)
+def test_terminal_cap_bound_aligns_its_input(dim: int, value: float):
+    """The unaligned canonical set gives, bit for bit, the bound that an
+    aligned copy gave when the caller had to align it, and returns that copy."""
+    canonical = np.zeros((3, dim))
+    canonical[0, 0], canonical[1, 0], canonical[2, 1] = 1.0, -1.0, 1.0
+    dirset = DirectionSet(dim=dim, directions=canonical)
+    bound = terminal_cap_angle_bound(dirset)
+    assert bound.value == value
+    np.testing.assert_array_equal(bound.aligned.directions, align_soul(dirset)[1].directions)
+
+
+@pytest.mark.parametrize(
+    ("vectors", "error"),
+    [
+        ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+         UnsupportedConfigurationError),
+        ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], UnsupportedConfigurationError),
+        ([[1.0, 0.0], [0.0, 1.0]], NotCriticalError),
+    ],
+    ids=["empty", "great_subsphere", "regular"],
+)
+def test_terminal_cap_bound_refuses_sets_without_a_boundary(vectors, error):
+    with pytest.raises(error):
+        terminal_cap_angle_bound(DirectionSet.from_vectors(np.array(vectors)))
 
 
 def test_terminal_cap_bound_unsupported_dimension():
@@ -552,21 +584,36 @@ def test_terminal_cap_bound_unsupported_dimension():
     canonical_5d[0, 0] = 1.0
     canonical_5d[1, 0] = -1.0
     canonical_5d[2, 1] = 1.0
-    _, aligned = align_soul(DirectionSet.from_vectors(canonical_5d))
     with pytest.raises(UnsupportedConfigurationError):
-        terminal_cap_angle_bound(aligned)
+        terminal_cap_angle_bound(DirectionSet.from_vectors(canonical_5d))
 
 
 def test_arrivals_stay_within_certified_cap_angle():
-    _, aligned = align_soul(DirectionSet.from_vectors(CANONICAL))
-    bound = terminal_cap_angle_bound(aligned)
+    bound = terminal_cap_angle_bound(DirectionSet.from_vectors(CANONICAL))
     rng = np.random.default_rng(21)
     raw = rng.standard_normal((300, 3))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     ys = raw * 0.999 * (rng.random((300, 1)) ** (1 / 3))
     for y in ys:
         z = cutoff_linear_flow(y, 1.0, 1.0)
-        assert min_angle_to_set(z / np.linalg.norm(z), aligned) <= bound.value + 1e-9
+        assert min_angles_to_set((z / np.linalg.norm(z))[None], bound.aligned)[0] <= bound.value + 1e-9
+
+
+@pytest.mark.parametrize(("dim", "solves"), [(2, 4), (3, 4), (4, 0), (5, 0)])
+def test_flow_verify_classifies_the_cap_set_once(monkeypatch, dim: int, solves: int):
+    """One classification decides the cap certificate: one LP of each kind in
+    dimensions 2 and 3, and none where the certificate is skipped."""
+    kinds = Counter()
+    solve = lp._solve
+
+    def counting(*args):
+        kinds[args[-1]] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "_solve", counting)
+    flow_verify(dim, 1.0, 50, seed=0, tol=1e-12, trajectories=False)
+    assert sum(kinds.values()) == solves
+    assert set(kinds.values()) <= {1}
 
 
 @settings(deadline=None, max_examples=25)
@@ -589,6 +636,22 @@ def test_fibonacci_covering_bound_is_honest(seed: int):
 def test_flow_verify_refuses_arguments_out_of_domain(dim, radius, samples, tol):
     with pytest.raises(ValueError):
         flow_verify(dim, radius, samples, seed=0, tol=tol, trajectories=False)
+
+
+@pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+def test_flow_verify_trajectories_match_per_row_flows(radius: float):
+    """The CSV equals, bit for bit, each trajectory flown on its own: 40
+    times from 0 to its perpendicular-foot time plus the drift, one
+    ``_flow_x0`` row each, every value written with repr."""
+    _, text = flow_verify(3, radius, 50, seed=2, tol=1e-12, trajectories=True)
+    lines = text.splitlines()
+    want = [lines[0]]
+    for start in range(1, len(lines), 40):
+        y = np.array([float(v) for v in lines[start].split(",")[1:]])
+        ts = np.linspace(0.0, drift_length(radius) + perp_time(y), 40)
+        x0 = _flow_x0(y[None], ts[None], radius)[0]
+        want += [",".join([repr(float(t)), repr(float(x))] + [repr(float(v)) for v in y[1:]]) for t, x in zip(ts, x0)]
+    assert lines == want
 
 
 def test_flow_verify_returns_trajectories_only_when_asked():

@@ -128,7 +128,8 @@ class DirectionSet:
             raise ValueError("directions must be finite")
         if not 0.0 <= self.tolerance < np.inf:
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
-        norms = np.linalg.norm(arr, axis=1)
+        with np.errstate(over="ignore"):  # an overflowed norm is inf, refused below
+            norms = np.linalg.norm(arr, axis=1)
         if np.any(np.abs(norms - 1.0) > max(self.tolerance, 1e-12)):
             worst = float(np.abs(norms - 1.0).max())
             raise ValueError(f"directions must be unit vectors (worst slack {worst:.3e})")
@@ -173,7 +174,10 @@ class DirectionSet:
     def from_json(cls, text: str) -> "DirectionSet":
         """A set from a JSON object with an integer ``dim``, rows of numbers and
         an optional number ``tol``. Types are exact: JSON true is no number."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("a direction set must be a JSON object")
         dim, rows, tol = data.get("dim"), data.get("directions"), data.get("tol", 1e-9)

@@ -17,6 +17,11 @@ infeasible are answers, any other model status is a solver failure, and an
 optimal solution must have no NaN and meet the bounds and rows within
 sqrt(1e-9) * 10. So every margin, weight vector and exception is bit for bit
 what the front end gives; the tests hold it to that.
+
+Each thread keeps one HiGHS instance (:func:`_solver`) rather than building
+one per solve, which cost more than a small LP's own solve. Every solve hands
+it a new model, and loading a model clears the last one's solution, basis and
+simplex state, so a result does not depend on the solves before it.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -59,7 +65,7 @@ def _load_highs():
 
 
 _core = _load_highs()
-_Highs = _core._Highs  # the solver class; tests replace this name with a fake
+_Highs = _core._Highs  # the solver class; tests count its constructions through this name
 
 # Margins below FEASIBILITY_MARGIN count as exactly zero; margins inside
 # (FEASIBILITY_MARGIN, AMBIGUITY_BAND) are refused rather than guessed.
@@ -81,6 +87,19 @@ _CHECK_TOL = math.sqrt(1e-9) * 10
 _INFEASIBLE = (_core.HighsModelStatus.kInfeasible, _core.HighsModelStatus.kModelError)
 
 
+_THREAD = threading.local()
+
+
+def _solver():
+    """This thread's HiGHS instance, given the front end's options once. One
+    instance is never shared between threads: HiGHS is not thread-safe."""
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = _Highs()
+        highs.passOptions(_OPTIONS)
+    return highs
+
+
 def _dense_csc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical CSC arrays (start, index, value) of a dense matrix."""
     cols, rows = np.nonzero(a.T)
@@ -95,13 +114,20 @@ def _interior_csc(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Column j < m holds row j (-1), rows m + k where u[j, k] != 0, and row
     m + n (1); column m holds rows 0..m-1 (1).
     """
-    m = u.shape[0]
-    start, index, value = _dense_csc(np.hstack([u, np.ones((m, 1))]).T)
-    index = np.concatenate([np.insert(index + m, start[:-1], np.arange(m)), np.arange(m)])
-    value = np.concatenate([np.insert(value, start[:-1], -1.0), np.ones(m)])
-    # each column j gained one entry, and column m holds m
-    start = np.append(start + np.arange(m + 1), start[-1] + 2 * m)
-    return start, index, value
+    m, n = u.shape
+    # column j's candidate entries, row j of these arrays, before zeros are dropped
+    value = np.empty((m, n + 2))
+    value[:, 0] = -1.0
+    value[:, 1:-1] = u
+    value[:, -1] = 1.0
+    index = np.empty((m, n + 2), dtype=np.intp)
+    index[:, 0] = np.arange(m)
+    index[:, 1:] = np.arange(m, m + n + 1)
+    keep = value != 0.0
+    start = np.zeros(m + 2, dtype=np.intp)
+    np.cumsum(keep.sum(axis=1), out=start[1:-1])
+    start[-1] = start[-2] + m
+    return start, np.concatenate([index[keep], np.arange(m)]), np.concatenate([value[keep], np.ones(m)])
 
 
 def _solve(c, a, n_ub, rhs, lb, ub, what):
@@ -127,8 +153,7 @@ def _solve(c, a, n_ub, rhs, lb, ub, what):
     model.a_matrix_.start_ = start
     model.a_matrix_.index_ = index
     model.a_matrix_.value_ = value
-    highs = _Highs()
-    highs.passOptions(_OPTIONS)
+    highs = _solver()
     if highs.passModel(model) == _core.HighsStatus.kError:
         return None  # the front end reports a model it cannot load as infeasible
     ran = highs.run() != _core.HighsStatus.kError

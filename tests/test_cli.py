@@ -531,6 +531,18 @@ def test_classify_refuses_malformed_fields(text, field, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
 
+def test_classify_refuses_json_nested_past_the_recursion_limit(tmp_path, capsys):
+    # json.loads raises RecursionError here, which used to end in a traceback
+    path = tmp_path / "dirs.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    out = tmp_path / "report.json"
+    assert main(["classify", "--input", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_no_module_reaches_into_another_modules_private_names():
     """Each decision stays with its owner module: no package module imports a
     sibling's ``_``-prefixed name or reads one off a sibling it imported."""

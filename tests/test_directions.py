@@ -195,6 +195,12 @@ def test_direction_set_rejects_non_finite(bad: float):
         DirectionSet(dim=2, directions=[[bad, 0.0], [1.0, 0.0]])
 
 
+def test_direction_set_refuses_a_norm_past_the_float_range_without_a_warning():
+    # the squared norm of 1e308 overflows; the run treats RuntimeWarning as an error
+    with pytest.raises(ValueError, match="unit vectors"):
+        DirectionSet(2, [[1e308, 0.0], [1.0, 0.0]])
+
+
 def test_direction_set_is_read_only():
     ds = DirectionSet.from_vectors(np.eye(2))
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 from types import SimpleNamespace
 from unittest import mock
 
@@ -22,6 +23,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
 from scipy.sparse import csc_array, vstack
 
 from subindex import lp
+from subindex.convexity import classification_report
 from subindex.directions import DirectionSet
 from subindex.errors import InternalInconsistencyError
 from subindex.torus import TorusDistanceField
@@ -275,6 +277,35 @@ def test_csc_builders_match_scipy_sparse(entries, n):
             np.testing.assert_array_equal(got, want)
 
 
+def _insert_interior_csc(u):
+    """The interior LP's CSC arrays as the package built them before: the
+    transposed [U | 1] block's arrays with each column's -1 entry inserted."""
+    m = u.shape[0]
+    start, index, value = lp._dense_csc(np.hstack([u, np.ones((m, 1))]).T)
+    index = np.concatenate([np.insert(index + m, start[:-1], np.arange(m)), np.arange(m)])
+    value = np.concatenate([np.insert(value, start[:-1], -1.0), np.ones(m)])
+    start = np.append(start + np.arange(m + 1), start[-1] + 2 * m)
+    return start, index, value
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    entries=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=1, max_size=60),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**31 - 1),
+    signed_zeros=st.booleans(),
+)
+def test_interior_csc_matches_the_inserting_construction(entries, n, seed, signed_zeros):
+    """The masked build gives the old construction's arrays byte for byte,
+    dtypes included, with exact and signed zeros or random entries."""
+    if signed_zeros:
+        u = np.resize(np.array(entries), (max(1, len(entries) // n), n))
+    else:
+        u = np.random.default_rng(seed).standard_normal((len(entries) % 24 + 1, n))
+    for got, want in zip(lp._interior_csc(u), _insert_interior_csc(u)):
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
 def test_old_scipy_fails_at_import_with_the_floor():
     """Without HiGHS's bindings (scipy < 1.15) the module names the floor."""
     spec = importlib.util.spec_from_file_location("subindex._lp_without_highs", lp.__file__)
@@ -397,9 +428,6 @@ class _ReportingHighs:
     def __init__(self, status, x, row_value):
         self.status, self.x, self.row_value = status, x, row_value
 
-    def passOptions(self, options):
-        pass
-
     def passModel(self, model):
         return HighsStatus.kOk
 
@@ -436,7 +464,7 @@ def test_solve_keeps_the_front_ends_verdicts(monkeypatch, status, x, row_value, 
     """One variable in [-1, 1] and the rows x <= 0.5, x = 1, answered by a
     stand-in solver: an optimal answer must meet bounds and rows within
     sqrt(1e-9) * 10, infeasible is None, and any other status is a failure."""
-    monkeypatch.setattr(lp, "_Highs", lambda: _ReportingHighs(status, x, row_value))
+    monkeypatch.setattr(lp, "_solver", lambda: _ReportingHighs(status, x, row_value))
     model = (
         np.ones(1), (np.array([0, 2]), np.array([0, 1]), np.ones(2)), 1,
         np.array([0.5, 1.0]), np.full(1, -1.0), np.full(1, 1.0), "a test model",
@@ -449,3 +477,146 @@ def test_solve_keeps_the_front_ends_verdicts(monkeypatch, status, x, row_value, 
     else:
         fun, solution = lp._solve(*model)
         assert (fun, solution.tolist()) == (0.5, [0.5])
+
+
+# A reused solver against a fresh one. ``lp._solver`` keeps one HiGHS instance
+# per thread; the reference builds a new instance for every solve, as the
+# package did before.
+
+
+def _fresh_highs():
+    highs = lp._Highs()
+    highs.passOptions(lp._OPTIONS)
+    return highs
+
+
+_LP_FUNCTIONS = (lp.separation_margin, lp.interior_weight_margin, lp.soul_margin_lp, lp.soul_feasibility_lp)
+
+# min -x subject to -x <= 0 with x free: unbounded, so _solve raises
+_UNBOUNDED = (
+    np.array([-1.0]), (np.array([0, 1]), np.array([0]), np.array([-1.0])), 1,
+    np.zeros(1), np.full(1, -np.inf), np.full(1, np.inf), "an unbounded model",
+)
+# a NaN bound: HiGHS refuses to load the model, and _solve returns None
+_UNLOADABLE = _UNBOUNDED[:4] + (np.full(1, np.nan),) + _UNBOUNDED[5:]
+
+
+def _lp_models(u, functions=_LP_FUNCTIONS):
+    """The models the given LP functions hand to ``_solve`` for the rows u."""
+    models = []
+    solve = lp._solve
+
+    def record(*model):
+        models.append(model)
+        return solve(*model)
+
+    with mock.patch.object(lp, "_solve", record):
+        for f in functions:
+            try:
+                f(u)
+            except InternalInconsistencyError:
+                pass
+    return models
+
+
+def _solve_outcome(model):
+    """``_solve``'s (fun, x) as float.hex strings, None, or the exception type."""
+    try:
+        res = lp._solve(*model)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+    return None if res is None else (float.hex(res[0]), [float.hex(v) for v in res[1]])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    sets=st.lists(
+        st.tuples(
+            st.integers(0, 2**31 - 1),
+            st.sampled_from(["regular", "empty", "great_subsphere", "near_band", "boundary"]),
+            st.integers(2, 6),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_a_reused_solver_gives_the_bits_of_a_fresh_one(sets):
+    """Every model gives what a fresh instance gives, whatever was solved
+    before it on this thread: an infeasible interior LP, a solve that raises
+    and a model HiGHS refuses to load follow each set's four LPs."""
+    models = []
+    for seed, kind, n, near_copy in sets:
+        rng = np.random.default_rng(seed)
+        models += _lp_models(_direction_rows(rng, kind, n, near_copy))
+        # one row off the origin: no weights sum it to zero
+        models += _lp_models(_direction_rows(rng, "regular", n, False)[:1], [lp.interior_weight_margin])
+        models += [_UNBOUNDED, _UNLOADABLE]
+    reused = [_solve_outcome(model) for model in models]
+    with mock.patch.object(lp, "_solver", _fresh_highs):
+        fresh = [_solve_outcome(model) for model in models]
+    assert reused == fresh
+    assert None in reused and InternalInconsistencyError in reused
+
+
+def _threaded_sets():
+    """50 sets that classify without ambiguity, of the four polar shapes."""
+    rng = np.random.default_rng(11)
+    kinds = ["regular", "empty", "great_subsphere", "boundary"]
+    return [_direction_rows(rng, kinds[i % 4], 2 + i % 5, False) for i in range(50)]
+
+
+def _run_threads(target, count):
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(count)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_threads_solving_at_once_get_the_serial_bits():
+    """Each thread solves on its own instance, so threads that switch often
+    mid-sequence each get the serial run's results."""
+    sets = _threaded_sets()
+
+    def outcomes():
+        return [_outcome(f, u) for u in sets for f in _LP_FUNCTIONS]
+
+    serial = outcomes()
+    results = [None] * 4
+    start = threading.Barrier(len(results))
+
+    def work(i):
+        start.wait()
+        results[i] = outcomes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads(work, len(results))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial] * len(results)
+
+
+def test_each_thread_builds_one_solver(monkeypatch):
+    """50 classification reports build one HiGHS instance per thread, not
+    one per solve."""
+    built = []
+
+    def counting_highs():
+        built.append(threading.get_ident())
+        return lp._core._Highs()
+
+    monkeypatch.setattr(lp, "_Highs", counting_highs)
+    monkeypatch.setattr(lp, "_THREAD", threading.local())
+    sets = [DirectionSet.from_vectors(u) for u in _threaded_sets()]
+
+    def reports(_=None):
+        for dirset in sets:
+            classification_report(dirset)
+
+    reports()
+    _run_threads(reports, 1)
+    assert len(built) == 2 and built[0] == threading.get_ident() != built[1]

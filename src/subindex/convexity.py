@@ -67,22 +67,18 @@ def criticality_margin(dirset: DirectionSet) -> float:
     return lp.separation_margin(dirset.directions)
 
 
-def certified_regular(dirs, mask=None):
+def certified_regular(dirs) -> bool:
     """Whether the summed direction certifies that 0 lies outside conv(U).
 
-    ``dirs`` is one (m, n) set U, or a (g, m, n) stack of sets whose kept rows
-    ``mask`` (g, m) marks; the answer is a bool, or one per set. With w the sum
-    of the kept rows, -w / |w|_inf is feasible in the separation LP with margin
-    min(U w) / |w|_inf, which certifies regularity at CERTIFIED_MARGIN or more.
+    With w the sum of the (m, n) rows of U, -w / |w|_inf is feasible in the
+    separation LP with margin min(U w) / |w|_inf, which certifies regularity
+    at CERTIFIED_MARGIN or more.
     """
     u = np.asarray(dirs, dtype=float)
-    kept = u if mask is None else np.where(mask[..., None], u, 0.0)
-    w = kept.sum(axis=-2)
-    dots = np.matmul(u, w[..., None])[..., 0]
-    if mask is not None:
-        dots = np.where(mask, dots, np.inf)
-    scale = np.abs(w).max(axis=-1)
-    return (scale > 0.0) & (dots.min(axis=-1) >= CERTIFIED_MARGIN * scale)
+    w = u.sum(axis=0)
+    dots = np.matmul(u, w[:, None])[:, 0]
+    scale = np.abs(w).max()
+    return bool(scale > 0.0 and dots.min() >= CERTIFIED_MARGIN * scale)
 
 
 def is_critical(dirset: DirectionSet) -> bool:

@@ -288,14 +288,12 @@ def boundary_family(geodesic: ModelGeodesic) -> list[JacobiField]:
 
 
 def _require_first_conjugate(geodesic: ModelGeodesic):
-    if geodesic.curvature <= 0 or not geodesic.endpoint_conjugate():
+    kappa, length = geodesic.curvature, geodesic.length
+    # the length is compared with pi / sqrt(kappa) before sn is evaluated:
+    # far past it, sqrt(kappa) * length can overflow
+    if kappa <= 0 or abs(length - math.pi / math.sqrt(kappa)) > 1e-9 or not geodesic.endpoint_conjugate():
         raise NoSolutionError(
-            "cutoff construction needs the endpoint at the first conjugate time"
-        )
-    first = math.pi / math.sqrt(geodesic.curvature)
-    if abs(geodesic.length - first) > 1e-9:
-        raise NoSolutionError(
-            "cutoff construction needs the FIRST conjugate time as endpoint"
+            "cutoff construction needs the endpoint at the first conjugate time pi / sqrt(curvature)"
         )
 
 

@@ -21,21 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import certified_regular, classify_polar_region, is_critical, sub_index_of_region
+from .convexity import CERTIFIED_MARGIN, classify_polar_region, is_critical, sub_index_of_region
 from .directions import DirectionSet
 from .errors import AmbiguousClassificationError, InternalInconsistencyError, UnsupportedConfigurationError
 
 # default grid resolutions for the exhaustive regularity scan, by dimension
 _SCAN_RESOLUTION = {1: 101, 2: 31, 3: 13, 4: 7, 5: 5}
 
-# Largest dim whose default enumeration stays under 30 s and 512 MB: on 2 vCPUs
-# dim 8 takes 3.8 s and 271 MB of peak RSS, dim 9 14 s and 643 MB.
+# Largest dim the enumeration admits. On 2 vCPUs (py3.11, numpy 2.4) the default
+# enumeration took 0.73 s and 38 MB of peak RSS at dim 8, 1.6 s and 39 MB at
+# dim 9; a larger table is a new capability, to be measured as a whole command.
 _MAX_ENUMERATION_DIM = 8
-
-# Bound on grid**dim * dim, the floats of the scan grid, which is built whole
-# before the blocked kernel runs: at the bound peak RSS was 225-348 MB in dims
-# 1-8 on 2 vCPUs (py3.11, numpy 2.4). The default grids need at most 5**8 * 8.
-_MAX_SCAN_ENTRIES = 8_000_000
 
 # Bound on grid**dim * (dim + 1) in sublevel_connectivity: about 10 bytes per
 # unit (gathered axis minima, labels), 30 in dim 1 and past dim 4 (box merges).
@@ -49,7 +45,9 @@ _MAX_CONNECTIVITY_ENTRIES = 5_000_000
 _MAX_UP_SET = 2**13
 
 # Bound on the floats of one block of per-axis terms (points x base points x
-# dim x 3 offsets) or of candidate translate differences.
+# dim x 3 offsets), and on the regularity scan's grid per axis, whose 1-D
+# arrays take about 100 bytes per coordinate: at the bound torus-table peaked
+# at 400 MB of RSS in dims 1 and 8 (2 vCPUs, py3.11, numpy 2.4).
 _BLOCK_ENTRIES = 4_000_000
 _STEPS = np.array([-1.0, 0.0, 1.0])  # the lattice offsets searched, per axis
 
@@ -104,51 +102,31 @@ class TorusDistanceField:
         if not 0.0 <= self.tie_tol < np.inf:
             raise ValueError(f"tie_tol must be finite and nonnegative, got {self.tie_tol}")
 
-    def _axis_terms(self, pts: np.ndarray):
-        """Yield ``(start, terms)`` over row blocks of reduced points, with
-        ``terms[i, b, a, k] = ((base[b, a] + _STEPS[k]) - pts[start + i, a])**2``."""
-        shifted = self.base[:, :, None] + _STEPS
-        rows = max(1, _BLOCK_ENTRIES // shifted.size)
-        for start in range(0, pts.shape[0], rows):
-            gaps = shifted - pts[start : start + rows, None, :, None]
-            yield start, gaps * gaps
-
-    def _tie_groups(self, pts: np.ndarray):
-        """Yield ``(idx, diff, sq, ties, beyond)`` for points ``pts[idx]`` that
-        share their candidates: the offsets within ``tie_tol`` of their axis's
-        minimum, whose products hold every tie. ``diff[g, j]`` is candidate
-        translate j (base-major, then in ``itertools.product`` order) minus
-        point ``idx[g]``, ``sq`` its squared norm and ``ties`` marks
-        ``sq <= min + tie_tol``; ``beyond`` bounds every other translate's."""
-        for start, terms in self._axis_terms(pts):
-            axis_min = terms.min(axis=-1)
-            per_base = axis_min.sum(axis=-1)
-            smallest = per_base.min(axis=-1)
-            cand = terms <= axis_min[..., None] + (self.tie_tol + _PREFILTER)
-            # a non-candidate leaves the other axes at best at their minima;
-            # past {-1, 0, 1} the nearest offset is one beyond the nearer of +-1
-            edge = 1.0 + np.sqrt(np.minimum(terms[..., 0], terms[..., 2]))
-            off = np.minimum(np.where(cand, np.inf, terms).min(axis=-1), edge * edge)
-            beyond = (per_base[..., None] - axis_min + off).reshape(len(terms), -1).min(axis=1)
-            # group by candidate pattern, its bits packed into one sort key
-            packed = np.packbits(cand.reshape(len(terms), -1), axis=1)
-            keys = packed.view(f"V{packed.shape[1]}").ravel()
-            _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
-            groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
-            for row, members in zip(first, groups):
-                # Python ints: an int64 product of 64 twos wraps to 0
-                count = sum(math.prod(int(k) for k in mask.sum(axis=-1)) for mask in cand[row])
-                if count > _MAX_UP_SET:
-                    raise UnsupportedConfigurationError(f"{count} candidate translates, the limit is {_MAX_UP_SET}")
-                offsets = [itertools.product(*(_STEPS[c] for c in mask)) for mask in cand[row]]
-                targets = np.concatenate([b + np.array(list(o)) for b, o in zip(self.base, offsets)])
-                step = max(1, _BLOCK_ENTRIES // targets.size)
-                for lo in range(0, members.size, step):
-                    local = members[lo : lo + step]
-                    diff = targets - pts[start + local, None, :]
-                    sq = (diff * diff).sum(axis=2)
-                    ties = sq <= (smallest[local] + self.tie_tol)[:, None]
-                    yield start + local, diff, sq, ties, beyond[local]
+    def _ties(self, x: np.ndarray):
+        """``(diff, sq, ties, beyond)`` for a reduced point x. Its candidates
+        are the offsets within ``tie_tol`` of their axis's minimum, whose
+        products hold every tie. ``diff[j]`` is candidate translate j
+        (base-major, then in ``itertools.product`` order) minus x, ``sq`` its
+        squared norm and ``ties`` marks ``sq <= min + tie_tol``; ``beyond``
+        bounds every other translate's."""
+        gaps = self.base[:, :, None] + _STEPS - x[:, None]
+        terms = gaps * gaps
+        axis_min = terms.min(axis=-1)
+        per_base = axis_min.sum(axis=-1)
+        cand = terms <= axis_min[..., None] + (self.tie_tol + _PREFILTER)
+        # a non-candidate leaves the other axes at best at their minima;
+        # past {-1, 0, 1} the nearest offset is one beyond the nearer of +-1
+        edge = 1.0 + np.sqrt(np.minimum(terms[..., 0], terms[..., 2]))
+        off = np.minimum(np.where(cand, np.inf, terms).min(axis=-1), edge * edge)
+        beyond = float((per_base[:, None] - axis_min + off).min())
+        # Python ints: an int64 product of 64 twos wraps to 0
+        count = sum(math.prod(int(k) for k in mask.sum(axis=-1)) for mask in cand)
+        if count > _MAX_UP_SET:
+            raise UnsupportedConfigurationError(f"{count} candidate translates, the limit is {_MAX_UP_SET}")
+        offsets = [itertools.product(*(_STEPS[c] for c in mask)) for mask in cand]
+        diff = np.concatenate([b + np.array(list(o)) for b, o in zip(self.base, offsets)]) - x
+        sq = (diff * diff).sum(axis=1)
+        return diff, sq, sq <= per_base.min() + self.tie_tol, beyond
 
     def distance(self, x) -> float:
         return float(self.distance_many(np.asarray(x, float)[None, :])[0])
@@ -159,9 +137,13 @@ class TorusDistanceField:
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError("points must have shape (N, dim)")
         out = np.empty(pts.shape[0])
-        # float addition is monotone: the sum of the axis minima is the minimum
-        for start, terms in self._axis_terms(pts):
-            out[start : start + terms.shape[0]] = np.sqrt(terms.min(-1).sum(-1).min(-1))
+        shifted = self.base[:, :, None] + _STEPS
+        rows = max(1, _BLOCK_ENTRIES // shifted.size)
+        for start in range(0, pts.shape[0], rows):
+            # terms[i, b, a, k] = ((base[b, a] + _STEPS[k]) - pts[start + i, a])**2; float
+            # addition is monotone, so the sum of the axis minima is the minimum
+            gaps = shifted - pts[start : start + rows, None, :, None]
+            out[start : start + rows] = np.sqrt((gaps * gaps).min(-1).sum(-1).min(-1))
         return out
 
     def up_set(self, x) -> DirectionSet:
@@ -174,11 +156,10 @@ class TorusDistanceField:
         x = reduce_point(x)
         if x.shape != (self.dim,):
             raise ValueError(f"point must have shape ({self.dim},)")
-        [(_, diff, sq, ties, beyond)] = self._tie_groups(x[None, :])
-        diff, sq, ties = diff[0], sq[0], ties[0]
+        diff, sq, ties, beyond = self._ties(x)
         if sq.min() < 1e-24:
             raise ValueError("the point coincides with a base point; no directions exist")
-        gap = min(float(beyond[0]), sq[~ties].min(initial=np.inf)) - sq[ties].max()
+        gap = min(beyond, sq[~ties].min(initial=np.inf)) - sq[ties].max()
         if gap <= self.tie_tol + _PREFILTER:
             message = f"translates at {x} tie only within tie_tol {self.tie_tol}"
             raise AmbiguousClassificationError(message, margin=gap)
@@ -206,10 +187,10 @@ class TorusDistanceField:
         """All critical points of the centered field, classified.
 
         The candidates are the points with every coordinate in {0, 1/2},
-        excluding the base point itself. A full grid scan then asserts that
+        excluding the base point itself. A regularity scan then asserts that
         every other grid point is regular. The dim ceiling, the scan
-        resolution, its grid size and the base are checked before anything is
-        classified.
+        resolution, the base and the scan's ceilings are checked before
+        anything is classified.
         """
         if self.dim > _MAX_ENUMERATION_DIM:
             raise UnsupportedConfigurationError(f"enumeration is limited to dim <= {_MAX_ENUMERATION_DIM}")
@@ -218,12 +199,11 @@ class TorusDistanceField:
         elif scan_resolution < 3:
             # at 1 and 2 every grid point is a candidate, so nothing is scanned
             raise ValueError("scan_resolution must be at least 3")
-        if scan_resolution**self.dim * self.dim > _MAX_SCAN_ENTRIES:
-            raise UnsupportedConfigurationError(f"scan grid {scan_resolution} at dim {self.dim} exceeds grid**dim * dim <= {_MAX_SCAN_ENTRIES}")
         if self.base.shape[0] != 1 or not np.allclose(self.base[0], 0.5, atol=1e-12):
             raise UnsupportedConfigurationError(
                 "critical point enumeration is implemented only for the single centered base point"
             )
+        suspects = self._scan_points(scan_resolution)
         records = []
         for coords in itertools.product((0.0, 0.5), repeat=self.dim):
             point = np.array(coords)
@@ -235,33 +215,48 @@ class TorusDistanceField:
                     f"expected critical point at {point} classified regular"
                 )
             records.append(record)
-        self._scan_for_extra_critical_points(scan_resolution)
+        self._scan_for_extra_critical_points(suspects)
         return records
 
-    def _scan_grid(self, scan_resolution: int) -> np.ndarray:
-        """The scan's grid in ``itertools.product`` order, candidates dropped."""
-        axes = np.arange(scan_resolution) / scan_resolution
-        grid = np.stack(np.meshgrid(*([axes] * self.dim), indexing="ij"), axis=-1).reshape(-1, self.dim)
-        on_candidate = np.all(
-            (np.abs(grid) < 1e-12) | (np.abs(grid - 0.5) < 1e-12), axis=1
-        )
-        return grid[~on_candidate]
+    def _scan_points(self, scan_resolution: int) -> list[np.ndarray]:
+        """The points of the grid k/scan_resolution, candidates dropped, that
+        the per-axis certificate leaves to check, in ``itertools.product`` order.
 
-    def _scan_for_extra_critical_points(self, scan_resolution: int):
-        grid = self._scan_grid(scan_resolution)
-        failed = []
-        for idx, diff, _, ties, _ in self._tie_groups(grid):
-            suspect = ties.sum(axis=1) > 1
-            idx, diff, ties = idx[suspect], diff[suspect], ties[suspect]
-            dirs = diff / np.linalg.norm(diff, axis=2)[..., None]
-            # the summed direction certifies every regular tie on this lattice
-            ok = certified_regular(dirs, ties)
-            failed += [(i, d[t]) for i, d, t in zip(idx[~ok], dirs[~ok], ties[~ok])]
-        for i, dirs in sorted(failed, key=lambda f: f[0]):
-            if is_critical(DirectionSet(self.dim, dirs)):
-                raise InternalInconsistencyError(
-                    f"grid scan found an unexpected critical point at {grid[i]}"
-                )
+        A tied translate takes a candidate offset (as in :meth:`_ties`) on
+        every axis, and its squared distance is at most n/4 + tie_tol. So when
+        the candidate gaps (base_a + k) - x_a of a coordinate all have one sign
+        and clear CERTIFIED_MARGIN * sqrt(n/4 + tie_tol), -sign e_a separates
+        every tied direction with margin CERTIFIED_MARGIN, the verdict the
+        separation LP would give. Each coordinate of the 1-D grid is decided
+        once; a point is left only when none of its coordinates is certified.
+        """
+        if scan_resolution > _BLOCK_ENTRIES:
+            raise UnsupportedConfigurationError(f"scan grid {scan_resolution} exceeds the limit {_BLOCK_ENTRIES}")
+        axes = np.arange(scan_resolution) / scan_resolution
+        clear = CERTIFIED_MARGIN * math.sqrt(self.dim / 4 + self.tie_tol)
+        left = {}  # by base coordinate: the centred base has one
+        for value in set(self.base[0].tolist()):
+            gaps = (value + _STEPS) - axes[:, None]
+            terms = gaps * gaps
+            cand = terms <= terms.min(axis=1)[:, None] + (self.tie_tol + _PREFILTER)
+            certified = (np.where(cand, gaps, np.inf).min(axis=1) >= clear) | (
+                np.where(cand, gaps, -np.inf).max(axis=1) <= -clear
+            )
+            left[value] = axes[~certified]
+        coords = [left[value] for value in self.base[0].tolist()]
+        count = math.prod(len(c) for c in coords)
+        if count > _MAX_UP_SET:
+            raise UnsupportedConfigurationError(
+                f"scan grid {scan_resolution} at dim {self.dim} leaves {count} points to check, the limit is {_MAX_UP_SET}"
+            )
+        return [np.array(p) for p in itertools.product(*coords) if not set(p) <= {0.0, 0.5}]
+
+    def _scan_for_extra_critical_points(self, suspects: list[np.ndarray]):
+        for point in suspects:
+            diff, _, ties, _ = self._ties(point)
+            rows = diff[ties]
+            if is_critical(DirectionSet(self.dim, rows / np.linalg.norm(rows, axis=1)[:, None])):
+                raise InternalInconsistencyError(f"grid scan found an unexpected critical point at {point}")
 
     def betti_table(self, scan_resolution: int | None = None) -> dict[int, int]:
         """Histogram sub-index -> count over all critical points."""

@@ -399,3 +399,24 @@ def test_criterion_13_polar_region_memory_at_the_dim12_origin():
         ok,
         f"dim 12 origin, {len(dirset)} directions, {region.variant.value}, traced peak {peak:.1f} MB < 32 MB",
     )
+
+
+# --------------------------------------------------------------- criterion 14
+
+
+def test_criterion_14_default_dim8_table_memory():
+    """The default dim-8 table is C(8, lambda) and peaks below 8 MB of traced
+    allocations: the regularity scan decides each axis on the 1-D grid, where
+    the 390,624 points of the 5**8 grid alone would take 25 MB."""
+    tracemalloc.start()
+    try:
+        table = TorusDistanceField(dim=8).betti_table()
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    ok = table == {lam: math.comb(8, lam) for lam in range(1, 9)} and peak < 8.0
+    assert _verdict(
+        "criterion 14 default dim-8 table memory",
+        ok,
+        f"counts {table}, traced peak {peak:.1f} MB < 8 MB",
+    )

@@ -274,6 +274,8 @@ def test_jacobi_verify_all_checks_pass(capsys):
         ["torus-table", "--dim", "2", "--grid", "2"],
         ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793",
          "--eps-max", "inf"],
+        # sin(sqrt(kappa) * length) would overflow: refused without a warning
+        ["jacobi-index", "--curvature", "1e308", "--length", "1e308"],
         ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5", "--tol", "nan"],
         ["torus-connectivity", "--dim", "2", "--grid", "50", "--level", "nan", "--eps", "0.1"],
         ["torus-connectivity", "--dim", "2", "--grid", "50", "--level", "0.5", "--eps", "nan"],
@@ -485,20 +487,40 @@ def test_torus_table_refuses_a_small_grid_before_classifying(monkeypatch, capsys
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "dim, grid", [("1", "8000001"), ("2", "2001"), ("3", "139"), ("8", "6"), ("8", "1000000000")]
-)
-def test_torus_table_refuses_a_grid_past_the_scan_ceiling_before_classifying(dim, grid, monkeypatch, capsys):
-    """grid**dim * dim above 8,000,000 is refused before the grid is built or an LP runs."""
+def _refused_before_any_lp(argv, monkeypatch, capsys) -> str:
     from subindex import lp
 
     def no_solve(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(lp, "_solve", no_solve)
-    assert main(["torus-table", "--dim", dim, "--grid", grid]) == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "grid**dim * dim" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("dim, grid", [("1", "4000001"), ("1", "8000001"), ("8", "1000000000")])
+def test_torus_table_refuses_a_grid_past_the_scan_ceiling_before_classifying(dim, grid, monkeypatch, capsys):
+    """A grid above 4,000,000 is refused before the scan's axis is built or an LP runs."""
+    err = _refused_before_any_lp(["torus-table", "--dim", dim, "--grid", grid], monkeypatch, capsys)
+    assert f"scan grid {grid} exceeds the limit 4000000" in err
+
+
+def test_torus_table_refuses_too_many_points_left_to_check_before_classifying(monkeypatch, capsys):
+    """At tol 1 no coordinate is certified, so all 21**3 grid points would be
+    left to check: past the 8192 limit, refused before any LP."""
+    err = _refused_before_any_lp(["torus-table", "--dim", "3", "--grid", "21", "--tol", "1"], monkeypatch, capsys)
+    assert "leaves 9261 points to check, the limit is 8192" in err
+
+
+@pytest.mark.parametrize("dim, grid", [(2, 2001), (3, 139), (8, 6)])
+def test_torus_table_accepts_fine_grids_with_no_point_left_to_check(dim, grid, capsys):
+    """Each grid has millions of points, and the per-axis certificate leaves
+    none of them to check."""
+    assert main(["torus-table", "--dim", str(dim), "--grid", str(grid)]) == 0
+    counts = json.loads(capsys.readouterr().out)["counts"]
+    assert counts == {str(lam): math.comb(dim, lam) for lam in range(1, dim + 1)}
 
 
 @pytest.mark.parametrize("radius", ["1e-3", "1e100"])

@@ -21,7 +21,6 @@ from subindex import lp
 from subindex.convexity import (
     CERTIFIED_MARGIN,
     PolarVariant,
-    certified_regular,
     classification_report,
     classify_polar_region,
     criticality_margin,
@@ -306,21 +305,6 @@ def test_certificate_answers_only_far_from_the_band(seed, kind, n, near_copy):
     if not calls:
         assert verdict is False
         assert criticality_margin(ds) >= CERTIFIED_MARGIN
-
-
-@settings(deadline=None, max_examples=60)
-@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 5), m=st.integers(1, 8), g=st.integers(1, 6))
-def test_certificate_on_a_masked_stack_equals_it_on_each_kept_set(seed: int, n: int, m: int, g: int):
-    """The torus scan's (g, m, n) form with a row mask gives, set by set,
-    the verdict of the single-set form that is_critical calls."""
-    rng = np.random.default_rng(seed)
-    stack = rng.standard_normal((g, m, n))
-    stack[rng.random((g, m)) < 0.5, 0] += 2.0  # lean some rows one way, so some sets certify
-    stack /= np.linalg.norm(stack, axis=2, keepdims=True)
-    mask = rng.random((g, m)) < 0.7
-    mask[:, 0] = True
-    want = [bool(certified_regular(u[k])) for u, k in zip(stack, mask)]
-    assert certified_regular(stack, mask).tolist() == want
 
 
 def _fan(count: int, half_angle: float) -> list[list[float]]:

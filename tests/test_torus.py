@@ -15,7 +15,9 @@ from oracles import first_order_residual
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from subindex import lp
 from subindex import torus as torus_module
+from subindex.convexity import CERTIFIED_MARGIN, criticality_margin
 from subindex.directions import DirectionSet
 from subindex.errors import (
     AmbiguousClassificationError,
@@ -174,30 +176,31 @@ def test_scan_flags_planted_inconsistency():
         torus.betti_table()
 
 
-@pytest.mark.parametrize("one_point_blocks", [False, True])
-def test_scan_raises_on_unexpected_critical_point(one_point_blocks: bool, monkeypatch):
+@pytest.mark.parametrize("at_the_grid_ceiling", [False, True])
+def test_scan_raises_on_unexpected_critical_point(at_the_grid_ceiling: bool, monkeypatch):
     """A tie tolerance of 1 merges translates that are not minimizing, so the
-    first scanned grid point (0, 0.2) gets a surrounding up-set."""
-    if one_point_blocks:
-        monkeypatch.setattr(torus_module, "_BLOCK_ENTRIES", 1)
+    first scanned grid point (0, 0.2) gets a surrounding up-set, also when the
+    grid per axis equals its ceiling."""
+    if at_the_grid_ceiling:
+        monkeypatch.setattr(torus_module, "_BLOCK_ENTRIES", 5)
     torus = TorusDistanceField(dim=2, tie_tol=1.0)
     with pytest.raises(InternalInconsistencyError, match=re.escape("[0.  0.2]")):
-        torus._scan_for_extra_critical_points(5)
+        torus._scan_for_extra_critical_points(torus._scan_points(5))
 
 
-@pytest.mark.parametrize("one_point_blocks", [False, True])
-def test_scan_names_a_suspect_by_its_grid_index(one_point_blocks: bool, monkeypatch):
-    """The first three scan LPs say regular and the fourth says critical.
-    With tie_tol 1 the first four grid points (0, 0.2), (0, 0.4), (0, 0.6),
-    (0, 0.8) all fail the cheap certificate, so the fourth is named whichever
-    block it falls in."""
-    if one_point_blocks:
-        monkeypatch.setattr(torus_module, "_BLOCK_ENTRIES", 1)
+@pytest.mark.parametrize("at_the_grid_ceiling", [False, True])
+def test_scan_names_a_suspect_by_its_grid_index(at_the_grid_ceiling: bool, monkeypatch):
+    """The first three scan verdicts say regular and the fourth says
+    critical. With tie_tol 1 no coordinate is certified, so the first four
+    points left are (0, 0.2), (0, 0.4), (0, 0.6), (0, 0.8): the fourth is
+    named, also when the grid per axis equals its ceiling."""
+    if at_the_grid_ceiling:
+        monkeypatch.setattr(torus_module, "_BLOCK_ENTRIES", 5)
     verdicts = iter([False] * 3 + [True])
     monkeypatch.setattr(torus_module, "is_critical", lambda dirs: next(verdicts))
     torus = TorusDistanceField(dim=2, tie_tol=1.0)
     with pytest.raises(InternalInconsistencyError, match=re.escape("[0.  0.8]")):
-        torus._scan_for_extra_critical_points(5)
+        torus._scan_for_extra_critical_points(torus._scan_points(5))
 
 
 def test_enumeration_refuses_a_tie_tolerance_wider_than_the_gap():
@@ -311,29 +314,64 @@ def test_product_kernel_matches_full_translates(seed: int, n: int, bases: int, t
             np.testing.assert_array_equal(field.up_set(x).directions, want)
 
 
-@settings(deadline=None, max_examples=30)
-@given(
-    n=st.integers(2, 4),
-    resolution=st.integers(3, 7),
-    tie_tol=st.sampled_from([0.0, 1e-9, 1e-3]),
+def _whole_grid_scan(field: TorusDistanceField, grid: int):
+    """The whole-grid regularity scan, as the oracle of the per-axis one. Yields ``(x, rows, summed, separated)`` for every
+    grid point x off the candidates, in ``itertools.product`` order, with more
+    than one tied translate: its tied rows from ``_reference_translates``,
+    whether the summed direction certifies it regular, and whether one axis
+    separates its tied directions with one strict sign by CERTIFIED_MARGIN."""
+    axes = np.arange(grid) / grid
+    points = np.array(list(itertools.product(axes, repeat=field.dim)))
+    points = points[~np.all((points == 0.0) | (points == 0.5), axis=1)]
+    for lo in range(0, len(points), 1000):
+        block = points[lo : lo + 1000]
+        diff, sq = _reference_translates(field, block)
+        ties = sq <= (sq.min(axis=1) + field.tie_tol)[:, None]
+        point, row = np.nonzero(ties)
+        dirs = diff[point, row] / np.sqrt(sq[point, row])[:, None]
+        count = ties.sum(axis=1)
+        start = np.cumsum(count) - count
+        w = np.add.reduceat(dirs, start)
+        scale = np.abs(w).max(axis=1)
+        dots = np.einsum("kn,kn->k", dirs, w[point])
+        summed = (scale > 0.0) & (np.minimum.reduceat(dots, start) >= CERTIFIED_MARGIN * scale)
+        one_sign = np.logical_and.reduceat(dirs >= CERTIFIED_MARGIN, start) | np.logical_and.reduceat(
+            dirs <= -CERTIFIED_MARGIN, start
+        )
+        separated = one_sign.any(axis=1)
+        for i in np.flatnonzero(count > 1):
+            yield block[i], diff[i][ties[i]], bool(summed[i]), bool(separated[i])
+
+
+@pytest.mark.parametrize(
+    "n, tie_tol", [*itertools.product(range(1, 6), (0.0, 1e-9, 1e-3)), (1, 1.0), (2, 1.0), (3, 1.0)]
 )
-def test_scan_suspects_match_full_translates(n: int, resolution: int, tie_tol: float):
-    """The scan grid, its suspects (more than one tied translate) and each
-    suspect's tie rows equal those of the full translate computation."""
+def test_per_axis_scan_agrees_with_the_whole_grid_scan(n: int, tie_tol: float):
+    """On grids 3-9, every point the per-axis certificate skips is regular:
+    one axis separates its tied directions, and the summed certificate or
+    the LP gives it a margin of at least CERTIFIED_MARGIN. Both scans clear,
+    or name the same first critical point; at tie_tol 1 translates that are
+    not minimizing tie, and both do find critical points."""
     field = TorusDistanceField(dim=n, tie_tol=tie_tol)
-    axes = np.arange(resolution) / resolution
-    grid = np.array(list(itertools.product(axes, repeat=n)))
-    grid = grid[~np.all((np.abs(grid) < 1e-12) | (np.abs(grid - 0.5) < 1e-12), axis=1)]
-    np.testing.assert_array_equal(field._scan_grid(resolution), grid)
-    diff, sq = _reference_translates(field, grid)
-    ties = sq <= (sq.min(axis=1) + tie_tol)[:, None]
-    want = {int(i): diff[i][ties[i]] for i in np.flatnonzero(ties.sum(axis=1) > 1)}
-    got = {}
-    for idx, d, _, t, _ in field._tie_groups(grid):
-        got.update({int(i): rows[tied] for i, rows, tied in zip(idx, d, t) if tied.sum() > 1})
-    assert sorted(got) == sorted(want)
-    for i, rows in want.items():
-        np.testing.assert_array_equal(got[i], rows)
+    for grid in range(3, 10):
+        suspects = field._scan_points(grid)
+        checked = {tuple(x) for x in suspects}
+        first = None
+        for x, rows, summed, separated in _whole_grid_scan(field, grid):
+            margin = None
+            if not summed:
+                margin = criticality_margin(DirectionSet(n, rows / np.linalg.norm(rows, axis=1)[:, None]))
+                assert not lp.FEASIBILITY_MARGIN < margin < lp.AMBIGUITY_BAND
+                if first is None and margin <= lp.FEASIBILITY_MARGIN:
+                    first = x
+            if tuple(x) not in checked:
+                assert separated, (grid, x)
+                assert summed or margin >= CERTIFIED_MARGIN, (grid, x, margin)
+        if first is None:
+            field._scan_for_extra_critical_points(suspects)
+        else:
+            with pytest.raises(InternalInconsistencyError, match=re.escape(f"at {first}")):
+                field._scan_for_extra_critical_points(suspects)
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -34,7 +34,7 @@ import numpy as np
 from . import flows, jacobi
 from .convexity import classification_report, sub_index_to_json
 from .directions import DirectionSet
-from .errors import SubindexError, UnsupportedConfigurationError
+from .errors import InternalInconsistencyError, SubindexError, UnsupportedConfigurationError
 from .torus import TorusDistanceField
 
 SCHEMA_VERSION = "1"
@@ -81,13 +81,8 @@ def _cmd_classify(args):
     return classification_report(dirset), True, None
 
 
-def _torus_field(args, base=None) -> TorusDistanceField:
-    tie_tol = {} if args.tol is None else {"tie_tol": args.tol}
-    return TorusDistanceField(args.dim, base, **tie_tol)
-
-
 def _cmd_torus_table(args):
-    table = _torus_field(args).betti_table(scan_resolution=args.grid)
+    table = TorusDistanceField(args.dim).betti_table()
     report = {
         "dim": args.dim,
         "counts": {str(k): v for k, v in table.items()},
@@ -105,7 +100,8 @@ def _cmd_torus_classify(args):
         base = [_parse_point(p) for p in args.base.split(";")]
         if any(b.shape[0] != args.dim for b in base):
             raise ValueError("base points must each have --dim coordinates")
-    torus = _torus_field(args, base)
+    tie_tol = {} if args.tol is None else {"tie_tol": args.tol}
+    torus = TorusDistanceField(args.dim, base, **tie_tol)
     record = torus.classify_point(point)
     report = {
         "dim": args.dim,
@@ -146,6 +142,9 @@ def _cmd_jacobi_index(args):
     geo = jacobi.ModelGeodesic(curvature=args.curvature, length=args.length, frame_dim=1)
     try:
         values = jacobi.index_divergence(geo, [1.0], eps_values)
+    except InternalInconsistencyError as exc:
+        # the two index-form routes part below some width, and --eps-min sets the smallest
+        raise ValueError(f"--eps-min {args.eps_min!r} is too small: {exc}")
     except SubindexError as exc:
         raise ValueError(str(exc))
     rows = [[float(e), float(v)] for e, v in zip(eps_values, values)]
@@ -196,9 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("classify", _cmd_classify, "classify a direction set from JSON")
     p.add_argument("--input", required=True, help="path to a direction-set JSON file")
 
-    p = command("torus-table", _cmd_torus_table, "critical point counts by sub-index", tol, table=True)
+    p = command("torus-table", _cmd_torus_table, "critical point counts by sub-index", table=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--grid", type=int, default=None, help="regularity scan resolution per axis")
 
     p = command("torus-classify", _cmd_torus_classify, "classify one torus point", tol)
     p.add_argument("--dim", type=int, required=True)

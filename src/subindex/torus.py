@@ -25,7 +25,7 @@ from .convexity import CERTIFIED_MARGIN, classify_polar_region, is_critical, sub
 from .directions import DirectionSet
 from .errors import AmbiguousClassificationError, InternalInconsistencyError, UnsupportedConfigurationError
 
-# default grid resolutions for the exhaustive regularity scan, by dimension
+# grid resolutions of the regularity scan, by dimension (5 past dim 5)
 _SCAN_RESOLUTION = {1: 101, 2: 31, 3: 13, 4: 7, 5: 5}
 
 # Largest dim the enumeration admits. On 2 vCPUs (py3.11, numpy 2.4) the default
@@ -44,10 +44,8 @@ _MAX_CONNECTIVITY_ENTRIES = 5_000_000
 # 104 MB at dim 12, 7.6 s and 121 MB at dim 13, 28 s and 168 MB at dim 14.
 _MAX_UP_SET = 2**13
 
-# Bound on the floats of one block of per-axis terms (points x base points x
-# dim x 3 offsets), and on the regularity scan's grid per axis, whose 1-D
-# arrays take about 100 bytes per coordinate: at the bound torus-table peaked
-# at 400 MB of RSS in dims 1 and 8 (2 vCPUs, py3.11, numpy 2.4).
+# Bound on the floats of one block of distance_many's per-axis terms (points x
+# base points x dim x 3 offsets).
 _BLOCK_ENTRIES = 4_000_000
 _STEPS = np.array([-1.0, 0.0, 1.0])  # the lattice offsets searched, per axis
 
@@ -183,27 +181,22 @@ class TorusDistanceField:
 
     # -- ground-truth enumeration (centered single-point base only) ---------
 
-    def enumerate_critical_points(self, scan_resolution: int | None = None) -> list[CriticalPointRecord]:
+    def enumerate_critical_points(self) -> list[CriticalPointRecord]:
         """All critical points of the centered field, classified.
 
         The candidates are the points with every coordinate in {0, 1/2},
         excluding the base point itself. A regularity scan then asserts that
-        every other grid point is regular. The dim ceiling, the scan
-        resolution, the base and the scan's ceilings are checked before
-        anything is classified.
+        every other point of the grid k/_SCAN_RESOLUTION[dim] is regular. The
+        dim ceiling, the base and the scan's ceiling on points left to check
+        are checked before anything is classified.
         """
         if self.dim > _MAX_ENUMERATION_DIM:
             raise UnsupportedConfigurationError(f"enumeration is limited to dim <= {_MAX_ENUMERATION_DIM}")
-        if scan_resolution is None:
-            scan_resolution = _SCAN_RESOLUTION.get(self.dim, 5)
-        elif scan_resolution < 3:
-            # at 1 and 2 every grid point is a candidate, so nothing is scanned
-            raise ValueError("scan_resolution must be at least 3")
         if self.base.shape[0] != 1 or not np.allclose(self.base[0], 0.5, atol=1e-12):
             raise UnsupportedConfigurationError(
                 "critical point enumeration is implemented only for the single centered base point"
             )
-        suspects = self._scan_points(scan_resolution)
+        suspects = self._scan_points(_SCAN_RESOLUTION.get(self.dim, 5))
         records = []
         for coords in itertools.product((0.0, 0.5), repeat=self.dim):
             point = np.array(coords)
@@ -218,9 +211,9 @@ class TorusDistanceField:
         self._scan_for_extra_critical_points(suspects)
         return records
 
-    def _scan_points(self, scan_resolution: int) -> list[np.ndarray]:
-        """The points of the grid k/scan_resolution, candidates dropped, that
-        the per-axis certificate leaves to check, in ``itertools.product`` order.
+    def _scan_points(self, grid: int) -> list[np.ndarray]:
+        """The points of the grid k/grid, candidates dropped, that the
+        per-axis certificate leaves to check, in ``itertools.product`` order.
 
         A tied translate takes a candidate offset (as in :meth:`_ties`) on
         every axis, and its squared distance is at most n/4 + tie_tol. So when
@@ -230,9 +223,7 @@ class TorusDistanceField:
         separation LP would give. Each coordinate of the 1-D grid is decided
         once; a point is left only when none of its coordinates is certified.
         """
-        if scan_resolution > _BLOCK_ENTRIES:
-            raise UnsupportedConfigurationError(f"scan grid {scan_resolution} exceeds the limit {_BLOCK_ENTRIES}")
-        axes = np.arange(scan_resolution) / scan_resolution
+        axes = np.arange(grid) / grid
         clear = CERTIFIED_MARGIN * math.sqrt(self.dim / 4 + self.tie_tol)
         left = {}  # by base coordinate: the centred base has one
         for value in set(self.base[0].tolist()):
@@ -247,7 +238,7 @@ class TorusDistanceField:
         count = math.prod(len(c) for c in coords)
         if count > _MAX_UP_SET:
             raise UnsupportedConfigurationError(
-                f"scan grid {scan_resolution} at dim {self.dim} leaves {count} points to check, the limit is {_MAX_UP_SET}"
+                f"scan grid {grid} at dim {self.dim} leaves {count} points to check, the limit is {_MAX_UP_SET}"
             )
         return [np.array(p) for p in itertools.product(*coords) if not set(p) <= {0.0, 0.5}]
 
@@ -258,9 +249,9 @@ class TorusDistanceField:
             if is_critical(DirectionSet(self.dim, rows / np.linalg.norm(rows, axis=1)[:, None])):
                 raise InternalInconsistencyError(f"grid scan found an unexpected critical point at {point}")
 
-    def betti_table(self, scan_resolution: int | None = None) -> dict[int, int]:
+    def betti_table(self) -> dict[int, int]:
         """Histogram sub-index -> count over all critical points."""
-        records = self.enumerate_critical_points(scan_resolution)
+        records = self.enumerate_critical_points()
         table: dict[int, int] = {}
         for rec in records:
             key = int(rec.sub_index)

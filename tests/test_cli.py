@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from subindex.cli import build_parser, main
 from subindex.directions import DirectionSet
+from subindex.errors import UnsupportedConfigurationError
 from subindex.torus import TorusDistanceField
 
 
@@ -244,6 +245,18 @@ def test_jacobi_index_rejects_non_conjugate_length(capsys):
     assert code == 2
 
 
+def test_jacobi_index_names_eps_min_when_the_index_form_routes_part(capsys):
+    """Halving from 0.2 passes at the width 9.8e-5; --eps-min 4e-5 adds the
+    width 4.9e-5, where quadrature and boundary terms differ by more than
+    1e-6. The error line names the option that asked for it."""
+    argv = ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793"]
+    assert main(argv + ["--eps-min", "9e-5"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--eps-min", "4e-5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --eps-min 4e-05 is too small: ") and err.count("\n") == 1
+
+
 def test_jacobi_verify_all_checks_pass(capsys):
     code = main(["jacobi-verify"])
     out = json.loads(capsys.readouterr().out)
@@ -270,8 +283,6 @@ def test_jacobi_verify_all_checks_pass(capsys):
         ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "-5"],
         ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5",
          "--emit-trajectories", "{missing}/t.csv"],
-        ["torus-table", "--dim", "2", "--grid", "0"],
-        ["torus-table", "--dim", "2", "--grid", "2"],
         ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793",
          "--eps-max", "inf"],
         # sin(sqrt(kappa) * length) would overflow: refused without a warning
@@ -300,6 +311,9 @@ def test_jacobi_verify_all_checks_pass(capsys):
         ["flow-verify", "--dim", "3", "--radius", "1e-10", "--samples", "300"],
         ["flow-verify", "--dim", "3", "--radius", "1e-4", "--samples", "300"],
         ["flow-verify", "--dim", "3", "--radius", "1e160", "--samples", "300"],
+        ["torus-classify", "--dim", "2", "--point", "0.1,0.2", "--tol", "-1"],
+        # halving from 0.2 reaches the width 4.9e-5, where the index-form routes part
+        ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793", "--eps-min", "4e-5"],
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, tmp_path, capsys):
@@ -320,6 +334,9 @@ def test_bad_input_is_usage_error_without_traceback(argv, tmp_path, capsys):
     "argv",
     [
         ["torus-table", "--dim", "2", "--seed", "1"],
+        ["torus-table", "--dim", "2", "--grid", "0"],
+        ["torus-table", "--dim", "2", "--grid", "2"],
+        ["torus-table", "--dim", "1", "--tol", "0.1"],
         ["classify", "--input", "{dirs}", "--seed", "0"],
         ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793", "--tol", "1e-3"],
         ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793", "--tol", "-5", "--seed", "3"],
@@ -339,7 +356,6 @@ def test_subcommands_refuse_flags_they_do_not_read(argv, dirs_file, tmp_path, ca
 @pytest.mark.parametrize(
     "argv",
     [
-        ["torus-table", "--dim", "2"],
         ["torus-classify", "--dim", "2", "--point", "0,0"],
         ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "10"],
     ],
@@ -427,6 +443,35 @@ def test_readme_library_quick_start_runs():
     assert printed.getvalue().endswith("{1: 2, 2: 1}\n")
 
 
+def test_readme_command_table_matches_the_parser():
+    """Each row of the README's command table lists the options the parser
+    gives that subcommand, less --help, --format and --out, and shows in
+    bold exactly the required ones."""
+    import argparse
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            name, _, options = (cell.strip() for cell in line.strip("|").split("|"))
+            documented[name.strip("`")] = (
+                set(re.findall(r"`(--[a-z-]+)`", options)),
+                set(re.findall(r"\*\*`(--[a-z-]+)`\*\*", options)),
+            )
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {}
+    for name, parser in subparsers.choices.items():
+        actions = [a for a in parser._actions if not {"--help", "--format", "--out"} & set(a.option_strings)]
+        parsed[name] = (
+            {opt for a in actions for opt in a.option_strings},
+            {opt for a in actions if a.required for opt in a.option_strings},
+        )
+    assert documented == parsed
+
+
 class _Admitted(Exception):
     pass
 
@@ -469,58 +514,25 @@ def test_oversized_torus_runs_are_refused_before_allocating(argv, capsys):
     assert peak < 4.0
 
 
-def test_torus_table_smallest_scan_grid(capsys):
-    assert main(["torus-table", "--dim", "2", "--grid", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["counts"] == {"1": 2, "2": 1}
-
-
-def test_torus_table_refuses_a_small_grid_before_classifying(monkeypatch, capsys):
-    """--grid 2 at dim 8 is refused before any of the 255 candidates gets an LP."""
+def test_torus_table_refuses_too_many_points_left_to_check_before_classifying(monkeypatch):
+    """At tie_tol 1 no coordinate is certified, so all 5**8 points of the
+    dim-8 scan grid would be left to check: past the 8192 limit, refused
+    before any LP."""
     from subindex import lp
 
     def no_solve(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(lp, "_solve", no_solve)
-    assert main(["torus-table", "--dim", "8", "--grid", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def _refused_before_any_lp(argv, monkeypatch, capsys) -> str:
-    from subindex import lp
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("an LP was solved")
-
-    monkeypatch.setattr(lp, "_solve", no_solve)
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    return err
-
-
-@pytest.mark.parametrize("dim, grid", [("1", "4000001"), ("1", "8000001"), ("8", "1000000000")])
-def test_torus_table_refuses_a_grid_past_the_scan_ceiling_before_classifying(dim, grid, monkeypatch, capsys):
-    """A grid above 4,000,000 is refused before the scan's axis is built or an LP runs."""
-    err = _refused_before_any_lp(["torus-table", "--dim", dim, "--grid", grid], monkeypatch, capsys)
-    assert f"scan grid {grid} exceeds the limit 4000000" in err
-
-
-def test_torus_table_refuses_too_many_points_left_to_check_before_classifying(monkeypatch, capsys):
-    """At tol 1 no coordinate is certified, so all 21**3 grid points would be
-    left to check: past the 8192 limit, refused before any LP."""
-    err = _refused_before_any_lp(["torus-table", "--dim", "3", "--grid", "21", "--tol", "1"], monkeypatch, capsys)
-    assert "leaves 9261 points to check, the limit is 8192" in err
+    with pytest.raises(UnsupportedConfigurationError, match="leaves 390625 points to check, the limit is 8192"):
+        TorusDistanceField(8, tie_tol=1.0).enumerate_critical_points()
 
 
 @pytest.mark.parametrize("dim, grid", [(2, 2001), (3, 139), (8, 6)])
-def test_torus_table_accepts_fine_grids_with_no_point_left_to_check(dim, grid, capsys):
+def test_torus_table_accepts_fine_grids_with_no_point_left_to_check(dim, grid):
     """Each grid has millions of points, and the per-axis certificate leaves
     none of them to check."""
-    assert main(["torus-table", "--dim", str(dim), "--grid", str(grid)]) == 0
-    counts = json.loads(capsys.readouterr().out)["counts"]
-    assert counts == {str(lam): math.comb(dim, lam) for lam in range(1, dim + 1)}
+    assert TorusDistanceField(dim)._scan_points(grid) == []
 
 
 @pytest.mark.parametrize("radius", ["1e-3", "1e100"])
@@ -813,10 +825,7 @@ def _commands(bad: bool):
     tol = number(0.0, 1e-6, 0.0, 1.5)
     return st.one_of(
         st.tuples(st.just("classify"), st.fixed_dictionaries({"--input": st.one_of(*files)})),
-        st.tuples(st.just("torus-table"), st.fixed_dictionaries(
-            {"--dim": integer(1, 3, -1, 3, "9", "12")},
-            optional={"--grid": integer(3, 9, -1, 9, "2001", "100000000"), "--tol": tol},
-        )),
+        st.tuples(st.just("torus-table"), st.fixed_dictionaries({"--dim": integer(1, 3, -1, 3, "9", "12")})),
         st.integers(1, 3).flatmap(lambda dim: st.tuples(st.just("torus-classify"), st.fixed_dictionaries(
             {"--dim": st.just(str(dim)), "--point": point(dim)},
             optional={"--base": point(dim), "--tol": tol},

@@ -109,7 +109,7 @@ def test_betti_table_counts_are_binomial(n: int):
 
 def test_regularity_scan_passes_on_default_grid():
     # the scan itself raises InternalInconsistencyError on any surprise
-    TorusDistanceField(dim=2).enumerate_critical_points(scan_resolution=41)
+    TorusDistanceField(dim=2).enumerate_critical_points()
 
 
 def test_enumeration_requires_centered_base():
@@ -176,26 +176,19 @@ def test_scan_flags_planted_inconsistency():
         torus.betti_table()
 
 
-@pytest.mark.parametrize("at_the_grid_ceiling", [False, True])
-def test_scan_raises_on_unexpected_critical_point(at_the_grid_ceiling: bool, monkeypatch):
+def test_scan_raises_on_unexpected_critical_point():
     """A tie tolerance of 1 merges translates that are not minimizing, so the
-    first scanned grid point (0, 0.2) gets a surrounding up-set, also when the
-    grid per axis equals its ceiling."""
-    if at_the_grid_ceiling:
-        monkeypatch.setattr(torus_module, "_BLOCK_ENTRIES", 5)
+    first scanned grid point (0, 0.2) gets a surrounding up-set."""
     torus = TorusDistanceField(dim=2, tie_tol=1.0)
     with pytest.raises(InternalInconsistencyError, match=re.escape("[0.  0.2]")):
         torus._scan_for_extra_critical_points(torus._scan_points(5))
 
 
-@pytest.mark.parametrize("at_the_grid_ceiling", [False, True])
-def test_scan_names_a_suspect_by_its_grid_index(at_the_grid_ceiling: bool, monkeypatch):
+def test_scan_names_a_suspect_by_its_grid_index(monkeypatch):
     """The first three scan verdicts say regular and the fourth says
     critical. With tie_tol 1 no coordinate is certified, so the first four
     points left are (0, 0.2), (0, 0.4), (0, 0.6), (0, 0.8): the fourth is
-    named, also when the grid per axis equals its ceiling."""
-    if at_the_grid_ceiling:
-        monkeypatch.setattr(torus_module, "_BLOCK_ENTRIES", 5)
+    named."""
     verdicts = iter([False] * 3 + [True])
     monkeypatch.setattr(torus_module, "is_critical", lambda dirs: next(verdicts))
     torus = TorusDistanceField(dim=2, tie_tol=1.0)
@@ -208,7 +201,7 @@ def test_enumeration_refuses_a_tie_tolerance_wider_than_the_gap():
     5/4 and the next one at 9/4: a gap of 1 does not decide the tie."""
     torus = TorusDistanceField(dim=2, tie_tol=1.0)
     with pytest.raises(AmbiguousClassificationError, match=re.escape("[0.  0.5]")) as exc:
-        torus.enumerate_critical_points(scan_resolution=5)
+        torus.enumerate_critical_points()
     assert exc.value.margin == pytest.approx(1.0)
 
 

@@ -45,15 +45,18 @@ def _write_report(text: str, out: str | None):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write {out!r}: {exc}") from None
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -248,29 +251,30 @@ def _check_args(args):
 def main(argv=None) -> int:
     """Run one subcommand; returns the process exit status.
 
-    A ValueError means the arguments were out of a function's domain, so it
-    is reported as a usage error (exit 2), as is an unsupported
-    configuration; any other library failure exits 1.
+    A ValueError means the arguments were out of a function's domain, or a
+    report path could not be written, so it is reported as a usage error
+    (exit 2), as is an unsupported configuration; any other library failure
+    exits 1.
     """
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
         report, passed, csv_table = args.handler(args)
+        if args.fmt == "csv":
+            header, rows = csv_table
+            text = "".join(
+                ",".join(repr(c) if isinstance(c, float) else str(c) for c in row) + "\n" for row in [header, *rows]
+            )
+        else:
+            report["schema_version"] = SCHEMA_VERSION
+            text = json.dumps(report, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+        _write_report(text, args.out)
     except (ValueError, UnsupportedConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SubindexError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if args.fmt == "csv":
-        header, rows = csv_table
-        text = "".join(
-            ",".join(repr(c) if isinstance(c, float) else str(c) for c in row) + "\n" for row in [header, *rows]
-        )
-    else:
-        report["schema_version"] = SCHEMA_VERSION
-        text = json.dumps(report, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
-    _write_report(text, args.out)
     return 0 if passed else 1
 
 

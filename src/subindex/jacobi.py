@@ -66,8 +66,9 @@ class ModelGeodesic:
             raise ValueError("frame_dim must be at least 1")
 
     def endpoint_conjugate(self) -> bool:
-        """Whether the endpoint is a conjugate parameter (sn vanishes there)."""
-        return self.curvature > 0 and abs(sn(self.curvature, self.length)) < CONJUGATE_TOL
+        """Whether the endpoint is a conjugate parameter (sn vanishes there).
+        sin(sqrt(kappa) t) is tested, as sn scales as 1/sqrt(kappa)."""
+        return self.curvature > 0 and abs(np.sin(math.sqrt(self.curvature) * self.length)) < CONJUGATE_TOL
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,6 @@ def reduce_point(x) -> np.ndarray:
 @dataclass(frozen=True)
 class CriticalPointRecord:
     point: np.ndarray
-    level: float
     directions: DirectionSet
     sub_index: int | float
 
@@ -174,7 +173,6 @@ class TorusDistanceField:
         region = classify_polar_region(dirs)
         return CriticalPointRecord(
             point=x,
-            level=self.distance(x),
             directions=dirs,
             sub_index=sub_index_of_region(self.dim, region),
         )
@@ -185,10 +183,10 @@ class TorusDistanceField:
         """All critical points of the centered field, classified.
 
         The candidates are the points with every coordinate in {0, 1/2},
-        excluding the base point itself. A regularity scan then asserts that
-        every other point of the grid k/_SCAN_RESOLUTION[dim] is regular. The
-        dim ceiling, the base and the scan's ceiling on points left to check
-        are checked before anything is classified.
+        excluding the base point itself. The dim ceiling, the base and the
+        regularity scan, which proves every other point of the grid
+        k/_SCAN_RESOLUTION[dim] regular, are checked before anything is
+        classified.
         """
         if self.dim > _MAX_ENUMERATION_DIM:
             raise UnsupportedConfigurationError(f"enumeration is limited to dim <= {_MAX_ENUMERATION_DIM}")
@@ -196,7 +194,7 @@ class TorusDistanceField:
             raise UnsupportedConfigurationError(
                 "critical point enumeration is implemented only for the single centered base point"
             )
-        suspects = self._scan_points(_SCAN_RESOLUTION.get(self.dim, 5))
+        self._scan(_SCAN_RESOLUTION.get(self.dim, 5))
         records = []
         for coords in itertools.product((0.0, 0.5), repeat=self.dim):
             point = np.array(coords)
@@ -208,46 +206,36 @@ class TorusDistanceField:
                     f"expected critical point at {point} classified regular"
                 )
             records.append(record)
-        self._scan_for_extra_critical_points(suspects)
         return records
 
-    def _scan_points(self, grid: int) -> list[np.ndarray]:
-        """The points of the grid k/grid, candidates dropped, that the
-        per-axis certificate leaves to check, in ``itertools.product`` order.
+    def _scan(self, grid: int):
+        """Prove every point of the grid k/grid off the candidates regular, or
+        raise ``UnsupportedConfigurationError``; no LP is solved.
 
         A tied translate takes a candidate offset (as in :meth:`_ties`) on
         every axis, and its squared distance is at most n/4 + tie_tol. So when
         the candidate gaps (base_a + k) - x_a of a coordinate all have one sign
         and clear CERTIFIED_MARGIN * sqrt(n/4 + tie_tol), -sign e_a separates
         every tied direction with margin CERTIFIED_MARGIN, the verdict the
-        separation LP would give. Each coordinate of the 1-D grid is decided
-        once; a point is left only when none of its coordinates is certified.
+        separation LP would give. Every point off the candidates has a
+        coordinate off {0, 1/2}, so certifying each of those on each axis
+        proves the whole grid; a wide ``tie_tol`` (about 2/grid or more)
+        leaves one uncertified and is refused.
         """
         axes = np.arange(grid) / grid
         clear = CERTIFIED_MARGIN * math.sqrt(self.dim / 4 + self.tie_tol)
-        left = {}  # by base coordinate: the centred base has one
-        for value in set(self.base[0].tolist()):
-            gaps = (value + _STEPS) - axes[:, None]
-            terms = gaps * gaps
-            cand = terms <= terms.min(axis=1)[:, None] + (self.tie_tol + _PREFILTER)
-            certified = (np.where(cand, gaps, np.inf).min(axis=1) >= clear) | (
-                np.where(cand, gaps, -np.inf).max(axis=1) <= -clear
-            )
-            left[value] = axes[~certified]
-        coords = [left[value] for value in self.base[0].tolist()]
-        count = math.prod(len(c) for c in coords)
-        if count > _MAX_UP_SET:
+        gaps = (self.base[0][:, None, None] + _STEPS) - axes[:, None]  # (axis, coordinate, offset)
+        terms = gaps * gaps
+        cand = terms <= terms.min(axis=-1, keepdims=True) + (self.tie_tol + _PREFILTER)
+        certified = (np.where(cand, gaps, np.inf).min(axis=-1) >= clear) | (
+            np.where(cand, gaps, -np.inf).max(axis=-1) <= -clear
+        )
+        left = axes[(~certified).any(axis=0) & (axes != 0.0) & (axes != 0.5)]
+        if left.size:
             raise UnsupportedConfigurationError(
-                f"scan grid {grid} at dim {self.dim} leaves {count} points to check, the limit is {_MAX_UP_SET}"
+                f"tie_tol {self.tie_tol} leaves the coordinate {left[0]} of the scan grid "
+                f"k/{grid} uncertified"
             )
-        return [np.array(p) for p in itertools.product(*coords) if not set(p) <= {0.0, 0.5}]
-
-    def _scan_for_extra_critical_points(self, suspects: list[np.ndarray]):
-        for point in suspects:
-            diff, _, ties, _ = self._ties(point)
-            rows = diff[ties]
-            if is_critical(DirectionSet(self.dim, rows / np.linalg.norm(rows, axis=1)[:, None])):
-                raise InternalInconsistencyError(f"grid scan found an unexpected critical point at {point}")
 
     def betti_table(self) -> dict[int, int]:
         """Histogram sub-index -> count over all critical points."""

@@ -202,6 +202,31 @@ def test_out_files_are_written_atomically(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("fails", ["mkstemp", "replace"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torus-table", "--dim", "2", "--out", "{tmp}/report.json"],
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5", "--emit-trajectories", "{tmp}/t.csv"],
+    ],
+)
+def test_a_report_the_file_system_refuses_is_a_usage_error(argv, fails, tmp_path, monkeypatch, capsys):
+    """A report path that passes the argument checks but cannot be written
+    exits 2 with one error line naming it, and leaves no temp file."""
+    argv = [a.format(tmp=tmp_path) for a in argv]
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tempfile if fails == "mkstemp" else os, fails, refuse)
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: cannot write {argv[-1]!r}: [Errno 13] Permission denied\n"
+    assert list(tmp_path.rglob("*")) == []
+
+
 def test_emit_trajectories_csv(tmp_path, capsys):
     traj = str(tmp_path / "traj.csv")
     code = main(
@@ -243,6 +268,17 @@ def test_jacobi_index_rejects_flat_curvature(capsys):
 def test_jacobi_index_rejects_non_conjugate_length(capsys):
     code = main(["jacobi-index", "--curvature", "1", "--length", "1.0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("curvature", [1e-8, 1e-10])
+def test_jacobi_index_accepts_the_first_conjugate_time_at_small_curvature(curvature, capsys):
+    """sn(kappa, pi / sqrt(kappa)) scales as 1/sqrt(kappa), so the endpoint
+    test reads sin(sqrt(kappa) * length) instead. Below --eps-min 0.02 the
+    two index-form routes part by more than 1e-6 at this length."""
+    length = repr(math.pi / math.sqrt(curvature))
+    argv = ["jacobi-index", "--curvature", repr(curvature), "--length", length, "--eps-min", "0.02"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["strictly_decreasing"] is True
 
 
 def test_jacobi_index_names_eps_min_when_the_index_form_routes_part(capsys):
@@ -514,25 +550,26 @@ def test_oversized_torus_runs_are_refused_before_allocating(argv, capsys):
     assert peak < 4.0
 
 
-def test_torus_table_refuses_too_many_points_left_to_check_before_classifying(monkeypatch):
-    """At tie_tol 1 no coordinate is certified, so all 5**8 points of the
-    dim-8 scan grid would be left to check: past the 8192 limit, refused
-    before any LP."""
+def test_enumeration_refuses_an_uncertified_scan_coordinate_before_classifying(monkeypatch):
+    """At tie_tol 1 candidate offsets of both signs remain at every
+    coordinate of the dim-8 scan grid k/5 but 0 and 1/2, so the scan cannot
+    certify 1/5 and refuses before any LP."""
     from subindex import lp
 
     def no_solve(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(lp, "_solve", no_solve)
-    with pytest.raises(UnsupportedConfigurationError, match="leaves 390625 points to check, the limit is 8192"):
+    message = r"tie_tol 1\.0 leaves the coordinate 0\.2 of the scan grid k/5"
+    with pytest.raises(UnsupportedConfigurationError, match=message):
         TorusDistanceField(8, tie_tol=1.0).enumerate_critical_points()
 
 
 @pytest.mark.parametrize("dim, grid", [(2, 2001), (3, 139), (8, 6)])
 def test_torus_table_accepts_fine_grids_with_no_point_left_to_check(dim, grid):
-    """Each grid has millions of points, and the per-axis certificate leaves
-    none of them to check."""
-    assert TorusDistanceField(dim)._scan_points(grid) == []
+    """Each grid has millions of points, and the per-axis certificate proves
+    every one off the candidates regular."""
+    TorusDistanceField(dim)._scan(grid)
 
 
 @pytest.mark.parametrize("radius", ["1e-3", "1e100"])

@@ -108,7 +108,7 @@ def test_betti_table_counts_are_binomial(n: int):
 
 
 def test_regularity_scan_passes_on_default_grid():
-    # the scan itself raises InternalInconsistencyError on any surprise
+    # the scan refuses any grid coordinate it cannot certify
     TorusDistanceField(dim=2).enumerate_critical_points()
 
 
@@ -176,33 +176,54 @@ def test_scan_flags_planted_inconsistency():
         torus.betti_table()
 
 
-def test_scan_raises_on_unexpected_critical_point():
-    """A tie tolerance of 1 merges translates that are not minimizing, so the
-    first scanned grid point (0, 0.2) gets a surrounding up-set."""
+def test_enumeration_refuses_a_tie_tolerance_wider_than_the_gap(monkeypatch):
+    """At tie_tol 1 the translates at -1/2 and 1/2 tie on either side of the
+    grid coordinate 1/31, so the scan cannot certify it and refuses before
+    any LP; the candidates' undecided ties (margin 1 at (0, 1/2)) are never
+    reached."""
+    monkeypatch.setattr(lp, "_solve", _no_solve)
     torus = TorusDistanceField(dim=2, tie_tol=1.0)
-    with pytest.raises(InternalInconsistencyError, match=re.escape("[0.  0.2]")):
-        torus._scan_for_extra_critical_points(torus._scan_points(5))
-
-
-def test_scan_names_a_suspect_by_its_grid_index(monkeypatch):
-    """The first three scan verdicts say regular and the fourth says
-    critical. With tie_tol 1 no coordinate is certified, so the first four
-    points left are (0, 0.2), (0, 0.4), (0, 0.6), (0, 0.8): the fourth is
-    named."""
-    verdicts = iter([False] * 3 + [True])
-    monkeypatch.setattr(torus_module, "is_critical", lambda dirs: next(verdicts))
-    torus = TorusDistanceField(dim=2, tie_tol=1.0)
-    with pytest.raises(InternalInconsistencyError, match=re.escape("[0.  0.8]")):
-        torus._scan_for_extra_critical_points(torus._scan_points(5))
-
-
-def test_enumeration_refuses_a_tie_tolerance_wider_than_the_gap():
-    """At tie_tol 1 the candidate (0, 1/2) has included translates at 1/4 and
-    5/4 and the next one at 9/4: a gap of 1 does not decide the tie."""
-    torus = TorusDistanceField(dim=2, tie_tol=1.0)
-    with pytest.raises(AmbiguousClassificationError, match=re.escape("[0.  0.5]")) as exc:
+    message = re.escape("tie_tol 1.0 leaves the coordinate 0.03225806451612903 of the scan grid k/31")
+    with pytest.raises(UnsupportedConfigurationError, match=message):
         torus.enumerate_critical_points()
-    assert exc.value.margin == pytest.approx(1.0)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("an LP was solved")
+
+
+_SWEEP_TOLS = [0.0, 1e-9, 1e-3, 0.05, 0.1, 0.3, 1.0, 30.0] + [
+    threshold - below
+    for threshold in (2 / grid for grid in torus_module._SCAN_RESOLUTION.values())
+    for below in (0.0, 1e-12, 5e-13)
+]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_betti_table_is_binomial_or_refused_before_any_lp(n: int, monkeypatch):
+    """Across tie tolerances up to and around each scan threshold 2/grid the
+    table is C(n, lambda), or the scan refuses before the first LP; no tie
+    tolerance ends in a broken invariant or an undecided tie."""
+    solve = lp._solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_solve", counted)
+    outcomes = set()
+    for tie_tol in _SWEEP_TOLS:
+        calls.clear()
+        try:
+            table = TorusDistanceField(dim=n, tie_tol=tie_tol).betti_table()
+        except UnsupportedConfigurationError:
+            assert not calls, tie_tol
+            outcomes.add("refused")
+        else:
+            assert table == {lam: math.comb(n, lam) for lam in range(1, n + 1)}, tie_tol
+            outcomes.add("table")
+    assert outcomes == {"refused", "table"}
 
 
 def test_one_point_blocks_give_identical_results(monkeypatch):
@@ -340,31 +361,32 @@ def _whole_grid_scan(field: TorusDistanceField, grid: int):
     "n, tie_tol", [*itertools.product(range(1, 6), (0.0, 1e-9, 1e-3)), (1, 1.0), (2, 1.0), (3, 1.0)]
 )
 def test_per_axis_scan_agrees_with_the_whole_grid_scan(n: int, tie_tol: float):
-    """On grids 3-9, every point the per-axis certificate skips is regular:
-    one axis separates its tied directions, and the summed certificate or
-    the LP gives it a margin of at least CERTIFIED_MARGIN. Both scans clear,
-    or name the same first critical point; at tie_tol 1 translates that are
-    not minimizing tie, and both do find critical points."""
+    """On grids 3-9 the per-axis scan admits exactly the tie tolerances
+    below 2/grid. Where it admits a grid, every point off the candidates is
+    regular: one axis separates its tied directions, and the summed
+    certificate or the LP gives it a margin of at least CERTIFIED_MARGIN.
+    Where it refuses (tie_tol 1, at which translates that are not minimizing
+    tie), the whole-grid scan finds a critical point off the candidates."""
     field = TorusDistanceField(dim=n, tie_tol=tie_tol)
     for grid in range(3, 10):
-        suspects = field._scan_points(grid)
-        checked = {tuple(x) for x in suspects}
-        first = None
+        try:
+            field._scan(grid)
+        except UnsupportedConfigurationError:
+            admitted = False
+        else:
+            admitted = True
+        assert admitted == (tie_tol < 2 / grid), grid
+        critical = False
         for x, rows, summed, separated in _whole_grid_scan(field, grid):
             margin = None
             if not summed:
                 margin = criticality_margin(DirectionSet(n, rows / np.linalg.norm(rows, axis=1)[:, None]))
                 assert not lp.FEASIBILITY_MARGIN < margin < lp.AMBIGUITY_BAND
-                if first is None and margin <= lp.FEASIBILITY_MARGIN:
-                    first = x
-            if tuple(x) not in checked:
+                critical |= margin <= lp.FEASIBILITY_MARGIN
+            if admitted:
                 assert separated, (grid, x)
                 assert summed or margin >= CERTIFIED_MARGIN, (grid, x, margin)
-        if first is None:
-            field._scan_for_extra_critical_points(suspects)
-        else:
-            with pytest.raises(InternalInconsistencyError, match=re.escape(f"at {first}")):
-                field._scan_for_extra_critical_points(suspects)
+        assert admitted or critical, grid
 
 
 @pytest.mark.parametrize("n", range(1, 13))

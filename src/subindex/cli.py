@@ -103,8 +103,7 @@ def _cmd_torus_classify(args):
         base = [_parse_point(p) for p in args.base.split(";")]
         if any(b.shape[0] != args.dim for b in base):
             raise ValueError("base points must each have --dim coordinates")
-    tie_tol = {} if args.tol is None else {"tie_tol": args.tol}
-    torus = TorusDistanceField(args.dim, base, **tie_tol)
+    torus = TorusDistanceField(args.dim, base, tie_tol=args.tol)
     record = torus.classify_point(point)
     report = {
         "dim": args.dim,
@@ -127,9 +126,8 @@ def _cmd_torus_connectivity(args):
 
 
 def _cmd_flow_verify(args):
-    tol = 1e-12 if args.tol is None else args.tol
     report, trajectories = flows.flow_verify(
-        args.dim, args.radius, args.samples, args.seed, tol, args.emit_trajectories is not None
+        args.dim, args.radius, args.samples, args.seed, args.tol, args.emit_trajectories is not None
     )
     if trajectories is not None:
         _write_report(trajectories, args.emit_trajectories)
@@ -181,15 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     report.add_argument("--out", default=None, help="write the report to this path (atomic)")
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=None, help="override the command's main tolerance")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="seed for all random sampling")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     # the parents' actions are shared by every subparser, so no subparser may
-    # change their defaults; a command's own default goes in its handler
+    # change their defaults
     def command(name, handler, help, *parents, table=False):
         p = sub.add_parser(name, parents=[report, *parents], help=help)
         p.set_defaults(handler=handler, table=table)
@@ -201,10 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("torus-table", _cmd_torus_table, "critical point counts by sub-index", table=True)
     p.add_argument("--dim", type=int, required=True)
 
-    p = command("torus-classify", _cmd_torus_classify, "classify one torus point", tol)
+    p = command("torus-classify", _cmd_torus_classify, "classify one torus point")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.add_argument("--base", default=None, help="semicolon-separated base points (default: center)")
+    p.add_argument("--tol", type=float, default=TorusDistanceField.tie_tol, help="tie tolerance (default: %(default)s)")
 
     p = command("torus-connectivity", _cmd_torus_connectivity, "sublevel connectivity across a gap")
     p.add_argument("--dim", type=int, required=True)
@@ -212,11 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--grid", type=int, required=True)
 
-    p = command("flow-verify", _cmd_flow_verify, "arrival and cutoff-flow inequality suites", tol, seed)
+    p = command("flow-verify", _cmd_flow_verify, "arrival and cutoff-flow inequality suites", seed)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--emit-trajectories", default=None, dest="emit_trajectories", help="CSV path for sampled trajectories")
+    p.add_argument("--tol", type=float, default=1e-12, help="negative slack the arrival suites accept (default: %(default)s)")
 
     p = command("jacobi-index", _cmd_jacobi_index, "diverging index values of the cutoff field", table=True)
     p.add_argument("--curvature", type=float, required=True)

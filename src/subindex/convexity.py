@@ -152,7 +152,7 @@ def _find_soul(u: np.ndarray) -> np.ndarray:
         )
     w = -u.T @ lam
     norm = float(np.linalg.norm(w))
-    if norm <= 1e-9 or np.any(u @ w > 1e-9):
+    if norm <= 1e-9 or np.any(u @ w > 1e-9 * norm):
         objective, lam = lp.soul_feasibility_lp(u)
         if objective <= 1e-12:
             # the boundary variant is numerically indistinguishable from a

@@ -25,8 +25,7 @@ from .convexity import CERTIFIED_MARGIN, classify_polar_region, is_critical, sub
 from .directions import DirectionSet
 from .errors import AmbiguousClassificationError, InternalInconsistencyError, UnsupportedConfigurationError
 
-# grid resolutions of the regularity scan, by dimension (5 past dim 5)
-_SCAN_RESOLUTION = {1: 101, 2: 31, 3: 13, 4: 7, 5: 5}
+_SCAN_GRID = 101  # the regularity scan's grid k/_SCAN_GRID, the same in every dimension
 
 # Largest dim the enumeration admits. On 2 vCPUs (py3.11, numpy 2.4) the default
 # enumeration took 0.73 s and 38 MB of peak RSS at dim 8, 1.6 s and 39 MB at
@@ -185,7 +184,7 @@ class TorusDistanceField:
         The candidates are the points with every coordinate in {0, 1/2},
         excluding the base point itself. The dim ceiling, the base and the
         regularity scan, which proves every other point of the grid
-        k/_SCAN_RESOLUTION[dim] regular, are checked before anything is
+        k/_SCAN_GRID regular, are checked before anything is
         classified.
         """
         if self.dim > _MAX_ENUMERATION_DIM:
@@ -194,7 +193,7 @@ class TorusDistanceField:
             raise UnsupportedConfigurationError(
                 "critical point enumeration is implemented only for the single centered base point"
             )
-        self._scan(_SCAN_RESOLUTION.get(self.dim, 5))
+        self._scan(_SCAN_GRID)
         records = []
         for coords in itertools.product((0.0, 0.5), repeat=self.dim):
             point = np.array(coords)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import tempfile
 import time
 import tracemalloc
@@ -273,24 +274,28 @@ def test_jacobi_index_rejects_non_conjugate_length(capsys):
 @pytest.mark.parametrize("curvature", [1e-8, 1e-10])
 def test_jacobi_index_accepts_the_first_conjugate_time_at_small_curvature(curvature, capsys):
     """sn(kappa, pi / sqrt(kappa)) scales as 1/sqrt(kappa), so the endpoint
-    test reads sin(sqrt(kappa) * length) instead. Below --eps-min 0.02 the
-    two index-form routes part by more than 1e-6 at this length."""
+    test reads sin(sqrt(kappa) * length) instead. At the default widths the
+    two index-form routes agree to about 1e-6 of the value at this length."""
     length = repr(math.pi / math.sqrt(curvature))
-    argv = ["jacobi-index", "--curvature", repr(curvature), "--length", length, "--eps-min", "0.02"]
+    argv = ["jacobi-index", "--curvature", repr(curvature), "--length", length]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["strictly_decreasing"] is True
 
 
 def test_jacobi_index_names_eps_min_when_the_index_form_routes_part(capsys):
-    """Halving from 0.2 passes at the width 9.8e-5; --eps-min 4e-5 adds the
-    width 4.9e-5, where quadrature and boundary terms differ by more than
-    1e-6. The error line names the option that asked for it."""
+    """Halving from 0.2 passes at the width 7.5e-10; --eps-min 3e-10 adds the
+    width 3.7e-10, where quadrature and boundary terms differ by more than
+    1e-5 of the value. At curvature 1e-300 the routes part at the first
+    width. The error line names the option that sets the smallest width."""
     argv = ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793"]
-    assert main(argv + ["--eps-min", "9e-5"]) == 0
+    assert main(argv + ["--eps-min", "7e-10"]) == 0
     capsys.readouterr()
-    assert main(argv + ["--eps-min", "4e-5"]) == 2
+    assert main(argv + ["--eps-min", "3e-10"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --eps-min 4e-05 is too small: ") and err.count("\n") == 1
+    assert err.startswith("error: --eps-min 3e-10 is too small: ") and err.count("\n") == 1
+    assert main(["jacobi-index", "--curvature", "1e-300", "--length", "3.141592653589793e150"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --eps-min 0.0002 is too small: ") and err.count("\n") == 1
 
 
 def test_jacobi_verify_all_checks_pass(capsys):
@@ -348,8 +353,8 @@ def test_jacobi_verify_all_checks_pass(capsys):
         ["flow-verify", "--dim", "3", "--radius", "1e-4", "--samples", "300"],
         ["flow-verify", "--dim", "3", "--radius", "1e160", "--samples", "300"],
         ["torus-classify", "--dim", "2", "--point", "0.1,0.2", "--tol", "-1"],
-        # halving from 0.2 reaches the width 4.9e-5, where the index-form routes part
-        ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793", "--eps-min", "4e-5"],
+        # halving from 0.2 reaches the width 3.7e-10, where the index-form routes part
+        ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793", "--eps-min", "3e-10"],
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, tmp_path, capsys):
@@ -390,16 +395,17 @@ def test_subcommands_refuse_flags_they_do_not_read(argv, dirs_file, tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, default",
     [
-        ["torus-classify", "--dim", "2", "--point", "0,0"],
-        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "10"],
+        (["torus-classify", "--dim", "2", "--point", "0,0"], TorusDistanceField.tie_tol),
+        (["flow-verify", "--dim", "2", "--radius", "1", "--samples", "10"], 1e-12),
     ],
 )
-def test_tol_is_unset_unless_given(argv):
-    # the --tol action is shared by every subparser that takes it, so a
-    # default set on one of them would leak into the others
-    assert build_parser().parse_args(argv).tol is None
+def test_tol_defaults_to_the_commands_own_value(argv, default, capsys):
+    assert build_parser().parse_args(argv).tol == default
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert f"(default: {default!r})" in " ".join(capsys.readouterr().out.split())
 
 
 def test_classify_keeps_the_file_tolerance_without_tol(tmp_path, capsys):
@@ -552,15 +558,15 @@ def test_oversized_torus_runs_are_refused_before_allocating(argv, capsys):
 
 def test_enumeration_refuses_an_uncertified_scan_coordinate_before_classifying(monkeypatch):
     """At tie_tol 1 candidate offsets of both signs remain at every
-    coordinate of the dim-8 scan grid k/5 but 0 and 1/2, so the scan cannot
-    certify 1/5 and refuses before any LP."""
+    coordinate of the scan grid k/101 but 0 and 1/2, so the dim-8 scan
+    cannot certify 1/101 and refuses before any LP."""
     from subindex import lp
 
     def no_solve(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(lp, "_solve", no_solve)
-    message = r"tie_tol 1\.0 leaves the coordinate 0\.2 of the scan grid k/5"
+    message = r"tie_tol 1\.0 leaves the coordinate 0\.009900990099009901 of the scan grid k/101"
     with pytest.raises(UnsupportedConfigurationError, match=message):
         TorusDistanceField(8, tie_tol=1.0).enumerate_critical_points()
 
@@ -899,14 +905,31 @@ def _verdict_failed(text: str) -> bool:
     return any(report.get(key) is False for key in ("passed", "all_outer_meet_inner", "strictly_decreasing"))
 
 
+def _run_in(tmp: str, argv: list[str]) -> tuple[int, str, dict]:
+    """Exit code, stderr and the bytes of every file under ``tmp`` after ``main(argv)``."""
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
+    files = {path.name: path.read_bytes() for path in sorted(pathlib.Path(tmp).rglob("*"))}
+    return code, stderr.getvalue(), files
+
+
+_STALE = b"a report from an earlier run\n"
+
+
 @settings(deadline=None, max_examples=80)
 @given(
     bad=st.booleans(),
     data=st.data(),
 )
 def test_any_argv_exits_0_1_or_2_without_traceback(bad, data):
-    """Every argv ends in exit 0, 1 or 2 and never in an uncaught exception;
-    1 only for a failed check (the report says so) or a refused ambiguous case."""
+    """Every argv ends in exit 0, 1 or 2 and never in an uncaught exception.
+    2 prints one ``error:`` line and leaves an existing --out file as it was;
+    1 only for a failed check (the report says so) or a refused ambiguous
+    case; and a second run of an argv that exits 0 or 1 writes the same bytes."""
     name, options = data.draw(_commands(bad))
     fmt, extra, drop = "json", [], False
     if bad:
@@ -926,19 +949,19 @@ def test_any_argv_exits_0_1_or_2_without_traceback(bad, data):
         if drop and len(argv) > 1:
             argv = argv[:-2]
         out_path = os.path.join(tmp, "report.out")
+        with open(out_path, "wb") as fh:
+            fh.write(_STALE)
         argv += ["--format", fmt, "--out", out_path, *extra]
-        stderr = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse refusing the argv
-                code = exc.code
-        err = stderr.getvalue()
+        code, err, files = _run_in(tmp, argv)
         event(f"{name} exit {code}")
         assert code in (0, 1, 2), (argv, code, err)
         assert "Traceback" not in err
+        report = files["report.out"]
         if code == 2:
-            assert "error:" in err, (argv, err)
+            assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]], (argv, err)
+            assert report == _STALE, argv
+            return
         if code == 1:
-            written = os.path.exists(out_path) and _verdict_failed(open(out_path).read())
+            written = report != _STALE and _verdict_failed(report.decode())
             assert written or err.startswith("AmbiguousClassificationError:"), (argv, err)
+        assert _run_in(tmp, argv) == (code, err, files), argv

@@ -347,3 +347,48 @@ def test_near_copy_great_subspheres_are_refused_not_failed():
             classification_report(ds)
         except AmbiguousClassificationError:
             pass
+
+
+# A boundary-variant set of 16 rows plus 8 copies turned 1e-7..1e-6 rad: its
+# soul-margin LP ends at |w| = 1.2e-9 with max u.w = 6.6e-10, so w / |w| misses
+# the polar cone by 0.55 unless the soul test is scaled by |w|.
+_SEED3_SET29 = np.array([
+    [-0.5356770031761042, 0.5251646306534935, -0.20712065994417447, -0.30492627760718355, -0.3254942253510927, 0.12340165813999449, 0.30051303631573695, -0.2998177971092662],
+    [0.07838671903243405, 0.09308781736465757, 0.08395741671242474, 0.7028490852987216, 0.12863533719430337, 0.6730956120119181, 0.10862936627925562, 0.05233931513038316],
+    [-0.4687050172485053, -0.7061822548610407, -0.007787992231710242, -0.15138671676571752, 0.4725918810661259, -0.014854824031301814, 0.01690225872932273, -0.18653203663868784],
+    [0.6866538403008954, -0.12629092259231925, 0.23446583264449003, -0.1685919212160546, -0.08518388224053386, -0.1958320230451792, 0.4868197660821272, -0.3828311431976564],
+    [-0.5989064661331733, -0.2593878023775996, 0.024207656373942454, 0.3370816597691495, -0.5612489201078746, -0.2779228363477452, 0.08100905389848004, -0.2470122197835405],
+    [0.00046615269036948673, -0.07819118913931537, 4.923820731574491e-05, -0.1630902812823285, -0.16616075325544527, -0.14371434986131468, 0.2259510424870431, 0.93164928728038],
+    [0.28872837502725296, -0.020170129714348284, -0.7657028521018202, 0.12169571189969638, -0.09147081757585206, -0.20401632689484736, -0.5080144810668121, -0.08396488687868321],
+    [-0.023882593693255058, -0.5100744568769315, 0.022285573701579492, -0.26353371518320645, -0.6968308223834754, -0.0412283878030936, -0.41102267176823004, -0.1144307329118695],
+    [0.5425859006630267, -0.22824255273499763, 0.3542815010510634, -0.04320292297220308, -0.5140841198374132, 0.10464434912724578, -0.4804685040544417, 0.14156658334784267],
+    [0.09699469879512267, -0.42405400408689353, 0.06617129424980364, 0.16176459370538254, -0.8746325838300468, 0.06791569359730287, 0.00623509261381891, -0.10290885068945878],
+    [-0.5487819025219669, 0.09127546383341129, -0.12044910008696082, -0.3785855611430063, -0.694151177930052, 0.11125166066092412, -0.1670924880806713, 0.10261340533361551],
+    [-0.08022377568278127, -0.8322077925180557, -0.06434808300101016, 0.26187201174922126, -0.10457872538302876, 0.07602733666536458, 0.4013059066768483, -0.22475189233250026],
+    [-0.049853066626342354, 0.3125820482888726, 0.6621390167134742, -0.03654960032713394, 0.06708246016249449, -0.2380797463192697, -0.6308009888266736, -0.030842738586469222],
+    [-0.018387011231237427, -0.3584527835854337, 0.06064370635222614, 0.01095113813660823, -0.8361331158619155, 0.1651838677254126, -0.3082285155658432, -0.21439873555039773],
+    [-0.025252156587162358, -0.48859445442584637, 0.24931103776635008, 0.0318147093741092, -0.7101319075072322, 0.33877803900569736, -0.24387032564827738, -0.13761902812878307],
+    [-0.36689511211719533, 0.17954622753652566, -0.023741646943853098, 0.23021979403558807, -0.7650722059159271, 0.3292683507558212, -0.07306626701520941, -0.283715531944338],
+    [0.09699448054062162, -0.4240542286060813, 0.06617166985197728, 0.16176437518721196, -0.8746324612533075, 0.0679162422226115, 0.006234601886043886, -0.10290894265763179],
+    [-0.023882593373154203, -0.5100744980614748, 0.022285573666678684, -0.26353380330227044, -0.6968309109751679, -0.04122846598218509, -0.4110225475352887, -0.11443022504727238],
+    [0.07838672094009884, 0.09308780852795694, 0.08395741869221028, 0.7028490788204476, 0.12863531679016932, 0.6730956075662844, 0.10862940068843845, 0.052339447712490265],
+    [-0.36689507312340774, 0.17954605976069335, -0.023741637629132444, 0.23021969019419272, -0.7650723089964688, 0.3292682979034612, -0.07306637502899793, -0.28371552913869],
+    [-0.5989064761983082, -0.25938781841459185, 0.024207656790914276, 0.3370816411785726, -0.5612489543572112, -0.2779228624589854, 0.08100908892790375, -0.24701208518108833],
+    [-0.46870501703105744, -0.7061822747242964, -0.0077879255126771406, -0.15138616982238212, 0.47259204847061925, -0.014854282736613534, 0.016902348683935763, -0.186532019486049],
+    [0.686653823616504, -0.12629105897652543, 0.2344658382938892, -0.16859185341046176, -0.08518417629993326, -0.19583198547492692, 0.4868197327863101, -0.3828311506592781],
+    [-0.0802237764692575, -0.8322080296886528, -0.06434804745283822, 0.26187171619181643, -0.10457930756504052, 0.07602728165918295, 0.40130544749005403, -0.22475193602289736],
+])
+
+
+def test_soul_test_is_scaled_by_the_margin_lps_vector():
+    """An absolute u.w <= 1e-9 test let this w through and refused the set;
+    scaled by |w| it sends the set to the feasibility LP, whose soul lies
+    within 1e-9 of the polar cone."""
+    ds = DirectionSet.from_vectors(_SEED3_SET29)
+    _, lam = lp.soul_margin_lp(ds.directions)
+    w = -ds.directions.T @ lam
+    assert 1e-9 < np.linalg.norm(w) < 2e-9
+    assert 1e-9 * np.linalg.norm(w) < (ds.directions @ w).max() <= 1e-9
+    region = classify_polar_region(ds)
+    assert region.variant is PolarVariant.WITH_BOUNDARY
+    assert (ds.directions @ region.soul).max() <= 1e-9

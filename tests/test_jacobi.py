@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subindex.jacobi as jacobi_module
 from subindex.cli import main
 from subindex.errors import InternalInconsistencyError, NoSolutionError
 from subindex.jacobi import (
+    ROUTE_ATOL,
+    ROUTE_RTOL,
     JacobiField,
     ModelGeodesic,
     PiecewiseJacobi,
@@ -104,14 +107,18 @@ def test_index_form_requires_matching_curvature():
         index_form(geo, field, field)
 
 
-def test_index_form_detects_route_disagreement():
-    # a deliberately wrong "piecewise Jacobi" built from mismatched pieces
-    # cannot be constructed through the public type, so simulate by lowering
-    # the cross-check tolerance below the honest numerical agreement
+def test_index_form_detects_route_disagreement(monkeypatch):
+    """A quadrature route off by more than ROUTE_ATOL + ROUTE_RTOL |bdry| is
+    refused; one off by a little less is accepted."""
     geo = ModelGeodesic(1.0, math.pi, 1)
     v = cutoff_field(geo, [1.0], 2.0**-12)
+    bdry = index_form_boundary(v, v)
+    allowed = ROUTE_ATOL + ROUTE_RTOL * abs(bdry)
+    monkeypatch.setattr(jacobi_module, "index_form_quadrature", lambda *args: bdry + 0.99 * allowed)
+    assert index_form(geo, v, v) == bdry
+    monkeypatch.setattr(jacobi_module, "index_form_quadrature", lambda *args: bdry - 1.01 * allowed)
     with pytest.raises(InternalInconsistencyError):
-        index_form(geo, v, v, atol=1e-16)
+        index_form(geo, v, v)
 
 
 def _random_piecewise(rng, kappa: float, length: float) -> PiecewiseJacobi:
@@ -230,6 +237,18 @@ def test_boundary_norm_bound_flat_is_one():
 def test_boundary_norm_bound_sphere_is_sqrt_two():
     bound = boundary_norm_bound(ModelGeodesic(1.0, math.pi, 1))
     assert bound == pytest.approx(math.sqrt(2.0), abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "tiny, unit, expected",
+    [
+        (ModelGeodesic(0.0, 1e-12, 1), ModelGeodesic(0.0, 2.0, 1), 1.0),
+        (ModelGeodesic(1e30, math.pi * 1e-15, 1), ModelGeodesic(1.0, math.pi, 1), 1.4142118919638724),
+    ],
+)
+def test_boundary_norm_bound_is_scale_free(tiny, unit, expected):
+    """Widths far below 1e-12 are no conjugacy: the bound is the unit-scale one."""
+    assert boundary_norm_bound(tiny) == boundary_norm_bound(unit) == expected
 
 
 def _boundary_norm_bound_loop(geodesic: ModelGeodesic) -> float:

@@ -177,15 +177,18 @@ def test_scan_flags_planted_inconsistency():
 
 
 def test_enumeration_refuses_a_tie_tolerance_wider_than_the_gap(monkeypatch):
-    """At tie_tol 1 the translates at -1/2 and 1/2 tie on either side of the
-    grid coordinate 1/31, so the scan cannot certify it and refuses before
-    any LP; the candidates' undecided ties (margin 1 at (0, 1/2)) are never
-    reached."""
+    """At these tie_tol the translates at -1/2 and 1/2 tie on either side of
+    the grid coordinate 1/101, so the scan cannot certify it and refuses
+    before any LP; the candidates' undecided ties (margin 1 at (0, 1/2) for
+    tie_tol 1) are never reached. In dim 3 at tie_tol 0.05 the point
+    (1/101, 1/2, 1/2) is critical; a grid k/13, whose coordinates all lie
+    outside the tie window, returns the binomial table."""
     monkeypatch.setattr(lp, "_solve", _no_solve)
-    torus = TorusDistanceField(dim=2, tie_tol=1.0)
-    message = re.escape("tie_tol 1.0 leaves the coordinate 0.03225806451612903 of the scan grid k/31")
-    with pytest.raises(UnsupportedConfigurationError, match=message):
-        torus.enumerate_critical_points()
+    for n, tie_tol in ((2, 1.0), (3, 0.05)):
+        torus = TorusDistanceField(dim=n, tie_tol=tie_tol)
+        message = re.escape(f"tie_tol {tie_tol} leaves the coordinate 0.009900990099009901 of the scan grid k/101")
+        with pytest.raises(UnsupportedConfigurationError, match=message):
+            torus.betti_table()
 
 
 def _no_solve(*args, **kwargs):
@@ -193,15 +196,13 @@ def _no_solve(*args, **kwargs):
 
 
 _SWEEP_TOLS = [0.0, 1e-9, 1e-3, 0.05, 0.1, 0.3, 1.0, 30.0] + [
-    threshold - below
-    for threshold in (2 / grid for grid in torus_module._SCAN_RESOLUTION.values())
-    for below in (0.0, 1e-12, 5e-13)
+    2 / torus_module._SCAN_GRID - below for below in (0.0, 1e-12, 5e-13)
 ]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_betti_table_is_binomial_or_refused_before_any_lp(n: int, monkeypatch):
-    """Across tie tolerances up to and around each scan threshold 2/grid the
+    """Across tie tolerances up to and around the scan threshold 2/grid the
     table is C(n, lambda), or the scan refuses before the first LP; no tie
     tolerance ends in a broken invariant or an undecided tie."""
     solve = lp._solve

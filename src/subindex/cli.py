@@ -103,7 +103,7 @@ def _cmd_torus_classify(args):
         base = [_parse_point(p) for p in args.base.split(";")]
         if any(b.shape[0] != args.dim for b in base):
             raise ValueError("base points must each have --dim coordinates")
-    torus = TorusDistanceField(args.dim, base, tie_tol=args.tol)
+    torus = TorusDistanceField(args.dim, base)
     record = torus.classify_point(point)
     report = {
         "dim": args.dim,
@@ -127,7 +127,7 @@ def _cmd_torus_connectivity(args):
 
 def _cmd_flow_verify(args):
     report, trajectories = flows.flow_verify(
-        args.dim, args.radius, args.samples, args.seed, args.tol, args.emit_trajectories is not None
+        args.dim, args.radius, args.samples, args.seed, args.emit_trajectories is not None
     )
     if trajectories is not None:
         _write_report(trajectories, args.emit_trajectories)
@@ -177,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="criticality, sub-index, flow, and index-form verification tools",
     )
     report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     report.add_argument("--out", default=None, help="write the report to this path (atomic)")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="seed for all random sampling")
 
@@ -186,22 +187,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the parents' actions are shared by every subparser, so no subparser may
     # change their defaults
-    def command(name, handler, help, *parents, table=False):
+    def command(name, handler, help, *parents):
         p = sub.add_parser(name, parents=[report, *parents], help=help)
-        p.set_defaults(handler=handler, table=table)
+        p.set_defaults(handler=handler)
         return p
 
     p = command("classify", _cmd_classify, "classify a direction set from JSON")
     p.add_argument("--input", required=True, help="path to a direction-set JSON file")
 
-    p = command("torus-table", _cmd_torus_table, "critical point counts by sub-index", table=True)
+    p = command("torus-table", _cmd_torus_table, "critical point counts by sub-index", table)
     p.add_argument("--dim", type=int, required=True)
 
     p = command("torus-classify", _cmd_torus_classify, "classify one torus point")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.add_argument("--base", default=None, help="semicolon-separated base points (default: center)")
-    p.add_argument("--tol", type=float, default=TorusDistanceField.tie_tol, help="tie tolerance (default: %(default)s)")
 
     p = command("torus-connectivity", _cmd_torus_connectivity, "sublevel connectivity across a gap")
     p.add_argument("--dim", type=int, required=True)
@@ -214,9 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--emit-trajectories", default=None, dest="emit_trajectories", help="CSV path for sampled trajectories")
-    p.add_argument("--tol", type=float, default=1e-12, help="negative slack the arrival suites accept (default: %(default)s)")
 
-    p = command("jacobi-index", _cmd_jacobi_index, "diverging index values of the cutoff field", table=True)
+    p = command("jacobi-index", _cmd_jacobi_index, "diverging index values of the cutoff field", table)
     p.add_argument("--curvature", type=float, required=True)
     p.add_argument("--length", type=float, required=True)
     p.add_argument("--eps-min", type=float, default=2e-4, dest="eps_min")
@@ -228,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args):
-    """Usage errors the parser misses: a non-finite float, a negative seed, an
-    output path that cannot be written, or CSV for a report that is not a table."""
+    """Usage errors the parser misses: a non-finite float, a negative seed, or
+    an output path that cannot be written."""
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
@@ -242,8 +241,6 @@ def _check_args(args):
             raise ValueError(f"output path {path!r} is empty or a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ValueError(f"directory of {path!r} does not exist")
-    if args.fmt == "csv" and not args.table:
-        raise ValueError(f"{args.command} has no CSV table; use --format json")
 
 
 def main(argv=None) -> int:
@@ -258,7 +255,7 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         report, passed, csv_table = args.handler(args)
-        if args.fmt == "csv":
+        if getattr(args, "fmt", "json") == "csv":  # only the table commands take --format
             header, rows = csv_table
             text = "".join(
                 ",".join(repr(c) if isinstance(c, float) else str(c) for c in row) + "\n" for row in [header, *rows]

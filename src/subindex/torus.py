@@ -52,6 +52,8 @@ _STEPS = np.array([-1.0, 0.0, 1.0])  # the lattice offsets searched, per axis
 # above the error of a sum of n terms below 3.
 _PREFILTER = 1e-12
 
+TIE_TOL = 1e-9  # on squared distances, under which a translate counts as minimizing
+
 
 def reduce_point(x) -> np.ndarray:
     """Reduce coordinates mod 1 into [0, 1)."""
@@ -74,13 +76,12 @@ class TorusDistanceField:
     min over the stack). The translates searched are the offsets {-1, 0, 1}^n
     of every base point, which is exhaustive for the unit torus; as squared
     distances are sums of per-axis terms, N points cost O(N B 3n) for B base
-    points. ``tie_tol`` is the absolute tolerance on squared distances under
-    which a translate counts as minimizing.
+    points. A translate counts as minimizing within ``TIE_TOL`` on squared
+    distances.
     """
 
     dim: int
     base: np.ndarray = None
-    tie_tol: float = 1e-9
 
     def __post_init__(self):
         if self.dim < 1:
@@ -95,21 +96,19 @@ class TorusDistanceField:
             if arr.ndim != 2 or arr.shape[1] != self.dim:
                 raise ValueError("base must be one or more points of dimension dim")
             self.base = arr
-        if not 0.0 <= self.tie_tol < np.inf:
-            raise ValueError(f"tie_tol must be finite and nonnegative, got {self.tie_tol}")
 
     def _ties(self, x: np.ndarray):
         """``(diff, sq, ties, beyond)`` for a reduced point x. Its candidates
-        are the offsets within ``tie_tol`` of their axis's minimum, whose
+        are the offsets within ``TIE_TOL`` of their axis's minimum, whose
         products hold every tie. ``diff[j]`` is candidate translate j
         (base-major, then in ``itertools.product`` order) minus x, ``sq`` its
-        squared norm and ``ties`` marks ``sq <= min + tie_tol``; ``beyond``
+        squared norm and ``ties`` marks ``sq <= min + TIE_TOL``; ``beyond``
         bounds every other translate's."""
         gaps = self.base[:, :, None] + _STEPS - x[:, None]
         terms = gaps * gaps
         axis_min = terms.min(axis=-1)
         per_base = axis_min.sum(axis=-1)
-        cand = terms <= axis_min[..., None] + (self.tie_tol + _PREFILTER)
+        cand = terms <= axis_min[..., None] + (TIE_TOL + _PREFILTER)
         # a non-candidate leaves the other axes at best at their minima;
         # past {-1, 0, 1} the nearest offset is one beyond the nearer of +-1
         edge = 1.0 + np.sqrt(np.minimum(terms[..., 0], terms[..., 2]))
@@ -122,7 +121,7 @@ class TorusDistanceField:
         offsets = [itertools.product(*(_STEPS[c] for c in mask)) for mask in cand]
         diff = np.concatenate([b + np.array(list(o)) for b, o in zip(self.base, offsets)]) - x
         sq = (diff * diff).sum(axis=1)
-        return diff, sq, sq <= per_base.min() + self.tie_tol, beyond
+        return diff, sq, sq <= per_base.min() + TIE_TOL, beyond
 
     def distance(self, x) -> float:
         return float(self.distance_many(np.asarray(x, float)[None, :])[0])
@@ -145,9 +144,9 @@ class TorusDistanceField:
     def up_set(self, x) -> DirectionSet:
         """Unit directions toward every minimizing lattice translate of the base.
 
-        Ties are decided on squared distances within ``tie_tol``; a gap from
+        Ties are decided on squared distances within ``TIE_TOL``; a gap from
         the largest included to the smallest excluded one not above
-        ``tie_tol`` raises ``AmbiguousClassificationError`` with it as margin.
+        ``TIE_TOL`` raises ``AmbiguousClassificationError`` with it as margin.
         """
         x = reduce_point(x)
         if x.shape != (self.dim,):
@@ -156,8 +155,8 @@ class TorusDistanceField:
         if sq.min() < 1e-24:
             raise ValueError("the point coincides with a base point; no directions exist")
         gap = min(beyond, sq[~ties].min(initial=np.inf)) - sq[ties].max()
-        if gap <= self.tie_tol + _PREFILTER:
-            message = f"translates at {x} tie only within tie_tol {self.tie_tol}"
+        if gap <= TIE_TOL + _PREFILTER:
+            message = f"translates at {x} tie only within the tie tolerance {TIE_TOL}"
             raise AmbiguousClassificationError(message, margin=gap)
         rows = diff[ties]
         dirs = rows / np.linalg.norm(rows, axis=1)[:, None]
@@ -208,32 +207,31 @@ class TorusDistanceField:
         return records
 
     def _scan(self, grid: int):
-        """Prove every point of the grid k/grid off the candidates regular, or
-        raise ``UnsupportedConfigurationError``; no LP is solved.
+        """Prove every point of the grid k/grid off the candidates regular; no
+        LP is solved.
 
         A tied translate takes a candidate offset (as in :meth:`_ties`) on
-        every axis, and its squared distance is at most n/4 + tie_tol. So when
+        every axis, and its squared distance is at most n/4 + TIE_TOL. So when
         the candidate gaps (base_a + k) - x_a of a coordinate all have one sign
-        and clear CERTIFIED_MARGIN * sqrt(n/4 + tie_tol), -sign e_a separates
+        and clear CERTIFIED_MARGIN * sqrt(n/4 + TIE_TOL), -sign e_a separates
         every tied direction with margin CERTIFIED_MARGIN, the verdict the
         separation LP would give. Every point off the candidates has a
         coordinate off {0, 1/2}, so certifying each of those on each axis
-        proves the whole grid; a wide ``tie_tol`` (about 2/grid or more)
-        leaves one uncertified and is refused.
+        proves the whole grid. Only a tie tolerance of about 2/grid or more
+        leaves one uncertified, which raises ``InternalInconsistencyError``.
         """
         axes = np.arange(grid) / grid
-        clear = CERTIFIED_MARGIN * math.sqrt(self.dim / 4 + self.tie_tol)
+        clear = CERTIFIED_MARGIN * math.sqrt(self.dim / 4 + TIE_TOL)
         gaps = (self.base[0][:, None, None] + _STEPS) - axes[:, None]  # (axis, coordinate, offset)
         terms = gaps * gaps
-        cand = terms <= terms.min(axis=-1, keepdims=True) + (self.tie_tol + _PREFILTER)
+        cand = terms <= terms.min(axis=-1, keepdims=True) + (TIE_TOL + _PREFILTER)
         certified = (np.where(cand, gaps, np.inf).min(axis=-1) >= clear) | (
             np.where(cand, gaps, -np.inf).max(axis=-1) <= -clear
         )
         left = axes[(~certified).any(axis=0) & (axes != 0.0) & (axes != 0.5)]
         if left.size:
-            raise UnsupportedConfigurationError(
-                f"tie_tol {self.tie_tol} leaves the coordinate {left[0]} of the scan grid "
-                f"k/{grid} uncertified"
+            raise InternalInconsistencyError(
+                f"the tie tolerance {TIE_TOL} leaves the coordinate {left[0]} of the scan grid k/{grid} uncertified"
             )
 
     def betti_table(self) -> dict[int, int]:

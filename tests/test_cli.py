@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from subindex.cli import build_parser, main
 from subindex.directions import DirectionSet
-from subindex.errors import UnsupportedConfigurationError
+from subindex.errors import InternalInconsistencyError
 from subindex.torus import TorusDistanceField
 
 
@@ -83,8 +83,9 @@ def test_torus_table_csv_format(capsys):
 
 
 def test_csv_rejected_where_no_table(dirs_file, capsys):
-    code = main(["classify", "--input", dirs_file, "--format", "csv"])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--input", dirs_file, "--format", "csv"])
+    assert exc.value.code == 2
 
 
 def test_torus_classify_edge_center(capsys):
@@ -106,11 +107,12 @@ def test_torus_classify_regular_point(capsys):
 
 
 def test_torus_classify_refuses_an_undecided_tie(tmp_path, capsys):
-    """At --tol 1 the translates of the regular point (0.1, 0.2) split with a
-    gap of only 1, so a surrounding up-set would be a guess: exit 1, one
+    """At the point (5.0002e-10, 0.2) the translates at -1/2 and 1/2 on the
+    first axis differ by 1.0001e-9 in squared distance, just past the tie
+    tolerance 1e-9, so a surrounding up-set would be a guess: exit 1, one
     message, no report."""
     out = tmp_path / "report.json"
-    code = main(["torus-classify", "--dim", "2", "--point", "0.1,0.2", "--tol", "1", "--out", str(out)])
+    code = main(["torus-classify", "--dim", "2", "--point", "5.0002e-10,0.2", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("AmbiguousClassificationError: ")
@@ -328,7 +330,7 @@ def test_jacobi_verify_all_checks_pass(capsys):
          "--eps-max", "inf"],
         # sin(sqrt(kappa) * length) would overflow: refused without a warning
         ["jacobi-index", "--curvature", "1e308", "--length", "1e308"],
-        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5", "--tol", "nan"],
+        ["jacobi-index", "--curvature", "nan", "--length", "3.141592653589793"],
         ["torus-connectivity", "--dim", "2", "--grid", "50", "--level", "nan", "--eps", "0.1"],
         ["torus-connectivity", "--dim", "2", "--grid", "50", "--level", "0.5", "--eps", "nan"],
         ["flow-verify", "--dim", "2", "--radius", "nan", "--samples", "5"],
@@ -340,9 +342,9 @@ def test_jacobi_verify_all_checks_pass(capsys):
         ["torus-connectivity", "--dim", "2", "--grid", "1291", "--level", "0.5", "--eps", "0.05"],
         ["torus-connectivity", "--dim", "3", "--grid", "108", "--level", "0.7", "--eps", "0.1"],
         ["torus-connectivity", "--dim", "40", "--grid", "1000000000", "--level", "1", "--eps", "1"],
-        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "50", "--tol", "-1"],
-        # the CSV refusal comes before the trajectories are written
-        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5", "--format", "csv",
+        ["flow-verify", "--dim", "1", "--radius", "1", "--samples", "50"],
+        # the radius refusal comes before the trajectories are written
+        ["flow-verify", "--dim", "2", "--radius", "1e-4", "--samples", "5",
          "--emit-trajectories", "{tmp}/t.csv"],
         ["torus-table", "--dim", "1", "--out", ""],
         ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5", "--emit-trajectories", ""],
@@ -352,7 +354,7 @@ def test_jacobi_verify_all_checks_pass(capsys):
         ["flow-verify", "--dim", "3", "--radius", "1e-10", "--samples", "300"],
         ["flow-verify", "--dim", "3", "--radius", "1e-4", "--samples", "300"],
         ["flow-verify", "--dim", "3", "--radius", "1e160", "--samples", "300"],
-        ["torus-classify", "--dim", "2", "--point", "0.1,0.2", "--tol", "-1"],
+        ["torus-classify", "--dim", "2", "--point", "0.1,0.2", "--base", "0.5,nan"],
         # halving from 0.2 reaches the width 3.7e-10, where the index-form routes part
         ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793", "--eps-min", "3e-10"],
     ],
@@ -395,17 +397,29 @@ def test_subcommands_refuse_flags_they_do_not_read(argv, dirs_file, tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "argv, default",
+    "argv",
     [
-        (["torus-classify", "--dim", "2", "--point", "0,0"], TorusDistanceField.tie_tol),
-        (["flow-verify", "--dim", "2", "--radius", "1", "--samples", "10"], 1e-12),
+        ["torus-classify", "--dim", "2", "--point", "0.1,0.5", "--tol", "1e-9"],
+        ["torus-classify", "--dim", "2", "--point", "0.1,0.5", "--tol", "0.3"],
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5", "--tol", "1e-12"],
+        ["classify", "--input", "{dirs}", "--format", "json"],
+        ["torus-classify", "--dim", "2", "--point", "0.1,0.5", "--format", "json"],
+        ["torus-connectivity", "--dim", "2", "--level", "0.5", "--eps", "0.05", "--grid", "50", "--format", "json"],
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5", "--format", "json"],
+        ["jacobi-verify", "--format", "json"],
     ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]}",
 )
-def test_tol_defaults_to_the_commands_own_value(argv, default, capsys):
-    assert build_parser().parse_args(argv).tol == default
-    with pytest.raises(SystemExit):
-        main([argv[0], "--help"])
-    assert f"(default: {default!r})" in " ".join(capsys.readouterr().out.split())
+def test_tol_anywhere_and_format_off_a_table_are_usage_errors(argv, dirs_file, tmp_path):
+    """The code owns the tie tolerance and the arrival allowance, and only
+    torus-table and jacobi-index have a format to choose: each of these is a
+    usage error with one ``error:`` line that leaves a stale --out as it was."""
+    out = tmp_path / "report.out"
+    out.write_bytes(_STALE)
+    code, err, files = _run_in(str(tmp_path), [a.format(dirs=dirs_file) for a in argv] + ["--out", str(out)])
+    assert code == 2
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert files["report.out"] == _STALE
 
 
 def test_classify_keeps_the_file_tolerance_without_tol(tmp_path, capsys):
@@ -438,13 +452,6 @@ def test_torus_classify_refuses_the_origin_past_the_up_set_ceiling(dim, tmp_path
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
-
-
-def test_flow_verify_default_tol_is_1e_12(tmp_path):
-    args = ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "50"]
-    assert main(args + ["--out", str(tmp_path / "a.json")]) == 0
-    assert main(args + ["--tol", "1e-12", "--out", str(tmp_path / "b.json")]) == 0
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def _readme_commands() -> list[list[str]]:
@@ -487,7 +494,7 @@ def test_readme_library_quick_start_runs():
 
 def test_readme_command_table_matches_the_parser():
     """Each row of the README's command table lists the options the parser
-    gives that subcommand, less --help, --format and --out, and shows in
+    gives that subcommand, less --help and --out, and shows in
     bold exactly the required ones."""
     import argparse
     import pathlib
@@ -506,7 +513,7 @@ def test_readme_command_table_matches_the_parser():
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     parsed = {}
     for name, parser in subparsers.choices.items():
-        actions = [a for a in parser._actions if not {"--help", "--format", "--out"} & set(a.option_strings)]
+        actions = [a for a in parser._actions if not {"--help", "--out"} & set(a.option_strings)]
         parsed[name] = (
             {opt for a in actions for opt in a.option_strings},
             {opt for a in actions if a.required for opt in a.option_strings},
@@ -557,18 +564,19 @@ def test_oversized_torus_runs_are_refused_before_allocating(argv, capsys):
 
 
 def test_enumeration_refuses_an_uncertified_scan_coordinate_before_classifying(monkeypatch):
-    """At tie_tol 1 candidate offsets of both signs remain at every
-    coordinate of the scan grid k/101 but 0 and 1/2, so the dim-8 scan
-    cannot certify 1/101 and refuses before any LP."""
-    from subindex import lp
+    """Were ``TIE_TOL`` 1, candidate offsets of both signs would remain at
+    every coordinate of the scan grid k/101 but 0 and 1/2, so the dim-8 scan
+    could not certify 1/101: its invariant fails before any LP."""
+    from subindex import lp, torus
 
     def no_solve(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(lp, "_solve", no_solve)
-    message = r"tie_tol 1\.0 leaves the coordinate 0\.009900990099009901 of the scan grid k/101"
-    with pytest.raises(UnsupportedConfigurationError, match=message):
-        TorusDistanceField(8, tie_tol=1.0).enumerate_critical_points()
+    monkeypatch.setattr(torus, "TIE_TOL", 1.0)
+    message = r"tie tolerance 1\.0 leaves the coordinate 0\.009900990099009901 of the scan grid k/101"
+    with pytest.raises(InternalInconsistencyError, match=message):
+        TorusDistanceField(8).enumerate_critical_points()
 
 
 @pytest.mark.parametrize("dim, grid", [(2, 2001), (3, 139), (8, 6)])
@@ -865,13 +873,12 @@ def _commands(bad: bool):
             st.sampled_from(["", "{", "[]", '{"dim": "a", "directions": [[1]]}', '{"dim": 2}',
                              '{"dim": 2, "directions": [[1, 0]], "tol": "x"}']),
         ]
-    tol = number(0.0, 1e-6, 0.0, 1.5)
     return st.one_of(
         st.tuples(st.just("classify"), st.fixed_dictionaries({"--input": st.one_of(*files)})),
         st.tuples(st.just("torus-table"), st.fixed_dictionaries({"--dim": integer(1, 3, -1, 3, "9", "12")})),
         st.integers(1, 3).flatmap(lambda dim: st.tuples(st.just("torus-classify"), st.fixed_dictionaries(
             {"--dim": st.just(str(dim)), "--point": point(dim)},
-            optional={"--base": point(dim), "--tol": tol},
+            optional={"--base": point(dim)},
         ))),
         st.tuples(st.just("torus-connectivity"), st.fixed_dictionaries({
             "--dim": integer(1, 3, 0, 3, "40"),
@@ -885,7 +892,7 @@ def _commands(bad: bool):
                 "--radius": number(0.05, 3.0, -1.0, 3.0),
                 "--samples": integer(1, 60, -1, 60, "800001", "2000000"),
             },
-            optional={"--emit-trajectories": st.just("{tmp}/t.csv"), "--tol": tol},
+            optional={"--emit-trajectories": st.just("{tmp}/t.csv")},
         )),
         st.floats(0.2, 2.0).flatmap(lambda kappa: st.tuples(st.just("jacobi-index"), st.fixed_dictionaries(
             {"--curvature": st.just(repr(kappa)), "--length": st.just(repr(math.pi / math.sqrt(kappa)))}
@@ -931,10 +938,11 @@ def test_any_argv_exits_0_1_or_2_without_traceback(bad, data):
     1 only for a failed check (the report says so) or a refused ambiguous
     case; and a second run of an argv that exits 0 or 1 writes the same bytes."""
     name, options = data.draw(_commands(bad))
-    fmt, extra, drop = "json", [], False
+    # only the two table commands take --format
+    formats = [["--format", "json"], ["--format", "csv"]] if name in ("torus-table", "jacobi-index") else [[]]
+    fmt, extra, drop = data.draw(st.sampled_from(formats)), [], False
     if bad:
-        fmt = data.draw(st.sampled_from(["json", "csv"]))
-        extra = data.draw(st.sampled_from([[], ["--bogus"], ["--seed", "x"], ["--format", "xml"]]))
+        extra = data.draw(st.sampled_from([[], ["--bogus"], ["--seed", "x"], *([["--format", "xml"]] if fmt else [])]))
         drop = data.draw(st.booleans())
     with tempfile.TemporaryDirectory() as tmp:
         if name == "classify":
@@ -951,7 +959,7 @@ def test_any_argv_exits_0_1_or_2_without_traceback(bad, data):
         out_path = os.path.join(tmp, "report.out")
         with open(out_path, "wb") as fh:
             fh.write(_STALE)
-        argv += ["--format", fmt, "--out", out_path, *extra]
+        argv += [*fmt, "--out", out_path, *extra]
         code, err, files = _run_in(tmp, argv)
         event(f"{name} exit {code}")
         assert code in (0, 1, 2), (argv, code, err)

@@ -21,7 +21,7 @@ from oracles import (
 )
 from scipy.integrate import quad, solve_ivp
 
-from subindex import lp
+from subindex import flows, lp
 from subindex.directions import DirectionSet, min_angles_to_set
 from subindex.errors import NotCriticalError, UnsupportedConfigurationError
 from subindex.flows import (
@@ -611,7 +611,7 @@ def test_flow_verify_classifies_the_cap_set_once(monkeypatch, dim: int, solves: 
         return solve(*args)
 
     monkeypatch.setattr(lp, "_solve", counting)
-    flow_verify(dim, 1.0, 50, seed=0, tol=1e-12, trajectories=False)
+    flow_verify(dim, 1.0, 50, seed=0, trajectories=False)
     assert sum(kinds.values()) == solves
     assert set(kinds.values()) <= {1}
 
@@ -629,13 +629,47 @@ def test_fibonacci_covering_bound_is_honest(seed: int):
 
 
 @pytest.mark.parametrize(
-    "dim, radius, samples, tol",
-    [(1, 1.0, 5, 0.0), (2, 0.0, 5, 0.0), (2, math.nan, 5, 0.0), (2, math.inf, 5, 0.0),
-     (2, 1.0, 0, 0.0), (2, 1.0, 5, -1.0), (2, 1.0, 5, math.nan), (2, 1.0, 5, math.inf)],
+    "dim, radius, samples",
+    [(1, 1.0, 5), (2, 0.0, 5), (2, math.nan, 5), (2, math.inf, 5), (2, 1.0, 0)],
 )
-def test_flow_verify_refuses_arguments_out_of_domain(dim, radius, samples, tol):
+def test_flow_verify_refuses_arguments_out_of_domain(dim, radius, samples):
     with pytest.raises(ValueError):
-        flow_verify(dim, radius, samples, seed=0, tol=tol, trajectories=False)
+        flow_verify(dim, radius, samples, seed=0, trajectories=False)
+
+
+def test_arrival_suites_allow_the_rounding_at_large_radii(monkeypatch):
+    """On 200,000 points of the axis of B(0, 1e50) the exit slack rounds to
+    about -5e33 on 84,586 points, all of which an absolute 1e-12 counted as
+    violations; the allowance of a few ulps of R + R/sqrt(10) counts none."""
+    radius = 1e50
+    ys = np.zeros((200_000, 2))
+    ys[:, 0] = np.random.default_rng(0).uniform(-radius, radius, ys.shape[0])
+    slack_exit = arrival_bounds_many(ys, radius)[5]
+    assert np.count_nonzero(slack_exit < -1e-12) == 84_586 and slack_exit.min() < -5e33
+    draws = [ys, flows._ball_samples]  # the arrival suites draw first, on the axis
+
+    def on_axis_first(*args):
+        return draws.pop(0) if len(draws) > 1 else draws[0](*args)
+
+    monkeypatch.setattr(flows, "_ball_samples", on_axis_first)
+    report, _ = flow_verify(2, radius, ys.shape[0], seed=0, trajectories=False)
+    suites = report["suites"]
+    assert suites["arrive_exit"]["worst_slack"] == slack_exit.min()
+    assert [suites[name]["violations"] for name in ("arrive_cos", "arrive_path", "arrive_exit")] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("slack, counted", [(-1e-16, False), (-1e-12, True)])
+def test_arrival_allowance_at_unit_radius_is_no_looser_than_1e_12(slack, counted, monkeypatch):
+    """At R = 1 rounding is allowed, but a slack of -1e-12, the edge of the
+    old absolute tolerance, is a violation in each arrival suite."""
+    def slacks(ys, radius):
+        values = np.full(ys.shape[0], slack)
+        return (values,) * 6
+
+    monkeypatch.setattr(flows, "arrival_bounds_many", slacks)
+    report, _ = flow_verify(2, 1.0, 50, seed=0, trajectories=False)
+    counts = [report["suites"][name]["violations"] for name in ("arrive_cos", "arrive_path", "arrive_exit")]
+    assert counts == [50 * counted] * 3
 
 
 @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
@@ -643,7 +677,7 @@ def test_flow_verify_trajectories_match_per_row_flows(radius: float):
     """The CSV equals, bit for bit, each trajectory flown on its own: 40
     times from 0 to its perpendicular-foot time plus the drift, one
     ``_flow_x0`` row each, every value written with repr."""
-    _, text = flow_verify(3, radius, 50, seed=2, tol=1e-12, trajectories=True)
+    _, text = flow_verify(3, radius, 50, seed=2, trajectories=True)
     lines = text.splitlines()
     want = [lines[0]]
     for start in range(1, len(lines), 40):
@@ -655,9 +689,9 @@ def test_flow_verify_trajectories_match_per_row_flows(radius: float):
 
 
 def test_flow_verify_returns_trajectories_only_when_asked():
-    report, text = flow_verify(3, 1.0, 50, seed=4, tol=1e-12, trajectories=False)
+    report, text = flow_verify(3, 1.0, 50, seed=4, trajectories=False)
     assert text is None and report["passed"] is True
-    again, text = flow_verify(3, 1.0, 50, seed=4, tol=1e-12, trajectories=True)
+    again, text = flow_verify(3, 1.0, 50, seed=4, trajectories=True)
     assert again == report
     lines = text.splitlines()
     assert lines[0] == "t,x1,x2,x3" and len(lines) == 1 + 10 * 40

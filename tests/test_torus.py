@@ -177,18 +177,16 @@ def test_scan_flags_planted_inconsistency():
 
 
 def test_enumeration_refuses_a_tie_tolerance_wider_than_the_gap(monkeypatch):
-    """At these tie_tol the translates at -1/2 and 1/2 tie on either side of
-    the grid coordinate 1/101, so the scan cannot certify it and refuses
-    before any LP; the candidates' undecided ties (margin 1 at (0, 1/2) for
-    tie_tol 1) are never reached. In dim 3 at tie_tol 0.05 the point
-    (1/101, 1/2, 1/2) is critical; a grid k/13, whose coordinates all lie
-    outside the tie window, returns the binomial table."""
+    """Were ``TIE_TOL`` this wide, the translates at -1/2 and 1/2 would tie on
+    either side of the grid coordinate 1/101, so the scan could not certify
+    it: its invariant fails before any LP, and the candidates' undecided ties
+    (margin 1 at (0, 1/2) for a tolerance of 1) are never reached."""
     monkeypatch.setattr(lp, "_solve", _no_solve)
     for n, tie_tol in ((2, 1.0), (3, 0.05)):
-        torus = TorusDistanceField(dim=n, tie_tol=tie_tol)
-        message = re.escape(f"tie_tol {tie_tol} leaves the coordinate 0.009900990099009901 of the scan grid k/101")
-        with pytest.raises(UnsupportedConfigurationError, match=message):
-            torus.betti_table()
+        monkeypatch.setattr(torus_module, "TIE_TOL", tie_tol)
+        message = re.escape(f"tie tolerance {tie_tol} leaves the coordinate 0.009900990099009901 of the scan grid k/101")
+        with pytest.raises(InternalInconsistencyError, match=message):
+            TorusDistanceField(dim=n).betti_table()
 
 
 def _no_solve(*args, **kwargs):
@@ -203,8 +201,8 @@ _SWEEP_TOLS = [0.0, 1e-9, 1e-3, 0.05, 0.1, 0.3, 1.0, 30.0] + [
 @pytest.mark.parametrize("n", range(1, 6))
 def test_betti_table_is_binomial_or_refused_before_any_lp(n: int, monkeypatch):
     """Across tie tolerances up to and around the scan threshold 2/grid the
-    table is C(n, lambda), or the scan refuses before the first LP; no tie
-    tolerance ends in a broken invariant or an undecided tie."""
+    table is C(n, lambda), or the scan's invariant fails before the first LP;
+    no tolerance ends in a wrong table or an undecided tie."""
     solve = lp._solve
     calls = []
 
@@ -215,10 +213,11 @@ def test_betti_table_is_binomial_or_refused_before_any_lp(n: int, monkeypatch):
     monkeypatch.setattr(lp, "_solve", counted)
     outcomes = set()
     for tie_tol in _SWEEP_TOLS:
+        monkeypatch.setattr(torus_module, "TIE_TOL", tie_tol)
         calls.clear()
         try:
-            table = TorusDistanceField(dim=n, tie_tol=tie_tol).betti_table()
-        except UnsupportedConfigurationError:
+            table = TorusDistanceField(dim=n).betti_table()
+        except InternalInconsistencyError:
             assert not calls, tie_tol
             outcomes.add("refused")
         else:
@@ -253,12 +252,6 @@ def test_up_set_ceiling_admits_the_dim13_origin_and_refuses_dim14():
         TorusDistanceField(dim=14).up_set(np.zeros(14))
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
-def test_tie_tol_must_be_finite_and_nonnegative(bad: float):
-    with pytest.raises(ValueError, match="tie_tol"):
-        TorusDistanceField(dim=2, tie_tol=bad)
-
-
 def test_up_set_members_are_unit_and_minimizing():
     torus = TorusDistanceField(dim=3)
     x = np.array([0.5, 0.5, 0.0])
@@ -290,18 +283,18 @@ def _reference_translates(field: TorusDistanceField, pts: np.ndarray):
     seed=st.integers(0, 2**31 - 1),
     n=st.integers(1, 6),
     bases=st.integers(1, 3),
-    tie_tol=st.sampled_from([0.0, 1e-9, 1e-3]),
 )
-def test_product_kernel_matches_full_translates(seed: int, n: int, bases: int, tie_tol: float):
+def test_product_kernel_matches_full_translates(seed: int, n: int, bases: int):
     """Distances bit for bit and up-set rows in order, against every translate;
-    a gap to the excluded translates of at most tie_tol must be refused."""
+    a gap to the excluded translates of at most TIE_TOL must be refused."""
+    tie_tol = torus_module.TIE_TOL
     rng = np.random.default_rng(seed)
     if rng.random() < 0.5:
         base = rng.integers(0, 4, (bases, n)) / 4.0
     else:
         base = rng.random((bases, n))
-    field = TorusDistanceField(dim=n, base=base, tie_tol=tie_tol)
-    # random, quarter- and half-lattice points, and points within tie_tol of
+    field = TorusDistanceField(dim=n, base=base)
+    # random, quarter- and half-lattice points, and points within TIE_TOL of
     # a tie between translates of the first base point
     near_tie = base[0] + 0.5 * rng.integers(0, 2, (6, n)) + tie_tol * rng.uniform(-1.0, 1.0, (6, n))
     points = np.concatenate(
@@ -341,7 +334,7 @@ def _whole_grid_scan(field: TorusDistanceField, grid: int):
     for lo in range(0, len(points), 1000):
         block = points[lo : lo + 1000]
         diff, sq = _reference_translates(field, block)
-        ties = sq <= (sq.min(axis=1) + field.tie_tol)[:, None]
+        ties = sq <= (sq.min(axis=1) + torus_module.TIE_TOL)[:, None]
         point, row = np.nonzero(ties)
         dirs = diff[point, row] / np.sqrt(sq[point, row])[:, None]
         count = ties.sum(axis=1)
@@ -361,22 +354,27 @@ def _whole_grid_scan(field: TorusDistanceField, grid: int):
 @pytest.mark.parametrize(
     "n, tie_tol", [*itertools.product(range(1, 6), (0.0, 1e-9, 1e-3)), (1, 1.0), (2, 1.0), (3, 1.0)]
 )
-def test_per_axis_scan_agrees_with_the_whole_grid_scan(n: int, tie_tol: float):
+def test_per_axis_scan_agrees_with_the_whole_grid_scan(n: int, tie_tol: float, monkeypatch):
     """On grids 3-9 the per-axis scan admits exactly the tie tolerances
     below 2/grid. Where it admits a grid, every point off the candidates is
     regular: one axis separates its tied directions, and the summed
     certificate or the LP gives it a margin of at least CERTIFIED_MARGIN.
-    Where it refuses (tie_tol 1, at which translates that are not minimizing
-    tie), the whole-grid scan finds a critical point off the candidates."""
-    field = TorusDistanceField(dim=n, tie_tol=tie_tol)
+    Where its invariant fails, with no LP solved (TIE_TOL patched to 1, at
+    which translates that are not minimizing tie), the whole-grid scan finds
+    a critical point off the candidates."""
+    monkeypatch.setattr(torus_module, "TIE_TOL", tie_tol)
+    solve, calls = lp._solve, []
+    monkeypatch.setattr(lp, "_solve", lambda *args: calls.append(None) or solve(*args))
+    field = TorusDistanceField(dim=n)
     for grid in range(3, 10):
+        calls.clear()
         try:
             field._scan(grid)
-        except UnsupportedConfigurationError:
+        except InternalInconsistencyError:
             admitted = False
         else:
             admitted = True
-        assert admitted == (tie_tol < 2 / grid), grid
+        assert not calls and admitted == (tie_tol < 2 / grid), grid
         critical = False
         for x, rows, summed, separated in _whole_grid_scan(field, grid):
             margin = None

@@ -13,6 +13,9 @@ DEDUP_ANGLE = 1e-8
 # How far a vector handed to the angle functions may be from unit length.
 UNIT_SLACK = 1e-6
 
+# How far a DirectionSet's input rows may be from unit length unless told otherwise.
+DEFAULT_TOLERANCE = 1e-9
+
 # Chord |u - v| between unit vectors at angle DEDUP_ANGLE.
 _DEDUP_CHORD = 2.0 * np.sin(DEDUP_ANGLE / 2.0)
 
@@ -112,7 +115,7 @@ class DirectionSet:
 
     dim: int
     directions: np.ndarray
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         arr = np.asarray(self.directions, dtype=float)
@@ -146,7 +149,7 @@ class DirectionSet:
         return iter(self.directions)
 
     @classmethod
-    def from_vectors(cls, vectors, tolerance: float = 1e-9) -> "DirectionSet":
+    def from_vectors(cls, vectors, tolerance: float = DEFAULT_TOLERANCE) -> "DirectionSet":
         arr = np.asarray(vectors, dtype=float)
         if arr.ndim == 1:
             arr = arr[None, :]
@@ -180,7 +183,7 @@ class DirectionSet:
             raise ValueError("JSON nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("a direction set must be a JSON object")
-        dim, rows, tol = data.get("dim"), data.get("directions"), data.get("tol", 1e-9)
+        dim, rows, tol = data.get("dim"), data.get("directions"), data.get("tol", DEFAULT_TOLERANCE)
         if type(dim) is not int:
             raise ValueError(f"'dim' must be an integer, got {dim!r}")
         if type(tol) not in (int, float):

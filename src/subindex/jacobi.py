@@ -66,8 +66,10 @@ class ModelGeodesic:
     frame_dim: int = 1
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        if not math.isfinite(self.curvature):
+            raise ValueError("curvature must be finite")
+        if not 0 < self.length < math.inf:
+            raise ValueError("length must be positive and finite")
         if self.frame_dim < 1:
             raise ValueError("frame_dim must be at least 1")
 
@@ -337,24 +339,20 @@ def index_divergence(geodesic: ModelGeodesic, w, eps_values) -> np.ndarray:
 
 
 def boundary_norm_bound(geodesic: ModelGeodesic) -> float:
-    """sup over eps and over frame-wise Jacobi fields with |J(0)| = |J(eps)| = 1
-    of the sup norm of J on [0, eps].
+    """sup over eps in (0, top] and over frame-wise Jacobi fields with
+    |J(0)| = |J(eps)| = 1 of the sup norm of J on [0, eps]; top is length / 2,
+    capped at 0.99 pi / sqrt(kappa).
 
-    For each eps the extremal one-component fields have J(0) = 1 and
-    J(eps) = +-1, giving two closed-form candidates whose max is sampled.
+    The extremal one-component fields have J(0) = 1 and J(eps) = +-1. For
+    kappa > 0 and a = sqrt(kappa) eps / 2 they are sin(a - sqrt(kappa) t) / sin a
+    and cos(sqrt(kappa) t - a) / cos a, which peak at 1 and 1 / cos a; for
+    kappa <= 0 they are affine or built from sinh and cosh, and stay within 1.
     """
     kappa, length = geodesic.curvature, geodesic.length
-    top = length / 2
-    if kappa > 0:
-        top = min(top, 0.99 * math.pi / math.sqrt(kappa))
-    eps = np.linspace(top / 200, top, 200)
-    s_e, c_e = sn(kappa, eps), cs(kappa, eps)  # sn > 0 at each eps: none reaches pi / sqrt(kappa)
-    ts = np.linspace(0.0, eps, 512, axis=1)  # row i samples [0, eps[i]]
-    s_t, c_t = sn(kappa, ts), cs(kappa, ts)
-    best = max(float(np.abs(c_t + ((target - c_e) / s_e)[:, None] * s_t).max()) for target in (1.0, -1.0))
-    if not math.isfinite(best):
-        raise InternalInconsistencyError("boundary norm bound overflowed")
-    return best
+    if kappa <= 0:
+        return 1.0
+    top = min(length / 2, 0.99 * math.pi / math.sqrt(kappa))
+    return 1.0 / math.cos(math.sqrt(kappa) * top / 2)
 
 
 # --------------------------------------------------------------------------
@@ -509,7 +507,7 @@ def invariant_checks(seed: int) -> list[dict]:
     add("boundary_norm_flat", abs(b_flat - 1.0) < 1e-9, f"flat bound {b_flat:.6f} (affine fields peak at the ends)")
 
     b_sph = boundary_norm_bound(ModelGeodesic(1.0, math.pi, 1))
-    add("boundary_norm_sphere", abs(b_sph - math.sqrt(2)) < 1e-4, f"bound {b_sph:.6f} vs pinned sqrt(2)")
+    add("boundary_norm_sphere", abs(b_sph - math.sqrt(2)) < 1e-12, f"bound {b_sph:.6f} vs pinned sqrt(2)")
 
     _, excess = second_variation_check(0.0, 1.0, 2 * math.pi / 3)
     add("second_variation_flat", bool(np.all(excess[-3:] <= 1e-6)), f"tail excess {excess[-1]:.3e}")

@@ -13,10 +13,12 @@ HiGHS receives is what that front end would pass: the <= rows first and the
 equality rows after them, the matrix canonical (zeros dropped, rows ascending
 in each column), and the front end's default options (presolve on, dual
 simplex, no debug checks, no output). Its verdicts are kept too: optimal and
-infeasible are answers, any other model status is a solver failure, and an
-optimal solution must have no NaN and meet the bounds and rows within
+infeasible are answers, a model left with any other status is passed again
+and solved once with presolve off (presolve ends some solvable near-copy sets
+with "Not Set" or "Unknown"), a second such status is a solver failure, and
+an optimal solution must have no NaN and meet the bounds and rows within
 sqrt(1e-9) * 10. So every margin, weight vector and exception is bit for bit
-what the front end gives; the tests hold it to that.
+what the front end gives with that retry; the tests hold it to that.
 
 Each thread keeps one HiGHS instance (:func:`_solver`) rather than building
 one per solve, which cost more than a small LP's own solve. Every solve hands
@@ -136,7 +138,8 @@ def _solve(c, a, n_ub, rhs, lb, ub, what):
     value).
 
     Returns (objective, x) at an optimum and None when HiGHS finds the model
-    infeasible; raises InternalInconsistencyError on any other outcome.
+    infeasible. Any other outcome is solved once more with presolve off, and
+    raises InternalInconsistencyError if it recurs.
     """
     start, index, value = a
     lhs = rhs.copy()
@@ -158,6 +161,15 @@ def _solve(c, a, n_ub, rhs, lb, ub, what):
         return None  # the front end reports a model it cannot load as infeasible
     ran = highs.run() != _core.HighsStatus.kError
     status = highs.getModelStatus()
+    if status not in _INFEASIBLE and not (ran and status == _core.HighsModelStatus.kOptimal):
+        # a rerun of the loaded model can stay "Unknown", so it is passed again
+        highs.setOptionValue("presolve", "off")
+        try:
+            highs.passModel(model)
+            ran = highs.run() != _core.HighsStatus.kError
+            status = highs.getModelStatus()
+        finally:
+            highs.setOptionValue("presolve", "on")
     if status in _INFEASIBLE:
         return None
     if not ran or status != _core.HighsModelStatus.kOptimal:

@@ -25,8 +25,6 @@ from .convexity import CERTIFIED_MARGIN, classify_polar_region, is_critical, sub
 from .directions import DirectionSet
 from .errors import AmbiguousClassificationError, InternalInconsistencyError, UnsupportedConfigurationError
 
-_SCAN_GRID = 101  # the regularity scan's grid k/_SCAN_GRID, the same in every dimension
-
 # Largest dim the enumeration admits. On 2 vCPUs (py3.11, numpy 2.4) the default
 # enumeration took 0.73 s and 38 MB of peak RSS at dim 8, 1.6 s and 39 MB at
 # dim 9; a larger table is a new capability, to be measured as a whole command.
@@ -182,9 +180,9 @@ class TorusDistanceField:
 
         The candidates are the points with every coordinate in {0, 1/2},
         excluding the base point itself. The dim ceiling, the base and the
-        regularity scan, which proves every other point of the grid
-        k/_SCAN_GRID regular, are checked before anything is
-        classified.
+        regularity scan, which proves every point of the torus outside small
+        disjoint boxes around the candidates regular, are checked before
+        anything is classified.
         """
         if self.dim > _MAX_ENUMERATION_DIM:
             raise UnsupportedConfigurationError(f"enumeration is limited to dim <= {_MAX_ENUMERATION_DIM}")
@@ -192,7 +190,7 @@ class TorusDistanceField:
             raise UnsupportedConfigurationError(
                 "critical point enumeration is implemented only for the single centered base point"
             )
-        self._scan(_SCAN_GRID)
+        self._scan()
         records = []
         for coords in itertools.product((0.0, 0.5), repeat=self.dim):
             point = np.array(coords)
@@ -206,33 +204,29 @@ class TorusDistanceField:
             records.append(record)
         return records
 
-    def _scan(self, grid: int):
-        """Prove every point of the grid k/grid off the candidates regular; no
-        LP is solved.
+    def _scan(self) -> tuple[float, float]:
+        """Half-widths ``(tie, clear)`` of the boxes around the candidates
+        outside which every point of the torus is proved regular; no LP is
+        solved.
 
         A tied translate takes a candidate offset (as in :meth:`_ties`) on
-        every axis, and its squared distance is at most n/4 + TIE_TOL. So when
-        the candidate gaps (base_a + k) - x_a of a coordinate all have one sign
-        and clear CERTIFIED_MARGIN * sqrt(n/4 + TIE_TOL), -sign e_a separates
-        every tied direction with margin CERTIFIED_MARGIN, the verdict the
-        separation LP would give. Every point off the candidates has a
-        coordinate off {0, 1/2}, so certifying each of those on each axis
-        proves the whole grid. Only a tie tolerance of about 2/grid or more
-        leaves one uncertified, which raises ``InternalInconsistencyError``.
+        every axis and lies within sqrt(n/4 + TIE_TOL). So where the candidate
+        gaps (1/2 + k) - x_a all have one sign and clear
+        CERTIFIED_MARGIN * sqrt(n/4 + TIE_TOL), -sign e_a separates every tied
+        direction with margin CERTIFIED_MARGIN, as the separation LP would.
+        That fails only where the offsets -1 and 0 (or 0 and 1) tie,
+        min(x_a, 1 - x_a) <= tie, and where |x_a - 1/2| < clear; so every
+        critical point lies in a box of those half-widths around a point of
+        {0, 1/2}^n. The boxes are disjoint while tie + clear < 1/2; where the
+        windows meet, ``InternalInconsistencyError`` is raised.
         """
-        axes = np.arange(grid) / grid
+        tie = (TIE_TOL + _PREFILTER) / 2
         clear = CERTIFIED_MARGIN * math.sqrt(self.dim / 4 + TIE_TOL)
-        gaps = (self.base[0][:, None, None] + _STEPS) - axes[:, None]  # (axis, coordinate, offset)
-        terms = gaps * gaps
-        cand = terms <= terms.min(axis=-1, keepdims=True) + (TIE_TOL + _PREFILTER)
-        certified = (np.where(cand, gaps, np.inf).min(axis=-1) >= clear) | (
-            np.where(cand, gaps, -np.inf).max(axis=-1) <= -clear
-        )
-        left = axes[(~certified).any(axis=0) & (axes != 0.0) & (axes != 0.5)]
-        if left.size:
+        if tie + clear >= 0.5:
             raise InternalInconsistencyError(
-                f"the tie tolerance {TIE_TOL} leaves the coordinate {left[0]} of the scan grid k/{grid} uncertified"
+                f"at the tie tolerance {TIE_TOL} the scan's windows around 0 ({tie}) and 1/2 ({clear}) meet"
             )
+        return tie, clear
 
     def betti_table(self) -> dict[int, int]:
         """Histogram sub-index -> count over all critical points."""

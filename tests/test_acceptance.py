@@ -406,8 +406,8 @@ def test_criterion_13_polar_region_memory_at_the_dim12_origin():
 
 def test_criterion_14_default_dim8_table_memory():
     """The default dim-8 table is C(8, lambda) and peaks below 8 MB of traced
-    allocations: the regularity scan decides each axis on the 1-D grid, where
-    the 390,624 points of the 5**8 grid alone would take 25 MB."""
+    allocations: the regularity scan forms no grid, where the 390,624 points
+    of the 5**8 grid alone would take 25 MB."""
     tracemalloc.start()
     try:
         table = TorusDistanceField(dim=8).betti_table()

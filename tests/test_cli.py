@@ -563,10 +563,34 @@ def test_oversized_torus_runs_are_refused_before_allocating(argv, capsys):
     assert peak < 4.0
 
 
+def test_a_boundary_set_past_the_soul_ceiling_is_refused_before_a_soul_lp(tmp_path, capsys, monkeypatch):
+    """The soul LPs build dense m x m Gram blocks, so peak RSS grows as m^2:
+    a boundary-variant set one row past their ceiling exits 2 with one
+    ``error:`` line, and no soul LP is solved."""
+    from subindex import convexity, lp
+
+    def no_soul(*args, **kwargs):
+        raise AssertionError("a soul LP was solved")
+
+    monkeypatch.setattr(lp, "soul_margin_lp", no_soul)
+    monkeypatch.setattr(lp, "soul_feasibility_lp", no_soul)
+    n, m = 6, convexity._MAX_SOUL_ROWS + 1
+    # +-e_1 and rows with a positive second coordinate: a polar region with boundary
+    extra = np.random.default_rng(0).standard_normal((m - 2, n))
+    extra[:, 1] = np.abs(extra[:, 1]) + 0.05
+    rows = np.vstack([np.eye(n)[:1], -np.eye(n)[:1], extra])
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps({"dim": n, "directions": rows.tolist()}))
+    code = main(["classify", "--input", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {m} directions, the soul LPs' limit is {m - 1}\n"
+
+
 def test_enumeration_refuses_an_uncertified_scan_coordinate_before_classifying(monkeypatch):
-    """Were ``TIE_TOL`` 1, candidate offsets of both signs would remain at
-    every coordinate of the scan grid k/101 but 0 and 1/2, so the dim-8 scan
-    could not certify 1/101: its invariant fails before any LP."""
+    """Were ``TIE_TOL`` 1, the offsets -1 and 0 would tie at every coordinate
+    up to 1/2, so the dim-8 scan's two windows would meet and no coordinate
+    off {0, 1/2} would be certified: its invariant fails before any LP."""
     from subindex import lp, torus
 
     def no_solve(*args, **kwargs):
@@ -574,16 +598,9 @@ def test_enumeration_refuses_an_uncertified_scan_coordinate_before_classifying(m
 
     monkeypatch.setattr(lp, "_solve", no_solve)
     monkeypatch.setattr(torus, "TIE_TOL", 1.0)
-    message = r"tie tolerance 1\.0 leaves the coordinate 0\.009900990099009901 of the scan grid k/101"
+    message = r"at the tie tolerance 1\.0 the scan's windows around 0 \(0\.5000000000005\) and 1/2 \(1\.7320\d+e-06\) meet"
     with pytest.raises(InternalInconsistencyError, match=message):
         TorusDistanceField(8).enumerate_critical_points()
-
-
-@pytest.mark.parametrize("dim, grid", [(2, 2001), (3, 139), (8, 6)])
-def test_torus_table_accepts_fine_grids_with_no_point_left_to_check(dim, grid):
-    """Each grid has millions of points, and the per-axis certificate proves
-    every one off the candidates regular."""
-    TorusDistanceField(dim)._scan(grid)
 
 
 @pytest.mark.parametrize("radius", ["1e-3", "1e100"])

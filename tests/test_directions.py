@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from subindex.convexity import classification_report
 from subindex.directions import (
     DEDUP_ANGLE,
+    DEFAULT_TOLERANCE,
     DirectionSet,
     min_angles_to_set,
     row_norms,
@@ -165,6 +166,16 @@ def test_direction_set_renormalizes_within_slack():
     # a looser tolerance admits sloppier input, still renormalized
     loose = DirectionSet(dim=2, directions=np.array([[1.0 + 1e-7, 0.0]]), tolerance=1e-6)
     assert np.linalg.norm(loose.directions[0]) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_every_constructor_defaults_to_the_one_tolerance():
+    row = [[1.0, 0.0]]
+    built = (
+        DirectionSet(dim=2, directions=np.array(row)),
+        DirectionSet.from_vectors(row),
+        DirectionSet.from_json(json.dumps({"dim": 2, "directions": row})),
+    )
+    assert [ds.tolerance for ds in built] == [DEFAULT_TOLERANCE] * 3
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])

@@ -41,11 +41,10 @@ def _dense_interior_weight_margin(u: np.ndarray) -> float | None:
     a_eq[n, :m] = 1.0
     b_eq = np.zeros(n + 1)
     b_eq[n] = 1.0
-    res = linprog(
-        c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=b_eq,
-        bounds=[(None, None)] * (m + 1), method="highs",
+    res = _linprog(
+        c, "dense interior weight margin", A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=b_eq,
+        bounds=[(None, None)] * (m + 1),
     )
-    assert res.status in (0, 2), res.message
     return None if res.status == 2 else float(-res.fun)
 
 
@@ -103,6 +102,8 @@ def test_interior_weight_margin_matches_dense_formulation(seed, kind, n, near_co
 
 def _linprog(c, what, **constraints):
     res = linprog(c, method="highs", **constraints)
+    if res.status == 4:  # no verdict: solved once more without presolve, as _solve does
+        res = linprog(c, method="highs", options={"presolve": False}, **constraints)
     if res.status not in (0, 2):
         raise InternalInconsistencyError(f"LP solver failed on {what}: {res.message}")
     return res
@@ -423,12 +424,19 @@ def test_old_scipy_without_a_highs_file_fails_at_import_with_the_floor(tmp_path)
 
 
 class _ReportingHighs:
-    """Stands in for HiGHS and reports a fixed status and solution."""
+    """Stands in for HiGHS and reports a fixed status and solution; counts the
+    models passed and keeps the options set."""
 
     def __init__(self, status, x, row_value):
         self.status, self.x, self.row_value = status, x, row_value
+        self.passes, self.options = 0, {}
 
     def passModel(self, model):
+        self.passes += 1
+        return HighsStatus.kOk
+
+    def setOptionValue(self, name, value):
+        self.options[name] = value
         return HighsStatus.kOk
 
     def run(self):
@@ -463,8 +471,10 @@ class _ReportingHighs:
 def test_solve_keeps_the_front_ends_verdicts(monkeypatch, status, x, row_value, expected):
     """One variable in [-1, 1] and the rows x <= 0.5, x = 1, answered by a
     stand-in solver: an optimal answer must meet bounds and rows within
-    sqrt(1e-9) * 10, infeasible is None, and any other status is a failure."""
-    monkeypatch.setattr(lp, "_solver", lambda: _ReportingHighs(status, x, row_value))
+    sqrt(1e-9) * 10, infeasible is None, and any other status is a failure
+    once the model, passed again, gives it with presolve off too."""
+    highs = _ReportingHighs(status, x, row_value)
+    monkeypatch.setattr(lp, "_solver", lambda: highs)
     model = (
         np.ones(1), (np.array([0, 2]), np.array([0, 1]), np.ones(2)), 1,
         np.array([0.5, 1.0]), np.full(1, -1.0), np.full(1, 1.0), "a test model",
@@ -477,6 +487,9 @@ def test_solve_keeps_the_front_ends_verdicts(monkeypatch, status, x, row_value, 
     else:
         fun, solution = lp._solve(*model)
         assert (fun, solution.tolist()) == (0.5, [0.5])
+    verdict = status in (HighsModelStatus.kOptimal, HighsModelStatus.kInfeasible)
+    assert highs.passes == (1 if verdict else 2)
+    assert highs.options == ({} if verdict else {"presolve": "on"})
 
 
 # A reused solver against a fresh one. ``lp._solver`` keeps one HiGHS instance
@@ -557,6 +570,49 @@ def test_a_reused_solver_gives_the_bits_of_a_fresh_one(sets):
         fresh = [_solve_outcome(model) for model in models]
     assert reused == fresh
     assert None in reused and InternalInconsistencyError in reused
+
+
+@pytest.mark.parametrize("seed, n", [(2773, 5), (1902, 6)])
+def test_a_set_presolve_leaves_without_a_verdict_is_classified(seed, n):
+    """With presolve on, HiGHS (scipy 1.17) ends the interior LP of these
+    great-subsphere near copies with "Not Set" (seed 2773) and "Unknown"
+    (seed 1902, where a rerun of the loaded model stays "Unknown"); solved
+    again without presolve, each reads as a great subsphere."""
+    u = _direction_rows(np.random.default_rng(seed), "great_subsphere", n, True)
+    report = classification_report(DirectionSet.from_vectors(u))
+    assert (report["variant"], report["span_dim"]) == ("great_subsphere", 1)
+
+
+class _OptionRecorder:
+    """The thread's HiGHS instance, with every option it is set recorded."""
+
+    def __init__(self, highs, options):
+        self.highs, self.options = highs, options
+
+    def __getattr__(self, name):
+        return getattr(self.highs, name)
+
+    def setOptionValue(self, name, value):
+        self.options.append((name, value))
+        return self.highs.setOptionValue(name, value)
+
+
+def test_a_solve_after_a_retried_one_gives_the_bits_of_a_fresh_solver():
+    """The retry turns presolve off for one solve: after the unbounded model,
+    which has no verdict either way, and seed 1902's interior LP, every model
+    gives the bits of a fresh instance, and presolve is on again."""
+    retried = [_UNBOUNDED] + _lp_models(
+        _direction_rows(np.random.default_rng(1902), "great_subsphere", 6, True), [lp.interior_weight_margin]
+    )
+    models = retried + [model for u in _threaded_sets()[:20] for model in _lp_models(u)]
+    highs, options = lp._solver(), []
+    with mock.patch.object(lp, "_solver", lambda: _OptionRecorder(highs, options)):
+        reused = [_solve_outcome(model) for model in models]
+    with mock.patch.object(lp, "_solver", _fresh_highs):
+        fresh = [_solve_outcome(model) for model in models]
+    assert reused == fresh
+    assert options[:2] == [("presolve", "off"), ("presolve", "on")]
+    assert highs.getOptionValue("presolve")[1] == "on"
 
 
 def _threaded_sets():

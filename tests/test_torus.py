@@ -108,7 +108,7 @@ def test_betti_table_counts_are_binomial(n: int):
 
 
 def test_regularity_scan_passes_on_default_grid():
-    # the scan refuses any grid coordinate it cannot certify
+    # the scan refuses a tie tolerance at which its windows meet
     TorusDistanceField(dim=2).enumerate_critical_points()
 
 
@@ -177,14 +177,15 @@ def test_scan_flags_planted_inconsistency():
 
 
 def test_enumeration_refuses_a_tie_tolerance_wider_than_the_gap(monkeypatch):
-    """Were ``TIE_TOL`` this wide, the translates at -1/2 and 1/2 would tie on
-    either side of the grid coordinate 1/101, so the scan could not certify
-    it: its invariant fails before any LP, and the candidates' undecided ties
-    (margin 1 at (0, 1/2) for a tolerance of 1) are never reached."""
+    """Were ``TIE_TOL`` 1 or more, the offsets -1 and 0 would tie at every
+    coordinate up to 1/2, so the scan's window of ties would meet its window
+    around 1/2: its invariant fails before any LP, and the candidates'
+    undecided ties (margin 1 at (0, 1/2) for a tolerance of 1) are never
+    reached."""
     monkeypatch.setattr(lp, "_solve", _no_solve)
-    for n, tie_tol in ((2, 1.0), (3, 0.05)):
+    for n, tie_tol in ((2, 1.0), (3, 30.0)):
         monkeypatch.setattr(torus_module, "TIE_TOL", tie_tol)
-        message = re.escape(f"tie tolerance {tie_tol} leaves the coordinate 0.009900990099009901 of the scan grid k/101")
+        message = re.escape(f"at the tie tolerance {tie_tol} the scan's windows around 0 ({(tie_tol + 1e-12) / 2})")
         with pytest.raises(InternalInconsistencyError, match=message):
             TorusDistanceField(dim=n).betti_table()
 
@@ -193,16 +194,20 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("an LP was solved")
 
 
-_SWEEP_TOLS = [0.0, 1e-9, 1e-3, 0.05, 0.1, 0.3, 1.0, 30.0] + [
-    2 / torus_module._SCAN_GRID - below for below in (0.0, 1e-12, 5e-13)
-]
+def _meeting_tol(n: int) -> float:
+    """The tie tolerance t at which the scan's windows meet, from
+    (t + 1e-12) / 2 + CERTIFIED_MARGIN * sqrt(n/4 + t) = 1/2, a quadratic in
+    u = sqrt(n/4 + t)."""
+    u = math.sqrt(CERTIFIED_MARGIN**2 + 1.0 + n / 4 - 1e-12) - CERTIFIED_MARGIN
+    return u * u - n / 4
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_betti_table_is_binomial_or_refused_before_any_lp(n: int, monkeypatch):
-    """Across tie tolerances up to and around the scan threshold 2/grid the
-    table is C(n, lambda), or the scan's invariant fails before the first LP;
-    no tolerance ends in a wrong table or an undecided tie."""
+    """Across tie tolerances up to and around the one at which the scan's
+    windows meet (about 1 - 2e-6 * sqrt(n/4 + 1)), the table is C(n, lambda)
+    below it, and above it the scan's invariant fails before the first LP; no
+    tolerance ends in a wrong table or an undecided tie."""
     solve = lp._solve
     calls = []
 
@@ -211,19 +216,17 @@ def test_betti_table_is_binomial_or_refused_before_any_lp(n: int, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(lp, "_solve", counted)
-    outcomes = set()
-    for tie_tol in _SWEEP_TOLS:
+    meet = _meeting_tol(n)
+    for tie_tol in [0.0, 1e-9, 1e-3, 0.05, 0.1, 0.3, 0.9, meet - 1e-9, meet + 1e-9, 1.0, 30.0]:
         monkeypatch.setattr(torus_module, "TIE_TOL", tie_tol)
         calls.clear()
         try:
             table = TorusDistanceField(dim=n).betti_table()
         except InternalInconsistencyError:
-            assert not calls, tie_tol
-            outcomes.add("refused")
+            assert not calls and tie_tol > meet, tie_tol
         else:
+            assert tie_tol < meet, tie_tol
             assert table == {lam: math.comb(n, lam) for lam in range(1, n + 1)}, tie_tol
-            outcomes.add("table")
-    assert outcomes == {"refused", "table"}
 
 
 def test_one_point_blocks_give_identical_results(monkeypatch):
@@ -351,30 +354,65 @@ def _whole_grid_scan(field: TorusDistanceField, grid: int):
             yield block[i], diff[i][ties[i]], bool(summed[i]), bool(separated[i])
 
 
+def _outside_the_windows(x: np.ndarray, tie: float, clear: float) -> np.ndarray:
+    """Which coordinates of x lie outside both of the scan's windows."""
+    return (np.minimum(x, 1.0 - x) > tie) & (np.abs(x - 0.5) >= clear)
+
+
+def _candidate_gaps(x: np.ndarray):
+    """The least and greatest candidate gap of each coordinate of x, as the
+    grid scan formed them: the gaps (1/2 + k) - x to the offsets k within
+    TIE_TOL (plus the prefilter's slack) of the axis minimum. The per-axis
+    certificate holds where both have one sign and clear
+    CERTIFIED_MARGIN * sqrt(n/4 + TIE_TOL)."""
+    gaps = (0.5 + np.array([-1.0, 0.0, 1.0])) - x[:, None]
+    terms = gaps * gaps
+    cand = terms <= terms.min(axis=1, keepdims=True) + (torus_module.TIE_TOL + 1e-12)
+    return np.where(cand, gaps, np.inf).min(axis=1), np.where(cand, gaps, -np.inf).max(axis=1)
+
+
+@pytest.mark.parametrize("tie_tol", [0.0, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.9])
+def test_scan_windows_are_where_the_per_axis_certificate_fails(tie_tol: float, monkeypatch):
+    """In dims 1-8, on 200,000 uniform coordinates and 20,000 each within 1e-6
+    of 0 and within 3e-6 of 1/2, a coordinate is certified exactly when it
+    lies outside both windows that ``_scan`` returns, away from 1e-14 of
+    their edges."""
+    monkeypatch.setattr(torus_module, "TIE_TOL", tie_tol)
+    rng = np.random.default_rng(0)
+    x = np.concatenate(
+        [rng.random(200_000), np.mod(rng.uniform(-1e-6, 1e-6, 20_000), 1.0), 0.5 + rng.uniform(-3e-6, 3e-6, 20_000)]
+    )
+    to_tie = np.abs(np.minimum(x, 1.0 - x) - (tie_tol + 1e-12) / 2)
+    lo, hi = _candidate_gaps(x)
+    for n in range(1, 9):
+        tie, clear = TorusDistanceField(dim=n)._scan()
+        far = np.minimum(to_tie, np.abs(np.abs(x - 0.5) - clear)) > 1e-14
+        bound = CERTIFIED_MARGIN * math.sqrt(n / 4 + tie_tol)
+        certified = ((lo >= bound) | (hi <= -bound))[far]
+        outside = _outside_the_windows(x, tie, clear)[far]
+        assert np.array_equal(outside, certified), (n, x[far][outside != certified][:3])
+
+
 @pytest.mark.parametrize(
     "n, tie_tol", [*itertools.product(range(1, 6), (0.0, 1e-9, 1e-3)), (1, 1.0), (2, 1.0), (3, 1.0)]
 )
 def test_per_axis_scan_agrees_with_the_whole_grid_scan(n: int, tie_tol: float, monkeypatch):
-    """On grids 3-9 the per-axis scan admits exactly the tie tolerances
-    below 2/grid. Where it admits a grid, every point off the candidates is
-    regular: one axis separates its tied directions, and the summed
-    certificate or the LP gives it a margin of at least CERTIFIED_MARGIN.
-    Where its invariant fails, with no LP solved (TIE_TOL patched to 1, at
-    which translates that are not minimizing tie), the whole-grid scan finds
-    a critical point off the candidates."""
+    """On grids 3-9, where the scan's windows are disjoint, every grid point
+    with a coordinate outside them is regular: one axis separates its tied
+    directions, and the summed certificate or the LP gives it a margin of at
+    least CERTIFIED_MARGIN. At TIE_TOL 1, where the windows meet, the scan
+    refuses with no LP solved (translates that are not minimizing tie there),
+    and the whole-grid scan finds a critical point off the candidates."""
     monkeypatch.setattr(torus_module, "TIE_TOL", tie_tol)
     solve, calls = lp._solve, []
     monkeypatch.setattr(lp, "_solve", lambda *args: calls.append(None) or solve(*args))
     field = TorusDistanceField(dim=n)
+    try:
+        windows = field._scan()
+    except InternalInconsistencyError:
+        windows = None
+    assert not calls and (windows is None) == (tie_tol == 1.0)
     for grid in range(3, 10):
-        calls.clear()
-        try:
-            field._scan(grid)
-        except InternalInconsistencyError:
-            admitted = False
-        else:
-            admitted = True
-        assert not calls and admitted == (tie_tol < 2 / grid), grid
         critical = False
         for x, rows, summed, separated in _whole_grid_scan(field, grid):
             margin = None
@@ -382,10 +420,10 @@ def test_per_axis_scan_agrees_with_the_whole_grid_scan(n: int, tie_tol: float, m
                 margin = criticality_margin(DirectionSet(n, rows / np.linalg.norm(rows, axis=1)[:, None]))
                 assert not lp.FEASIBILITY_MARGIN < margin < lp.AMBIGUITY_BAND
                 critical |= margin <= lp.FEASIBILITY_MARGIN
-            if admitted:
+            if windows is not None and _outside_the_windows(x, *windows).any():
                 assert separated, (grid, x)
                 assert summed or margin >= CERTIFIED_MARGIN, (grid, x, margin)
-        assert admitted or critical, grid
+        assert windows is not None or critical, grid
 
 
 @pytest.mark.parametrize("n", range(1, 13))

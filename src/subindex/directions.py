@@ -46,6 +46,8 @@ def _first_occurrences(arr: np.ndarray) -> np.ndarray:
         rows, cols = np.nonzero(gram > 1.0 - _GRAM_PREFILTER)
         rows += start
         upper = cols > rows
+        if not upper.any():
+            continue  # only the diagonal: no pair to decide, the common case
         rows, cols = rows[upper], cols[upper]
         close = np.linalg.norm(arr[rows] - arr[cols], axis=1) < _DEDUP_CHORD
         rows, cols = rows[close], cols[close]

@@ -5,20 +5,21 @@ constraints except the interior LP's sparse block for lambda_i >= s. Every
 solve is deterministic for fixed input.
 
 The models go to HiGHS (Huangfu & Hall 2018) through one call site,
-:func:`_solve`, in HiGHS's native form lhs <= A x <= rhs, lb <= x <= ub, with
-A in compressed-column form. They skip scipy.optimize's general LP front end
-(its ``method="highs"``), which spends most of a small solve in Python around
-HiGHS: option validation, input cleaning and ``scipy.sparse`` stacking. What
-HiGHS receives is what that front end would pass: the <= rows first and the
-equality rows after them, the matrix canonical (zeros dropped, rows ascending
-in each column), and the front end's default options (presolve on, dual
-simplex, no debug checks, no output). Its verdicts are kept too: optimal and
-infeasible are answers, a model left with any other status is passed again
-and solved once with presolve off (presolve ends some solvable near-copy sets
-with "Not Set" or "Unknown"), a second such status is a solver failure, and
-an optimal solution must have no NaN and meet the bounds and rows within
-sqrt(1e-9) * 10. So every margin, weight vector and exception is bit for bit
-what the front end gives with that retry; the tests hold it to that.
+:func:`_solve`, as arrays (float64 values, int32 indices) for the array form
+of ``passModel``: lhs <= A x <= rhs, lb <= x <= ub, A in compressed-column
+form; the objective is read back directly. This skips scipy.optimize's LP
+front end (``method="highs"``), whose Python around HiGHS (option checks,
+input cleaning, ``scipy.sparse`` stacking) costs most of a small solve. HiGHS
+still receives what the front end would pass: the <= rows first, the matrix
+canonical (zeros dropped, rows ascending in each column), and its default
+options (presolve on, dual simplex, no debug checks, no output). Its verdicts
+are kept too: optimal and infeasible are answers, a model left with any other
+status is passed again and solved once with presolve off (presolve ends some
+solvable near-copy sets with "Not Set" or "Unknown"), a second such status is
+a solver failure, and an optimal solution must have no NaN and meet the
+bounds and rows within sqrt(1e-9) * 10. So every margin, weight vector and
+exception is bit for bit what the front end gives with that retry; the tests
+hold it to that.
 
 Each thread keeps one HiGHS instance (:func:`_solver`) rather than building
 one per solve, which cost more than a small LP's own solve. Every solve hands
@@ -103,11 +104,11 @@ def _solver():
 
 
 def _dense_csc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical CSC arrays (start, index, value) of a dense matrix."""
+    """Canonical CSC arrays (start, index, value), int32 indices, of a dense matrix."""
     cols, rows = np.nonzero(a.T)
     start = np.zeros(a.shape[1] + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=a.shape[1]), out=start[1:])
-    return start, rows, a[rows, cols]
+    return start, rows.astype(np.int32), a[rows, cols]
 
 
 def _interior_csc(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,14 +123,15 @@ def _interior_csc(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     value[:, 0] = -1.0
     value[:, 1:-1] = u
     value[:, -1] = 1.0
-    index = np.empty((m, n + 2), dtype=np.intp)
+    index = np.empty((m, n + 2), dtype=np.int32)
     index[:, 0] = np.arange(m)
     index[:, 1:] = np.arange(m, m + n + 1)
     keep = value != 0.0
-    start = np.zeros(m + 2, dtype=np.intp)
+    start = np.zeros(m + 2, dtype=np.int32)
     np.cumsum(keep.sum(axis=1), out=start[1:-1])
     start[-1] = start[-2] + m
-    return start, np.concatenate([index[keep], np.arange(m)]), np.concatenate([value[keep], np.ones(m)])
+    index = np.concatenate([index[keep], np.arange(m, dtype=np.int32)])
+    return start, index, np.concatenate([value[keep], np.ones(m)])
 
 
 def _solve(c, a, n_ub, rhs, lb, ub, what):
@@ -144,20 +146,11 @@ def _solve(c, a, n_ub, rhs, lb, ub, what):
     start, index, value = a
     lhs = rhs.copy()
     lhs[:n_ub] = -np.inf
-    model = _core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = c.size
-    model.num_row_ = model.a_matrix_.num_row_ = rhs.size
-    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    model.col_cost_ = c
-    model.col_lower_ = lb
-    model.col_upper_ = ub
-    model.row_lower_ = lhs
-    model.row_upper_ = rhs
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = index
-    model.a_matrix_.value_ = value
+    continuous = np.zeros(c.size, dtype=np.int32)  # an empty integrality array fails the load
+    # colwise (1), minimise (1), no offset
+    model = (c.size, rhs.size, index.size, 1, 1, 0.0, c, lb, ub, lhs, rhs, start[:-1], index, value, continuous)
     highs = _solver()
-    if highs.passModel(model) == _core.HighsStatus.kError:
+    if highs.passModel(*model) == _core.HighsStatus.kError:
         return None  # the front end reports a model it cannot load as infeasible
     ran = highs.run() != _core.HighsStatus.kError
     status = highs.getModelStatus()
@@ -165,7 +158,7 @@ def _solve(c, a, n_ub, rhs, lb, ub, what):
         # a rerun of the loaded model can stay "Unknown", so it is passed again
         highs.setOptionValue("presolve", "off")
         try:
-            highs.passModel(model)
+            highs.passModel(*model)
             ran = highs.run() != _core.HighsStatus.kError
             status = highs.getModelStatus()
         finally:
@@ -176,15 +169,16 @@ def _solve(c, a, n_ub, rhs, lb, ub, what):
         raise InternalInconsistencyError(
             f"LP solver failed on {what}: {highs.modelStatusToString(status)}"
         )
-    fun = highs.getInfo().objective_function_value
+    fun = highs.getObjectiveValue()
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     slack = rhs - solution.row_value
-    if (
-        np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
-        or not np.all((x >= lb - _CHECK_TOL) & (x <= ub + _CHECK_TOL))
-        or (slack[:n_ub] < -_CHECK_TOL).any()
-        or (np.abs(slack[n_ub:]) > _CHECK_TOL).any()
+    # every comparison is False at a NaN, so a NaN anywhere fails the check
+    if not (
+        fun == fun
+        and np.all((x >= lb - _CHECK_TOL) & (x <= ub + _CHECK_TOL))
+        and np.all(slack[:n_ub] >= -_CHECK_TOL)
+        and np.all(np.abs(slack[n_ub:]) <= _CHECK_TOL)
     ):
         raise InternalInconsistencyError(
             f"LP solver failed on {what}: the solution misses the constraints "
@@ -226,7 +220,10 @@ def interior_weight_margin(directions: np.ndarray) -> float | None:
     """Largest s such that 0 = sum(lambda_i u_i) with sum(lambda) = 1, lambda_i >= s.
 
     Positive exactly when the origin is interior to the hull relative to the
-    span of the rows. Returns None when the origin is not in the hull at all.
+    span of the rows. lambda is free, so the margin is negative when the
+    origin lies in the rows' affine hull but not in their hull: the normalised
+    rows (1, 0.2), (0.8, -0.6), (0.9, 0.436) give -8.27. Returns None only when
+    the origin is off the affine hull, as for e1 and e2.
 
     The m rows lambda_i >= s form a sparse [-I | 1] block, so the LP costs
     O(m n) memory rather than a dense m x m matrix.

@@ -139,6 +139,24 @@ def test_direction_set_dedup_matches_greedy_reference(seed: int, n: int, m: int,
     np.testing.assert_array_equal(ds.directions, unit[_greedy_chord_reference(unit)])
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_dedup_in_gram_blocks_of_three_rows_matches_greedy_reference(seed: int):
+    """Blocks with no candidate pair are skipped and the rest decided: a few
+    copies among 24 rows, in blocks of three, keep the greedy loop's rows
+    whichever blocks the copies and their originals fall in."""
+    rng = np.random.default_rng(seed)
+    rows = list(_unit_rows(rng.standard_normal((24, 4))))
+    for _ in range(int(rng.integers(1, 4))):
+        src = rows[int(rng.integers(len(rows)))]
+        rows.insert(int(rng.integers(len(rows) + 1)), _turned_copy(rng, src, rng.uniform(0.0, 0.9e-8)))
+    raw = np.array(rows)
+    with mock.patch("subindex.directions._GRAM_BLOCK_ENTRIES", 3 * raw.size):
+        ds = DirectionSet.from_vectors(raw)
+    unit = _unit_rows(raw)
+    np.testing.assert_array_equal(ds.directions, unit[_greedy_chord_reference(unit)])
+    assert len(ds) < len(unit)
+
+
 def _report_or_error(dirset: DirectionSet):
     try:
         return classification_report(dirset)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, nnls
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, HighsVarType, MatrixFormat, ObjSense
 from scipy.sparse import csc_array, vstack
 
 from subindex import lp
@@ -278,15 +278,30 @@ def test_csc_builders_match_scipy_sparse(entries, n):
             np.testing.assert_array_equal(got, want)
 
 
+def test_interior_weight_margin_is_none_only_off_the_affine_hull():
+    """The weights are free, so the margin is negative for a regular set
+    whose rows hold the origin in their affine hull: these three rows have
+    one affine representation of 0, and its least weight is the margin. e1
+    and e2 have none, and only such a set gives None."""
+    u = np.array([[1.0, 0.2], [0.8, -0.6], [0.9, 0.436]])
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    weights = np.linalg.solve(np.vstack([u.T, np.ones(3)]), [0.0, 0.0, 1.0])
+    assert lp.separation_margin(u) == pytest.approx(0.858, abs=1e-3)  # not critical
+    assert lp.interior_weight_margin(u) == pytest.approx(weights.min(), rel=1e-9)
+    assert weights.min() == pytest.approx(-8.27, abs=5e-3)
+    assert lp.interior_weight_margin(np.eye(2)) is None
+
+
 def _insert_interior_csc(u):
     """The interior LP's CSC arrays as the package built them before: the
-    transposed [U | 1] block's arrays with each column's -1 entry inserted."""
+    transposed [U | 1] block's arrays with each column's -1 entry inserted,
+    with the int32 indices HiGHS takes."""
     m = u.shape[0]
     start, index, value = lp._dense_csc(np.hstack([u, np.ones((m, 1))]).T)
     index = np.concatenate([np.insert(index + m, start[:-1], np.arange(m)), np.arange(m)])
     value = np.concatenate([np.insert(value, start[:-1], -1.0), np.ones(m)])
     start = np.append(start + np.arange(m + 1), start[-1] + 2 * m)
-    return start, index, value
+    return start.astype(np.int32), index.astype(np.int32), value
 
 
 @settings(deadline=None, max_examples=200)
@@ -425,13 +440,15 @@ def test_old_scipy_without_a_highs_file_fails_at_import_with_the_floor(tmp_path)
 
 class _ReportingHighs:
     """Stands in for HiGHS and reports a fixed status and solution; counts the
-    models passed and keeps the options set."""
+    models passed, as arrays, and keeps the options set."""
 
     def __init__(self, status, x, row_value):
         self.status, self.x, self.row_value = status, x, row_value
         self.passes, self.options = 0, {}
 
-    def passModel(self, model):
+    def passModel(self, num_col, num_row, num_nz, a_format, sense, offset, *arrays):
+        assert (num_col, num_row, num_nz, a_format, sense, offset) == (1, 2, 2, 1, 1, 0.0)
+        assert len(arrays) == 9 and arrays[-1].tolist() == [0]  # ..., value, integrality
         self.passes += 1
         return HighsStatus.kOk
 
@@ -448,11 +465,18 @@ class _ReportingHighs:
     def modelStatusToString(self, status):
         return str(status)
 
-    def getInfo(self):
-        return SimpleNamespace(objective_function_value=float(self.x[0]))
+    def getObjectiveValue(self):
+        return float(self.x[0])
 
     def getSolution(self):
         return SimpleNamespace(col_value=list(self.x), row_value=np.array(self.row_value))
+
+
+# One variable in [-1, 1] and the rows x <= 0.5, x = 1, as _solve takes them.
+_ONE_VARIABLE = (
+    np.ones(1), (np.array([0, 2]), np.array([0, 1]), np.ones(2)), 1,
+    np.array([0.5, 1.0]), np.full(1, -1.0), np.full(1, 1.0), "a test model",
+)
 
 
 @pytest.mark.parametrize(
@@ -475,21 +499,28 @@ def test_solve_keeps_the_front_ends_verdicts(monkeypatch, status, x, row_value, 
     once the model, passed again, gives it with presolve off too."""
     highs = _ReportingHighs(status, x, row_value)
     monkeypatch.setattr(lp, "_solver", lambda: highs)
-    model = (
-        np.ones(1), (np.array([0, 2]), np.array([0, 1]), np.ones(2)), 1,
-        np.array([0.5, 1.0]), np.full(1, -1.0), np.full(1, 1.0), "a test model",
-    )
     if isinstance(expected, type):
         with pytest.raises(expected):
-            lp._solve(*model)
+            lp._solve(*_ONE_VARIABLE)
     elif expected is None:
-        assert lp._solve(*model) is None
+        assert lp._solve(*_ONE_VARIABLE) is None
     else:
-        fun, solution = lp._solve(*model)
+        fun, solution = lp._solve(*_ONE_VARIABLE)
         assert (fun, solution.tolist()) == (0.5, [0.5])
     verdict = status in (HighsModelStatus.kOptimal, HighsModelStatus.kInfeasible)
     assert highs.passes == (1 if verdict else 2)
     assert highs.options == ({} if verdict else {"presolve": "on"})
+
+
+@pytest.mark.parametrize("fun, x", [(math.nan, [0.5]), (0.5, [math.nan])])
+def test_solve_refuses_a_nan_objective_or_value(monkeypatch, fun, x):
+    """A NaN fails every comparison of the post-solve check, so an optimal
+    status with a NaN objective or variable value is a solver failure."""
+    highs = _ReportingHighs(HighsModelStatus.kOptimal, x, [0.5, 1.0])
+    highs.getObjectiveValue = lambda: fun
+    monkeypatch.setattr(lp, "_solver", lambda: highs)
+    with pytest.raises(InternalInconsistencyError, match="misses the constraints"):
+        lp._solve(*_ONE_VARIABLE)
 
 
 # A reused solver against a fresh one. ``lp._solver`` keeps one HiGHS instance
@@ -570,6 +601,58 @@ def test_a_reused_solver_gives_the_bits_of_a_fresh_one(sets):
         fresh = [_solve_outcome(model) for model in models]
     assert reused == fresh
     assert None in reused and InternalInconsistencyError in reused
+
+
+def _as_loaded(model, small):
+    """The LP that ``_solve`` hands HiGHS for a recorded model, as HiGHS keeps
+    it: -inf below the <= rows, and without the matrix entries of magnitude at
+    most ``small_matrix_value`` (Gram entries of orthogonal rows, say), which
+    HiGHS drops when it loads any model."""
+    c, (start, index, value), n_ub, rhs, lb, ub, _ = model
+    lhs = rhs.copy()
+    lhs[:n_ub] = -np.inf
+    keep = np.abs(value) > small
+    return c, lb, ub, lhs, rhs, np.concatenate([[0], np.cumsum(keep)])[start], index[keep], value[keep]
+
+
+_LOADED = ("cost", "col lower", "col upper", "row lower", "row upper", "start", "index", "value")
+
+
+def _assert_each_lp_loads_what_it_built(u):
+    """After each LP function the thread's solver holds that function's model:
+    its arrays, colwise, minimised, no offset and every column continuous."""
+    highs = lp._solver()
+    small = highs.getOptionValue("small_matrix_value")[1]
+    for f in _LP_FUNCTIONS:
+        (model,) = _lp_models(u, [f])
+        c, a, rhs = model[0], model[1], model[3]
+        assert [v.dtype for v in a] == [np.int32, np.int32, np.float64], f.__name__
+        got = highs.getLp()
+        assert (got.num_col_, got.num_row_, got.a_matrix_.format_, got.sense_, got.offset_) == (
+            c.size, rhs.size, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0
+        )
+        assert list(got.integrality_) == [HighsVarType.kContinuous] * c.size
+        loaded = (
+            got.col_cost_, got.col_lower_, got.col_upper_, got.row_lower_, got.row_upper_,
+            got.a_matrix_.start_, got.a_matrix_.index_, got.a_matrix_.value_,
+        )
+        for name, have, want in zip(_LOADED, loaded, _as_loaded(model, small)):
+            np.testing.assert_array_equal(np.asarray(have), want, err_msg=f"{f.__name__}: {name}")
+
+
+@pytest.mark.parametrize("near_copy", [False, True])
+@pytest.mark.parametrize("kind", ["regular", "empty", "great_subsphere", "near_band", "boundary"])
+def test_each_lp_function_loads_the_model_it_built(kind, near_copy):
+    """Read back with ``getLp``, the loaded model is the built one, over
+    twelve seeded sets of each polar shape in dims 2-6."""
+    rng = np.random.default_rng([len(kind), int(near_copy)])
+    for i in range(12):
+        _assert_each_lp_loads_what_it_built(_direction_rows(rng, kind, 2 + i % 5, near_copy))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_each_lp_function_loads_the_model_it_built_at_the_torus_origin(dim):
+    _assert_each_lp_loads_what_it_built(TorusDistanceField(dim).up_set(np.zeros(dim)).directions)
 
 
 @pytest.mark.parametrize("seed, n", [(2773, 5), (1902, 6)])

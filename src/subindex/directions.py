@@ -10,9 +10,6 @@ import numpy as np
 # Two directions closer than this angle are treated as the same direction.
 DEDUP_ANGLE = 1e-8
 
-# How far a vector handed to the angle functions may be from unit length.
-UNIT_SLACK = 1e-6
-
 # How far a DirectionSet's input rows may be from unit length unless told otherwise.
 DEFAULT_TOLERANCE = 1e-9
 
@@ -72,33 +69,16 @@ def row_norms(a) -> np.ndarray:
     return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
 
 
-def _unit_rows(vs) -> np.ndarray:
-    """``vs`` as a 2d float array, checked to hold rows of unit length."""
-    vs = np.asarray(vs, dtype=float)
-    if vs.ndim != 2:
-        raise ValueError(f"expected a 2d stack of rows, got shape {vs.shape}")
-    norms = row_norms(vs)
-    bad = np.flatnonzero((norms < 1e-12) | (np.abs(norms - 1.0) > UNIT_SLACK))
-    if bad.size:
-        raise ValueError(f"row {bad[0]} is not unit length (|v| = {norms[bad[0]]})")
-    return vs
+def min_angles_to_set(vs: np.ndarray, dirset: DirectionSet) -> np.ndarray:
+    """Smallest angle from each row of a (k, dim) stack to a direction set.
 
-
-def min_angles_to_set(vs, dirset) -> np.ndarray:
-    """Smallest angle from each unit row of a (k, dim) stack to a nonempty set.
-
-    Each row gets its own matrix-vector product, so its angle does not depend
-    on the rows beside it. Dot products are clamped to [-1, 1] before arccos
-    so that roundoff never produces a NaN at nearly parallel or antipodal
-    inputs.
+    The caller passes unit rows. The products come from one einsum, which
+    forms each row's dot products on their own, so a row's angle does not
+    depend on the rows beside it (a gemm can round a row differently inside a
+    stack). Dot products are clamped to [-1, 1] before arccos so that
+    roundoff never produces a NaN at nearly parallel or antipodal inputs.
     """
-    directions = dirset.directions if isinstance(dirset, DirectionSet) else np.atleast_2d(np.asarray(dirset, float))
-    if directions.size == 0:
-        raise ValueError("direction set is empty")
-    vs = _unit_rows(vs)
-    if vs.shape[1] != directions.shape[1]:
-        raise ValueError(f"vs must have shape (k, {directions.shape[1]}), got {vs.shape}")
-    dots = np.clip(np.matmul(directions, vs[:, :, None])[:, :, 0], -1.0, 1.0)
+    dots = np.clip(np.einsum("ij,kj->ik", vs, dirset.directions), -1.0, 1.0)
     return np.arccos(dots).min(axis=1)
 
 

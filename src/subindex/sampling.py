@@ -1,8 +1,9 @@
-"""Deterministic sample meshes on round spheres, and the shared quadrature rule.
+"""Certified sample meshes on the circle and the 2-sphere, and the shared quadrature rule.
 
-Dimensions 1-3 use low-discrepancy constructions with known covering radii;
-higher dimensions fall back to a seeded random sample, which is fine for
-statistical oracles but carries no covering certificate.
+The meshes are deterministic, with known covering radii: equally spaced
+points on S^1 and the golden-angle lattice on S^2. The terminal-cap
+certificate of the cutoff flow samples them. The 64-node Gauss-Legendre rule
+is shared by the flow-time and index-form quadratures.
 """
 
 from __future__ import annotations
@@ -33,43 +34,24 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def sphere_samples(dim: int, count: int, seed: int = 0) -> np.ndarray:
-    """``count`` points on S^(dim-1) as rows of a (count, dim) array.
-
-    dim 1 returns both points of S^0 regardless of count.
-    """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+def sphere_samples(dim: int, count: int) -> np.ndarray:
+    """``count`` points on S^(dim-1) as rows of a (count, dim) array, for dim 2 or 3."""
     if count < 1:
         raise ValueError("count must be positive")
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
     if dim == 2:
         return circle_samples(count)
     if dim == 3:
         return fibonacci_sphere(count)
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(pts, axis=1)
-    # resample the (measure-zero) degenerate rows rather than dividing by ~0
-    bad = norms < 1e-12
-    while bad.any():
-        pts[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(pts, axis=1)
-        bad = norms < 1e-12
-    return pts / norms[:, None]
+    raise ValueError(f"no certified mesh for dim {dim}")
 
 
 def covering_bound(dim: int, count: int) -> float:
     """Upper bound on the covering radius of ``sphere_samples(dim, count)``.
 
-    Exact for dim <= 2. For dim 3 the Fibonacci lattice's covering radius is
+    Exact for dim 2. For dim 3 the Fibonacci lattice's covering radius is
     about 3.09/sqrt(count); the returned bound 2*sqrt(4*pi/count) is roughly
-    2.3x that and is checked empirically in the test suite. No bound is
-    available for the random fallback.
+    2.3x that and is checked empirically in the test suite.
     """
-    if dim == 1:
-        return 0.0
     if dim == 2:
         return math.pi / count
     if dim == 3:

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subindex.convexity import classification_report
@@ -23,24 +23,20 @@ from subindex.errors import SubindexError
 
 
 def test_angle_orthogonal_pair():
-    assert min_angles_to_set([[1.0, 0.0]], [0.0, 1.0])[0] == pytest.approx(math.pi / 2)
+    ds = DirectionSet.from_vectors([0.0, 1.0])
+    assert min_angles_to_set(np.array([[1.0, 0.0]]), ds)[0] == pytest.approx(math.pi / 2)
 
 
 def test_angle_clamps_rounding_noise():
     # nearly parallel unit vectors can push the inner product past 1.0
     v = np.array([0.6, 0.8])
     w = v / np.linalg.norm(v)
-    assert min_angles_to_set(v[None], w)[0] == 0.0
-
-
-def test_angle_rejects_non_unit():
-    with pytest.raises(ValueError):
-        min_angles_to_set([[2.0, 0.0]], [1.0, 0.0])
+    assert min_angles_to_set(v[None], DirectionSet.from_vectors(w))[0] == 0.0
 
 
 def test_angle_rejects_dim_mismatch():
     with pytest.raises(ValueError):
-        min_angles_to_set([[1.0, 0.0]], [1.0, 0.0, 0.0])
+        min_angles_to_set(np.array([[1.0, 0.0]]), DirectionSet.from_vectors([1.0, 0.0, 0.0]))
 
 
 def test_direction_set_dedups_near_duplicates():
@@ -248,9 +244,8 @@ def test_min_angle_to_set_basic():
     ds = DirectionSet.from_vectors(np.eye(3))
     v = np.array([0.0, 0.0, -1.0])
     assert min_angles_to_set(v[None], ds)[0] == pytest.approx(math.pi / 2)
-    assert min_angles_to_set(np.array([v, -v]), ds.directions).shape == (2,)
-    # a bare vector is a one-row set, as in DirectionSet
-    assert min_angles_to_set(v[None], [0.0, 1.0, 0.0])[0] == pytest.approx(math.pi / 2)
+    assert min_angles_to_set(np.array([v, -v]), ds).shape == (2,)
+    assert min_angles_to_set(v[None], DirectionSet.from_vectors([0.0, 1.0, 0.0]))[0] == pytest.approx(math.pi / 2)
 
 
 @settings(deadline=None, max_examples=60)
@@ -260,6 +255,7 @@ def test_min_angle_to_set_basic():
     m=st.integers(1, 8),
     k=st.integers(0, 40),
 )
+@example(seed=0, n=2, m=1, k=2)  # a gemm, vs @ D.T, rounds row 0 of this stack one ulp off
 def test_min_angles_to_set_matches_per_row_loop(seed: int, n: int, m: int, k: int):
     """The stacked angle check equals a loop of one-row calls bit for bit,
     rows normalized one at a time as flow-verify used to."""
@@ -274,10 +270,6 @@ def test_min_angles_to_set_matches_per_row_loop(seed: int, n: int, m: int, k: in
 
 def test_min_angles_to_set_checks_every_row():
     ds = DirectionSet.from_vectors(np.eye(2))
-    with pytest.raises(ValueError, match="row 1"):
-        min_angles_to_set(np.array([[1.0, 0.0], [2.0, 0.0]]), ds)
-    with pytest.raises(ValueError):
-        min_angles_to_set(np.array([[0.0, 0.0]]), ds)
     with pytest.raises(ValueError):
         min_angles_to_set(np.array([1.0, 0.0]), ds)
 
@@ -300,8 +292,8 @@ def test_transformed_preserves_pairwise_angles(seed: int, n: int, m: int):
     assert len(moved) == len(ds)
     for i in range(len(ds)):
         for j in range(i + 1, len(ds)):
-            before = min_angles_to_set(ds.directions[i : i + 1], ds.directions[j])[0]
-            after = min_angles_to_set(moved.directions[i : i + 1], moved.directions[j])[0]
+            before = min_angles_to_set(ds.directions[i : i + 1], DirectionSet.from_vectors(ds.directions[j]))[0]
+            after = min_angles_to_set(moved.directions[i : i + 1], DirectionSet.from_vectors(moved.directions[j]))[0]
             assert after == pytest.approx(before, abs=1e-9)
 
 

@@ -17,11 +17,14 @@ from oracles import (
     hinge_angle,
     join_angle_and_gradient,
     join_right_triangle_residuals,
+    min_angles_per_row,
     right_triangle_residuals,
+    sphere_samples,
 )
 from scipy.integrate import quad, solve_ivp
+from scipy.spatial import cKDTree
 
-from subindex import flows, lp
+from subindex import flows, lp, sampling
 from subindex.directions import DirectionSet, min_angles_to_set
 from subindex.errors import NotCriticalError, UnsupportedConfigurationError
 from subindex.flows import (
@@ -35,7 +38,7 @@ from subindex.flows import (
     perp_time,
     terminal_cap_angle_bound,
 )
-from subindex.sampling import circle_samples, covering_bound, fibonacci_sphere, sphere_samples
+from subindex.sampling import circle_samples, covering_bound, fibonacci_sphere
 
 CANONICAL = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
@@ -135,8 +138,9 @@ def test_distance_to_target_decreases_at_hinge_rate():
         hinge = hinge_angle(point, gamma4, _geodesic_step(point, grad, 1e-7))
         h = 1e-6
         moved = _geodesic_step(point, grad, h)
-        d0 = min_angles_to_set(point[None], gamma4)[0]
-        d1 = min_angles_to_set((moved / np.linalg.norm(moved))[None], gamma4)[0]
+        gamma_set = DirectionSet.from_vectors(gamma4)
+        d0 = min_angles_to_set(point[None], gamma_set)[0]
+        d1 = min_angles_to_set((moved / np.linalg.norm(moved))[None], gamma_set)[0]
         assert (d1 - d0) / h == pytest.approx(-math.cos(hinge), abs=1e-4)
 
 
@@ -626,6 +630,63 @@ def test_fibonacci_covering_bound_is_honest(seed: int):
     v /= np.linalg.norm(v)
     nearest = float(np.arccos(np.clip(mesh @ v, -1.0, 1.0)).min())
     assert nearest <= covering_bound(3, 4000)
+
+
+def test_fibonacci_covering_bound_holds_at_the_cap_count():
+    """The dim-3 cap samples 100,000 points; 200,000 random probes sit within
+    the declared covering radius of that mesh."""
+    mesh = sampling.sphere_samples(3, 100_000)
+    probes = np.random.default_rng(0).standard_normal((200_000, 3))
+    probes /= np.linalg.norm(probes, axis=1)[:, None]
+    chord = float(cKDTree(mesh).query(probes)[0].max())
+    assert 2.0 * math.asin(min(1.0, chord / 2.0)) <= covering_bound(3, 100_000)
+
+
+def test_only_the_certified_meshes_are_sampled(monkeypatch):
+    """The library samples S^1 and S^2 only; the cap certificate refuses other
+    dimensions before it samples."""
+    for dim in (1, 4):
+        with pytest.raises(ValueError):
+            sampling.sphere_samples(dim, 100)
+        with pytest.raises(ValueError):
+            covering_bound(dim, 100)
+    sampled = []
+    monkeypatch.setattr(flows, "sphere_samples", lambda *args: sampled.append(args))
+    canonical_4d = np.zeros((3, 4))
+    canonical_4d[:2, 0] = 1.0, -1.0
+    canonical_4d[2, 1] = 1.0
+    with pytest.raises(UnsupportedConfigurationError):
+        terminal_cap_angle_bound(DirectionSet.from_vectors(canonical_4d))
+    assert sampled == []
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("radius", [1e-3, 1.0, 1e100])
+@pytest.mark.parametrize("seed", range(4))
+def test_angle_kernel_matches_its_references_on_flow_verify_traffic(monkeypatch, dim, radius, seed):
+    """On the canonical cap and on flow_verify's arrivals the angle kernel
+    equals the product per row and the gemm it replaced, bit for bit, and the
+    report's cap bound and worst angle slack follow from the reference."""
+    calls = []
+    kernel = flows.min_angles_to_set
+
+    def recording(vs, dirset):
+        calls.append((vs, dirset))
+        return kernel(vs, dirset)
+
+    monkeypatch.setattr(flows, "min_angles_to_set", recording)
+    report, _ = flow_verify(dim, radius, 1000, seed=seed, trajectories=False)
+    (cap, aligned), (arrivals, arrival_set) = calls
+    assert arrival_set is aligned and cap.shape[0] > 0 and arrivals.shape == (1000, dim)
+    for vs in (cap, arrivals):
+        np.testing.assert_array_equal(kernel(vs, aligned), min_angles_per_row(vs, aligned))
+    gemm = np.arccos(np.clip(cap @ aligned.directions.T, -1.0, 1.0)).min(axis=1)
+    np.testing.assert_array_equal(kernel(cap, aligned), gemm)
+    mesh_slack = covering_bound(dim, 100_000 if dim == 3 else 20_000)
+    cap_bound = float(min_angles_per_row(cap, aligned).max()) + mesh_slack
+    assert report["angle_certificate"]["cap_bound"] == cap_bound
+    slack = float((cap_bound - min_angles_per_row(arrivals, aligned) + 1e-9).min())
+    assert report["suites"]["omega_angle"]["worst_slack"] == slack
 
 
 @pytest.mark.parametrize(

@@ -99,7 +99,7 @@ def _cmd_torus_classify(args):
     if point.shape[0] != args.dim:
         raise ValueError("--point must have --dim coordinates")
     base = None
-    if args.base:
+    if args.base is not None:
         base = [_parse_point(p) for p in args.base.split(";")]
         if any(b.shape[0] != args.dim for b in base):
             raise ValueError("base points must each have --dim coordinates")
@@ -227,16 +227,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args):
-    """Usage errors the parser misses: a non-finite float, a negative seed, or
-    an output path that cannot be written."""
+    """Usage errors the parser misses: a non-finite float, a negative seed, an
+    output path that cannot be written, or two output paths naming one file."""
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if getattr(args, "seed", 0) < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-    for path in (args.out, getattr(args, "emit_trajectories", None)):
-        if path is None:
-            continue
+    paths = [path for path in (args.out, getattr(args, "emit_trajectories", None)) if path is not None]
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ValueError(f"--out and --emit-trajectories name one file, {paths[0]!r}")
+    for path in paths:
         if not path or os.path.isdir(path):
             raise ValueError(f"output path {path!r} is empty or a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):

@@ -29,7 +29,8 @@ class UnsupportedConfigurationError(SubindexError):
 
 
 class NetHypothesisError(SubindexError):
-    """A direction set failed the covering-net hypothesis required by a flow bound."""
+    """A direction set failed the hypothesis of a flow bound: the terminal cap
+    bound reached pi/2, or a net does not cover its factor sphere."""
 
 
 class NoSolutionError(SubindexError):

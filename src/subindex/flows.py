@@ -3,11 +3,14 @@
 The linear flow y -> y - t*e1 together with a smooth radial cutoff pushes a
 ball B(0, R) into the cone of directions making angle >= some terminal bound
 with e1. All the quantitative bounds carry the constants sqrt(1/11)
-(terminal cosine) and R/sqrt(10) (drift length).
+(terminal cosine) and R/sqrt(10) (drift length). The bound on the angle from
+the terminal cap to a soul-aligned direction set is exact: its maximiser is
+one of finitely many candidate points, so nothing here samples the sphere.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +24,7 @@ from .errors import (
     NetHypothesisError,
     UnsupportedConfigurationError,
 )
-from .sampling import covering_bound, gauss_legendre, sphere_samples
+from .sampling import gauss_legendre
 
 COS_TERMINAL = -math.sqrt(1.0 / 11.0)
 _SHELL_PANELS = 4  # Gauss-Legendre panels per shell piece of the flow time
@@ -99,44 +102,90 @@ def align_soul(dirset: DirectionSet) -> tuple[np.ndarray, DirectionSet]:
     return q, dirset.transformed(q)
 
 
+# Most rows the cap bound takes: each triple of rows gives two candidates and
+# each candidate a row of angles, so memory grows as m^4. In dim 3 a
+# boundary-variant set took 0.35 s and 178 MB of peak RSS at 80 rows, 0.47 s
+# and 351 MB at 100, 2.7 s and 1.4 GB at 150 (2 vCPUs, py3.11, numpy 2.4).
+_MAX_CAP_ROWS = 80
+
+# Rounding allowance of the cap bound: the candidates and the angle at each are
+# exact up to a few ulps. On 600 boundary-variant sets in dims 2 and 3, no cap
+# point near the best candidate had a smallest angle 3.75 ulps above it.
+CAP_ALLOWANCE = 8 * math.ulp(1.0)
+
+
+def _cap_candidates(u: np.ndarray) -> np.ndarray:
+    """Points of the cap {z . e1 <= COS_TERMINAL} among which the smallest
+    angle to the rows of u takes its largest value over the cap.
+
+    A maximiser z is equidistant from its nearest rows I, and with r = 1 lies
+    on the rim z . e1 = COS_TERMINAL (r = 0 off it). These equations, of which
+    |I| + r <= dim are independent, cut out a round sphere F. On F, z is the
+    point farthest from I, or the angle is constant on F and z slides along F
+    to a larger I or to the rim, or all of F maximises and so do both ends of
+    an axis of it: the largest-empty-circle argument of Shamos and Hoey (1975)
+    and Toussaint (1983). In dim 3 these are the antipodes, the far pair
+    midpoints, the triple circumcentres, each row's farthest rim point and the
+    bisector-rim crossings. A degenerate I gives a NaN or a point off F; no
+    point of the cap exceeds the maximum, so only the points outside it, by
+    more than CAP_ALLOWANCE, are dropped.
+    """
+    m, n = u.shape
+    found = []
+    with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate I has no F
+        for size in range(1, n + 1):
+            rows = u[np.array(list(itertools.combinations(range(m), size)), np.intp).reshape(-1, size)]
+            equations = [(rows[:, j] - rows[:, 0], 0.0) for j in range(1, size)]
+            for rim in range(min(2, n + 1 - size)):
+                basis, p = [], np.zeros_like(rows[:, 0])
+                for a, b in equations + [(np.tile(np.eye(n)[0], (len(rows), 1)), COS_TERMINAL)] * rim:
+                    q = a - sum((a * e).sum(axis=1)[:, None] * e for e in basis)  # Gram-Schmidt
+                    norm = row_norms(q)
+                    basis.append(q / norm[:, None])
+                    p = p + ((b - (a * p).sum(axis=1)) / norm)[:, None] * basis[-1]  # least-norm solution
+                along = np.eye(n) - sum((e[:, :, None] * e[:, None, :] for e in basis), np.zeros((len(rows), n, n)))
+                radius = np.sqrt(np.maximum(1.0 - (p * p).sum(axis=1), 0.0))[:, None]
+                axis = along[np.arange(len(rows)), np.argmax((along * along).sum(axis=2), axis=1)]
+                axis *= radius / row_norms(axis)[:, None]  # the longest part of a basis vector along F
+                found += [p + axis, p - axis]
+                if len(basis) < n - 1:  # F is more than two points
+                    v = np.matmul(along, rows[:, 0, :, None])[:, :, 0]
+                    found.append(p - radius * v / row_norms(v)[:, None])
+        points = np.concatenate(found)
+        points /= row_norms(points)[:, None]
+        keep = np.isfinite(points).all(axis=1) & (points[:, 0] <= COS_TERMINAL + CAP_ALLOWANCE)
+    return points[keep]
+
+
 @dataclass(frozen=True)
 class CapAngleBound:
-    """Certified bound on angles from the terminal cap to a soul-aligned direction set."""
+    """Bound on angles from the terminal cap to a soul-aligned direction set."""
 
-    value: float  # the largest sampled angle plus mesh_slack
-    mesh_slack: float
+    value: float  # the largest smallest-angle over the cap, plus CAP_ALLOWANCE
     aligned: DirectionSet  # the input set after align_soul, soul at e1
 
 
 def terminal_cap_angle_bound(dirset: DirectionSet) -> CapAngleBound:
-    """Largest angle from the cap {z . e1 <= -sqrt(1/11)} to the aligned set, plus mesh slack.
+    """Largest angle from the cap {z . e1 <= -sqrt(1/11)} to the aligned set,
+    taken over :func:`_cap_candidates`, plus CAP_ALLOWANCE.
 
     The set is aligned first (soul at e1); the one classification that does
     this also refuses sets without the boundary variant. The aligned polar
     region sits inside the closed half-space z . e1 >= 0, the cap misses it,
-    and the bound is strictly below pi/2. The sample filter is dilated by the
-    mesh covering radius so that Lipschitz-1 continuity of the angle function
-    makes value an upper bound for the whole cap.
+    and the bound is strictly below pi/2.
     """
     if dirset.dim not in (2, 3):
-        raise UnsupportedConfigurationError(
-            "certified cap sampling is implemented for dimensions 2 and 3"
-        )
+        raise UnsupportedConfigurationError("the terminal-cap bound is implemented for dimensions 2 and 3")
+    if len(dirset) > _MAX_CAP_ROWS:
+        raise UnsupportedConfigurationError(f"{len(dirset)} directions, the cap bound's limit is {_MAX_CAP_ROWS}")
     _, aligned = align_soul(dirset)
-    mesh = sphere_samples(aligned.dim, 100_000 if aligned.dim == 3 else 20_000)
-    slack = covering_bound(aligned.dim, mesh.shape[0])
-    cap_radius = math.acos(-COS_TERMINAL)  # angular radius of the cap around -e1
-    dilated = math.cos(min(math.pi, cap_radius + slack))
-    cap = mesh[mesh[:, 0] <= -dilated]
-    if cap.shape[0] == 0:
-        raise InternalInconsistencyError("terminal cap sample is empty")
-    value = float(min_angles_to_set(cap, aligned).max()) + slack
+    value = float(min_angles_to_set(_cap_candidates(aligned.directions), aligned).max()) + CAP_ALLOWANCE
     if value >= math.pi / 2:
         raise NetHypothesisError(
             f"cap angle bound {value:.4f} is not below pi/2; "
             "the set does not cover its quarter sphere tightly enough"
         )
-    return CapAngleBound(value=value, mesh_slack=slack, aligned=aligned)
+    return CapAngleBound(value=value, aligned=aligned)
 
 
 # --------------------------------------------------------------------------
@@ -357,7 +406,7 @@ def flow_verify(dim: int, radius: float, samples: int, seed: int, trajectories: 
         away = norms > 1e-9
         angles = min_angles_to_set(arrivals[away] / norms[away, None], bound.aligned)
         record("omega_angle", bound.value - angles + 1e-9, 0.0)
-        angle_note = {"cap_bound": float(bound.value), "mesh_slack": float(bound.mesh_slack)}
+        angle_note = {"cap_bound": float(bound.value)}
     else:
         angle_note = {"skipped": "cap-angle certification covers dimensions 2 and 3"}
 

@@ -1,12 +1,13 @@
 """Reference routes and witnesses of paper steps that no report runs.
 
 The tests compare the library against these. The smallest-angle kernel has
-a product-per-row reference here. The seeded random sphere sample, which the
-oracles use above dimension 3 where the library has no certified mesh, lives
-here. The LP's criticality verdict has a sphere-scanning second route here,
-and the gradient-like property of the join direction, the spherical
-right-triangle identity and the first-order law of the torus distance are
-checked here, as no subcommand reports them.
+a product-per-row reference here. The sphere meshes live here: equally
+spaced points on S^1 and the golden-angle lattice on S^2, with known covering
+radii, and above dimension 3 a seeded random sample with none. The terminal
+cap bound has a sampled second route over them, and the LP's criticality
+verdict a sphere-scanning one. The gradient-like property of the join
+direction, the spherical right-triangle identity and the first-order law of
+the torus distance are checked here, as no subcommand reports them.
 
 Join coordinates on a round sphere split as S^p * S^q: every point off the
 two factor spheres is P = (X sin t, Y cos t) with X in S^p, Y in S^q and split
@@ -24,29 +25,82 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from subindex import sampling
 from subindex.directions import DirectionSet, min_angles_to_set, row_norms
 from subindex.errors import NetHypothesisError
-from subindex.sampling import covering_bound
+from subindex.flows import COS_TERMINAL
 from subindex.torus import TorusDistanceField, reduce_point
 
 BLOCK_TOL = 1e-6  # distance to a factor sphere below which splits are refused
 
 
+GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
+
+def circle_samples(count: int) -> np.ndarray:
+    """Equally spaced points on S^1, offset by half a step.
+
+    Covering radius is exactly pi/count.
+    """
+    theta = 2.0 * math.pi * (np.arange(count) + 0.5) / count
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+def fibonacci_sphere(count: int) -> np.ndarray:
+    """Golden-angle lattice on S^2."""
+    k = np.arange(count, dtype=float)
+    z = 1.0 - (2.0 * k + 1.0) / count
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = GOLDEN_ANGLE * k
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+def covering_bound(dim: int, count: int) -> float:
+    """Upper bound on the covering radius of ``sphere_samples(dim, count)``.
+
+    Exact for dim 2. For dim 3 the Fibonacci lattice's covering radius is
+    about 3.09/sqrt(count); the returned bound 2*sqrt(4*pi/count) is roughly
+    2.3x that and is checked empirically in the test suite.
+    """
+    if dim == 2:
+        return math.pi / count
+    if dim == 3:
+        return 2.0 * math.sqrt(4.0 * math.pi / count)
+    raise ValueError(f"no covering bound available for dim {dim}")
+
+
 def sphere_samples(dim: int, count: int, seed: int = 0) -> np.ndarray:
     """``count`` points on S^(dim-1) as rows of a (count, dim) array.
 
-    Dims 2 and 3 are the library's certified meshes, and ``seed`` does
-    nothing there; dim 1 gives both points of S^0 whatever the count. Above
-    dim 3 the rows of ``default_rng(seed).standard_normal``, normalised: fine
-    for statistical oracles, but with no covering certificate.
+    Dims 2 and 3 are the meshes above, and ``seed`` does nothing there; dim 1
+    gives both points of S^0 whatever the count. Above dim 3 the rows of
+    ``default_rng(seed).standard_normal``, normalised: fine for statistical
+    oracles, but with no covering certificate.
     """
-    if dim in (2, 3):
-        return sampling.sphere_samples(dim, count)
+    if dim == 2:
+        return circle_samples(count)
+    if dim == 3:
+        return fibonacci_sphere(count)
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     pts = np.random.default_rng(seed).standard_normal((count, dim))
     return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+def mesh_cap_bounds(dirset: DirectionSet) -> tuple[float, float]:
+    """The largest smallest-angle from the terminal cap {z . e1 <= -sqrt(1/11)}
+    to a set in dim 2 or 3, bracketed on the mesh.
+
+    The largest over the mesh points of the cap is a lower bound. The largest
+    over those of the cap dilated by the covering radius, plus that radius,
+    is an upper bound, as the angle to the set is 1-Lipschitz.
+    """
+    mesh = sphere_samples(dirset.dim, 100_000 if dirset.dim == 3 else 20_000)
+    slack = covering_bound(dirset.dim, mesh.shape[0])
+    angles = min_angles_to_set(mesh, dirset)
+    dilated = -math.cos(min(math.pi, math.acos(-COS_TERMINAL) + slack))
+    lower = angles[mesh[:, 0] <= COS_TERMINAL].max()
+    upper = angles[mesh[:, 0] <= dilated].max() + slack
+    return float(lower), float(upper)
 
 
 def min_angles_per_row(vs: np.ndarray, dirset: DirectionSet) -> np.ndarray:

@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 from oracles import (
+    circle_samples,
+    covering_bound,
     first_order_residual,
     gradient_like_check,
     join_right_triangle_residuals,
@@ -43,7 +45,6 @@ from subindex.jacobi import (
     index_form_quadrature,
     lagrange_wronskian,
 )
-from subindex.sampling import circle_samples, covering_bound
 from subindex.torus import TorusDistanceField
 
 

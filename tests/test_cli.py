@@ -357,6 +357,13 @@ def test_jacobi_verify_all_checks_pass(capsys):
         ["torus-classify", "--dim", "2", "--point", "0.1,0.2", "--base", "0.5,nan"],
         # halving from 0.2 reaches the width 3.7e-10, where the index-form routes part
         ["jacobi-index", "--curvature", "1", "--length", "3.141592653589793", "--eps-min", "3e-10"],
+        # an empty base is refused as " " and ";" are, not read as the centred base
+        ["torus-classify", "--dim", "2", "--point", "0.1,0.2", "--base", ""],
+        # the trajectories would overwrite the report: nothing is written
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5",
+         "--out", "{tmp}/r.json", "--emit-trajectories", "{tmp}/r.json"],
+        ["flow-verify", "--dim", "2", "--radius", "1", "--samples", "5",
+         "--out", "{tmp}/r.json", "--emit-trajectories", "{tmp}/./r.json"],
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, tmp_path, capsys):
@@ -895,7 +902,7 @@ def _commands(bad: bool):
         st.tuples(st.just("torus-table"), st.fixed_dictionaries({"--dim": integer(1, 3, -1, 3, "9", "12")})),
         st.integers(1, 3).flatmap(lambda dim: st.tuples(st.just("torus-classify"), st.fixed_dictionaries(
             {"--dim": st.just(str(dim)), "--point": point(dim)},
-            optional={"--base": point(dim)},
+            optional={"--base": st.one_of(point(dim), st.sampled_from(["", " ", ";"])) if bad else point(dim)},
         ))),
         st.tuples(st.just("torus-connectivity"), st.fixed_dictionaries({
             "--dim": integer(1, 3, 0, 3, "40"),
@@ -909,7 +916,8 @@ def _commands(bad: bool):
                 "--radius": number(0.05, 3.0, -1.0, 3.0),
                 "--samples": integer(1, 60, -1, 60, "800001", "2000000"),
             },
-            optional={"--emit-trajectories": st.just("{tmp}/t.csv")},
+            # the report's own path is refused, and leaves the report as it was
+            optional={"--emit-trajectories": st.sampled_from(["{tmp}/t.csv", "{tmp}/report.out"] if bad else ["{tmp}/t.csv"])},
         )),
         st.floats(0.2, 2.0).flatmap(lambda kappa: st.tuples(st.just("jacobi-index"), st.fixed_dictionaries(
             {"--curvature": st.just(repr(kappa)), "--length": st.just(repr(math.pi / math.sqrt(kappa)))}

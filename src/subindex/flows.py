@@ -18,12 +18,7 @@ import numpy as np
 
 from .convexity import PolarVariant, classify_polar_region
 from .directions import DirectionSet, min_angles_to_set, row_norms
-from .errors import (
-    IntegrationFailureError,
-    InternalInconsistencyError,
-    NetHypothesisError,
-    UnsupportedConfigurationError,
-)
+from .errors import IntegrationFailureError, InternalInconsistencyError, UnsupportedConfigurationError
 from .sampling import gauss_legendre
 
 COS_TERMINAL = -math.sqrt(1.0 / 11.0)
@@ -181,10 +176,8 @@ def terminal_cap_angle_bound(dirset: DirectionSet) -> CapAngleBound:
     _, aligned = align_soul(dirset)
     value = float(min_angles_to_set(_cap_candidates(aligned.directions), aligned).max()) + CAP_ALLOWANCE
     if value >= math.pi / 2:
-        raise NetHypothesisError(
-            f"cap angle bound {value:.4f} is not below pi/2; "
-            "the set does not cover its quarter sphere tightly enough"
-        )
+        # ruled out by the argument above (the soul LP holds the region in z . e1 >= -1e-9)
+        raise InternalInconsistencyError(f"cap angle bound {value:.4f} is not below pi/2 for an aligned set")
     return CapAngleBound(value=value, aligned=aligned)
 
 

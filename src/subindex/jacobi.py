@@ -101,11 +101,11 @@ class JacobiField:
 
     def value(self, t):
         """J(t), with shape ``np.shape(t) + (frame_dim,)``."""
-        return np.multiply.outer(cs(self.kappa, t), self.a) + np.multiply.outer(sn(self.kappa, t), self.b)
+        return _combine(cs(self.kappa, t), sn(self.kappa, t), self.a, self.b)
 
     def derivative(self, t):
         """J'(t), with shape ``np.shape(t) + (frame_dim,)``."""
-        return np.multiply.outer(-self.kappa * sn(self.kappa, t), self.a) + np.multiply.outer(cs(self.kappa, t), self.b)
+        return _combine(-self.kappa * sn(self.kappa, t), cs(self.kappa, t), self.a, self.b)
 
     @classmethod
     def from_two_point(cls, kappa: float, t0: float, v0, t1: float, v1) -> "JacobiField":
@@ -116,16 +116,57 @@ class JacobiField:
         """
         v0 = np.atleast_1d(np.asarray(v0, dtype=float))
         v1 = np.atleast_1d(np.asarray(v1, dtype=float))
-        c0, s0 = cs(kappa, t0), sn(kappa, t0)
-        c1, s1 = cs(kappa, t1), sn(kappa, t1)
-        det = c0 * s1 - s0 * c1
-        if abs(det) < 1e-12:
-            raise NoSolutionError(
-                f"parameters {t0} and {t1} are conjugate; no interpolating field"
-            )
-        a = (v0 * s1 - v1 * s0) / det
-        b = (c0 * v1 - c1 * v0) / det
-        return cls(kappa=kappa, a=a, b=b)
+        a, b, refusal = _two_point(kappa, np.array([t0], dtype=float), v0[None], np.array([t1], dtype=float), v1[None])
+        if refusal is not None:
+            raise refusal
+        return cls(kappa=kappa, a=a[0], b=b[0])
+
+
+def _combine(c, s, a, b):
+    """c a + s b with the frame axis last: c and s carry the shape of the
+    parameters, and a and b broadcast against it."""
+    return np.asarray(c)[..., None] * a + np.asarray(s)[..., None] * b
+
+
+def _dots(p, q):
+    """g(p, q) over the last axis, row by row, through the matmul that ``p @ q``
+    runs on one row; ``(p * q).sum(-1)`` rounds differently, as BLAS fuses
+    the multiply-adds."""
+    return np.matmul(p[..., None, :], q[..., :, None])[..., 0, 0]
+
+
+def _first(flags: np.ndarray) -> int:
+    """Index of the first true flag, or the number of flags when none is."""
+    return int(flags.argmax()) if flags.any() else flags.shape[0]
+
+
+def _two_point(kappa: float, t0: np.ndarray, v0: np.ndarray, t1: np.ndarray, v1: np.ndarray):
+    """:meth:`JacobiField.from_two_point` over rows: t0 and t1 of shape (n,), v0
+    and v1 of shape (n, frame_dim). Returns the coefficients a and b of the rows
+    before the first conjugate one, and that row's NoSolutionError (None when
+    no row is conjugate)."""
+    c0, s0, c1, s1 = cs(kappa, t0), sn(kappa, t0), cs(kappa, t1), sn(kappa, t1)
+    det = c0 * s1 - s0 * c1
+    n = _first(np.abs(det) < 1e-12)
+    refusal = None
+    if n < det.shape[0]:
+        refusal = NoSolutionError(f"parameters {t0[n]} and {t1[n]} are conjugate; no interpolating field")
+    c0, s0, c1, s1, det = (x[:n, None] for x in (c0, s0, c1, s1, det))
+    return (v0[:n] * s1 - v1[:n] * s0) / det, (c0 * v1[:n] - c1 * v0[:n]) / det, refusal
+
+
+def _joined(kappa: float, t0, v0, t1, v1, at, target):
+    """:func:`_two_point`, then the continuity test of :class:`PiecewiseJacobi`
+    on each interpolant: its value at ``at`` against ``target``. Returns the
+    coefficients of the rows before the first refused one, and that row's
+    error (None when no row is refused)."""
+    a, b, refusal = _two_point(kappa, t0, v0, t1, v1)
+    n = a.shape[0]
+    gap = _combine(cs(kappa, at[:n]), sn(kappa, at[:n]), a, b) - target[:n]
+    k = _first(np.sqrt(_dots(gap, gap)) > 1e-9)
+    if k < n:
+        return a[:k], b[:k], ValueError(f"field is discontinuous at breakpoint {at[k]}")
+    return a, b, refusal
 
 
 def solve_boundary_jacobi(geodesic: ModelGeodesic, w) -> JacobiField:
@@ -187,11 +228,14 @@ class PiecewiseJacobi:
 
     def pieces_at(self, ts) -> list:
         """The piece active at each parameter of ``ts``, the right one at a break."""
-        idx = np.clip(np.searchsorted(self.breaks, ts, side="right") - 1, 0, len(self.fields) - 1)
-        return [self.fields[i] for i in np.atleast_1d(idx)]
+        return [self.fields[i] for i in np.atleast_1d(_piece_index(self.breaks, ts))]
 
     def value(self, t: float) -> np.ndarray:
         return self.pieces_at(t)[0].value(t)
+
+
+def _piece_index(breaks: np.ndarray, ts):
+    return np.clip(np.searchsorted(breaks, ts, side="right") - 1, 0, breaks.shape[0] - 2)
 
 
 def _as_piecewise(v, geodesic: ModelGeodesic) -> PiecewiseJacobi:
@@ -200,36 +244,73 @@ def _as_piecewise(v, geodesic: ModelGeodesic) -> PiecewiseJacobi:
     return v
 
 
-def _aligned_pieces(v: PiecewiseJacobi, w: PiecewiseJacobi):
-    """Common refinement of the two partitions, with the active piece of each
-    field per refined interval."""
-    if (
-        abs(v.breaks[0] - w.breaks[0]) > 1e-12
-        or abs(v.breaks[-1] - w.breaks[-1]) > 1e-12
-    ):
+def _refinement(v_breaks: np.ndarray, w_breaks: np.ndarray):
+    """Common refinement of two partitions, with cuts closer than 1e-12 merged:
+    the ends t0 and t1 of its intervals and the index of the active piece of
+    each field on each."""
+    if abs(v_breaks[0] - w_breaks[0]) > 1e-12 or abs(v_breaks[-1] - w_breaks[-1]) > 1e-12:
         raise ValueError("fields must share their parameter interval")
-    cuts = np.union1d(v.breaks, w.breaks)
+    cuts = np.union1d(v_breaks, w_breaks)
     merged = [float(cuts[0])]
     for c in cuts[1:]:
         if float(c) - merged[-1] > 1e-12:
             merged.append(float(c))
-    mids = 0.5 * (np.array(merged[:-1]) + np.array(merged[1:]))
-    return zip(merged[:-1], merged[1:], v.pieces_at(mids), w.pieces_at(mids))
+    ends = np.array(merged)
+    mids = 0.5 * (ends[:-1] + ends[1:])
+    return ends[:-1], ends[1:], _piece_index(v_breaks, mids), _piece_index(w_breaks, mids)
+
+
+def _pair_rows(kappa: float, v: PiecewiseJacobi, w: PiecewiseJacobi):
+    """The arguments of :func:`_index_form_routes` for one pair of fields."""
+    if v.kappa != kappa or w.kappa != kappa:
+        raise ValueError("field curvature does not match the geodesic")
+    t0, t1, iv, iw = _refinement(v.breaks, w.breaks)
+    coefficients = [
+        np.array([getattr(f, name) for f in field.fields])[pieces]
+        for field, pieces in ((v, iv), (w, iw))
+        for name in ("a", "b")
+    ]
+    return (t0, t1, *coefficients, [t0.shape[0]])
+
+
+def _index_form_routes(kappa: float, t0, t1, av, bv, aw, bw, counts) -> tuple[list, list]:
+    """Both routes of the index form I(V, W) for a stack of field pairs.
+
+    Row r of t0 and t1 (shape (n,)) and of av, bv, aw, bw (shape
+    (n, frame_dim)) is one interval of a pair's common refinement, with the
+    coefficients of the pieces of V and W there; the pairs take ``counts``
+    rows each, in turn. Returns each pair's quadrature value, one fsum over
+    the 64 Gauss-Legendre terms of g(V', W') - kappa g(V, W) on each of its
+    intervals, and its boundary value, one fsum over the terms g(V', W) at
+    the two ends of each. Every value has the bits of a pair evaluated alone.
+    """
+    x, wq = gauss_legendre()
+    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    ts = mid[:, None] + half[:, None] * x
+    c, s = cs(kappa, ts), sn(kappa, ts)
+    ds = -kappa * s
+    v, w = (av[:, None], bv[:, None]), (aw[:, None], bw[:, None])
+    integrand = (_combine(ds, c, *v) * _combine(ds, c, *w)).sum(axis=-1) - kappa * (
+        _combine(c, s, *v) * _combine(c, s, *w)
+    ).sum(axis=-1)
+    quad_terms = half[:, None] * wq * integrand
+    ends = []
+    for t in (t1, t0):
+        c, s = cs(kappa, t), sn(kappa, t)
+        ends.append(_dots(_combine(-kappa * s, c, av, bv), _combine(c, s, aw, bw)))
+    bdry_terms = np.column_stack([ends[0], -ends[1]])
+    cuts = np.cumsum([0, *counts]).tolist()
+    spans = list(zip(cuts[:-1], cuts[1:]))
+    return (
+        [math.fsum(quad_terms[i:j].ravel().tolist()) for i, j in spans],
+        [math.fsum(bdry_terms[i:j].ravel().tolist()) for i, j in spans],
+    )
 
 
 def index_form_quadrature(geodesic: ModelGeodesic, v: PiecewiseJacobi, w: PiecewiseJacobi) -> float:
     """64-node Gauss-Legendre evaluation of int g(V', W') - kappa g(V, W) dt per piece."""
-    x, wq = gauss_legendre()
     kappa = geodesic.curvature
-    total = []
-    for t0, t1, fv, fw in _aligned_pieces(v, w):
-        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        ts = mid + half * x
-        integrand = (fv.derivative(ts) * fw.derivative(ts)).sum(axis=1) - kappa * (
-            fv.value(ts) * fw.value(ts)
-        ).sum(axis=1)
-        total.extend((half * wq * integrand).tolist())
-    return math.fsum(total)
+    return _index_form_routes(kappa, *_pair_rows(kappa, v, w))[0][0]
 
 
 def index_form_boundary(v: PiecewiseJacobi, w: PiecewiseJacobi) -> float:
@@ -239,25 +320,13 @@ def index_form_boundary(v: PiecewiseJacobi, w: PiecewiseJacobi) -> float:
     integrating g(V', W') - kappa g(V, W) by parts leaves only the endpoint
     terms.
     """
-    terms = []
-    for t0, t1, fv, fw in _aligned_pieces(v, w):
-        terms.append(float(fv.derivative(t1) @ fw.value(t1)))
-        terms.append(-float(fv.derivative(t0) @ fw.value(t0)))
-    return math.fsum(terms)
+    return _index_form_routes(v.kappa, *_pair_rows(v.kappa, v, w))[1][0]
 
 
-def index_form(geodesic: ModelGeodesic, v, w) -> float:
-    """Index form I(V, W), computed by quadrature and by boundary terms.
-
-    The routes must agree by the ROUTE_ATOL / ROUTE_RTOL rule; disagreement raises, since it
-    would mean either a broken piece solution or broken quadrature.
-    """
-    v = _as_piecewise(v, geodesic)
-    w = _as_piecewise(w, geodesic)
-    if v.kappa != geodesic.curvature or w.kappa != geodesic.curvature:
-        raise ValueError("field curvature does not match the geodesic")
-    quad = index_form_quadrature(geodesic, v, w)
-    bdry = index_form_boundary(v, w)
+def _routes_agree(quad: float, bdry: float) -> float:
+    """The boundary value, once the quadrature meets it by the ROUTE_ATOL /
+    ROUTE_RTOL rule; disagreement raises, since it would mean either a broken
+    piece solution or broken quadrature."""
     if abs(quad - bdry) > ROUTE_ATOL + ROUTE_RTOL * abs(bdry):
         raise InternalInconsistencyError(
             f"index form routes disagree: quadrature {quad!r} vs boundary {bdry!r}"
@@ -265,9 +334,30 @@ def index_form(geodesic: ModelGeodesic, v, w) -> float:
     return bdry
 
 
+def index_form(geodesic: ModelGeodesic, v, w) -> float:
+    """Index form I(V, W), computed by quadrature and by boundary terms, which
+    must agree by the ROUTE_ATOL / ROUTE_RTOL rule."""
+    kappa = geodesic.curvature
+    v, w = _as_piecewise(v, geodesic), _as_piecewise(w, geodesic)
+    (quad,), (bdry,) = _index_form_routes(kappa, *_pair_rows(kappa, v, w))
+    return _routes_agree(quad, bdry)
+
+
 def lagrange_wronskian(p: JacobiField, n: JacobiField, t) -> float | np.ndarray:
     """g(P, N') - g(P', N); constant in t for any two Jacobi fields."""
-    return (p.value(t) * n.derivative(t)).sum(axis=-1) - (p.derivative(t) * n.value(t)).sum(axis=-1)
+    if p.kappa != n.kappa:
+        raise ValueError("fields must share one curvature")
+    return _wronskian(p.kappa, p.a, p.b, n.a, n.b, t)
+
+
+def _wronskian(kappa: float, ap, bp, an, bn, t):
+    """:func:`lagrange_wronskian` on coefficients that broadcast against the
+    shape of t, so a stack of pairs goes in one call."""
+    c, s = cs(kappa, t), sn(kappa, t)
+    ds = -kappa * s
+    return (_combine(c, s, ap, bp) * _combine(ds, c, an, bn)).sum(axis=-1) - (
+        _combine(ds, c, ap, bp) * _combine(c, s, an, bn)
+    ).sum(axis=-1)
 
 
 def vanishing_family(geodesic: ModelGeodesic) -> list[JacobiField]:
@@ -314,28 +404,69 @@ def cutoff_field(geodesic: ModelGeodesic, w, eps: float) -> PiecewiseJacobi:
     1/|J(eps)|; on [0, eps] it is the Jacobi field interpolating w at 0 and
     J(eps)/|J(eps)| at eps. The junction is continuous by construction.
     """
+    head_a, head_b, tail_b, refusal = _cutoff_stack(geodesic, w, [eps])
+    if refusal is not None:
+        raise refusal
+    kappa = geodesic.curvature
+    head = JacobiField(kappa=kappa, a=head_a[0], b=head_b[0])
+    kernel_scaled = JacobiField(kappa=kappa, a=np.zeros_like(tail_b[0]), b=tail_b[0])
+    return PiecewiseJacobi(breaks=np.array([0.0, eps, geodesic.length]), fields=(head, kernel_scaled))
+
+
+def _cutoff_stack(geodesic: ModelGeodesic, w, eps):
+    """The cutoff fields of the widths ``eps`` together: their head
+    coefficients a and b and their tail coefficients b, up to the first width
+    that :func:`cutoff_field` refuses, and that refusal (None when no width is
+    refused)."""
     _require_first_conjugate(geodesic)
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if w.shape[0] != geodesic.frame_dim:
         raise ValueError("w must have the frame dimension")
     if abs(np.linalg.norm(w) - 1.0) > 1e-6:
         raise ValueError("w must be a unit frame vector")
-    if not 0 < eps < geodesic.length / 2:
-        raise ValueError("eps must lie in (0, length/2)")
     kappa = geodesic.curvature
-    s_eps = sn(kappa, eps)
-    kernel_scaled = JacobiField(kappa=kappa, a=np.zeros_like(w), b=w / s_eps)
-    junction = kernel_scaled.value(eps)  # equals w up to rounding
-    head = JacobiField.from_two_point(kappa, 0.0, w, eps, junction)
-    return PiecewiseJacobi(
-        breaks=np.array([0.0, eps, geodesic.length]), fields=(head, kernel_scaled)
-    )
+    eps = np.asarray(eps, dtype=float)
+    n = _first(~((0 < eps) & (eps < geodesic.length / 2)))
+    widths = eps[:n]
+    s_eps = sn(kappa, widths)
+    # only a width whose sn is below 1e-12 can overflow here, and the head's
+    # interpolation refuses it as conjugate
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tail_b = w / s_eps[:, None]
+        junction = _combine(cs(kappa, widths), s_eps, np.zeros_like(w), tail_b)
+    starts = np.broadcast_to(w, junction.shape)
+    head_a, head_b, refusal = _joined(kappa, np.zeros(n), starts, widths, junction, widths, junction)
+    if refusal is None and n < eps.shape[0]:
+        refusal = ValueError("eps must lie in (0, length/2)")
+    return head_a, head_b, tail_b[: head_a.shape[0]], refusal
 
 
 def index_divergence(geodesic: ModelGeodesic, w, eps_values) -> np.ndarray:
-    """I(V_eps, V_eps) for each eps; diverges to -infinity as eps -> 0."""
-    fields = (cutoff_field(geodesic, w, float(eps)) for eps in eps_values)
-    return np.array([index_form(geodesic, v, v) for v in fields])
+    """I(V_eps, V_eps) for each eps; diverges to -infinity as eps -> 0.
+
+    The cutoff fields of all widths are built together and evaluated in one
+    kernel call. The routes are then held to the ROUTE_ATOL / ROUTE_RTOL rule
+    width by width, so the error raised is that of the first width that
+    :func:`cutoff_field` or :func:`index_form` refuses.
+    """
+    eps = [float(e) for e in eps_values]
+    if not eps:  # no field is built, so neither the geodesic nor w is checked
+        return np.array([])
+    head_a, head_b, tail_b, refusal = _cutoff_stack(geodesic, w, eps)
+    rows = []
+    for width, ha, hb, tb in zip(eps, head_a, head_b, tail_b):
+        breaks = np.array([0.0, width, geodesic.length])
+        t0, t1, pieces, _ = _refinement(breaks, breaks)
+        rows.append((t0, t1, np.array([ha, np.zeros_like(tb)])[pieces], np.array([hb, tb])[pieces]))
+    values = []
+    if rows:
+        t0, t1, a, b = (np.concatenate(column) for column in zip(*rows))
+        counts = [row[0].shape[0] for row in rows]
+        quad, bdry = _index_form_routes(geodesic.curvature, t0, t1, a, b, a, b, counts)
+        values = [_routes_agree(q, v) for q, v in zip(quad, bdry)]
+    if refusal is not None:
+        raise refusal
+    return np.array(values)
 
 
 def boundary_norm_bound(geodesic: ModelGeodesic) -> float:
@@ -414,10 +545,27 @@ def second_variation_check(kappa: float, c0: float, theta: float) -> tuple[Secon
 # --------------------------------------------------------------------------
 
 
-def _random_piecewise(rng: np.random.Generator, kappa: float, brk: float, length: float):
-    f0 = JacobiField(kappa=kappa, a=rng.standard_normal(2), b=rng.standard_normal(2))
-    f1 = JacobiField.from_two_point(kappa, brk, f0.value(brk), length, rng.standard_normal(2))
-    return PiecewiseJacobi(breaks=np.array([0.0, brk, length]), fields=(f0, f1))
+def _random_pairs(kappa: float, brks: np.ndarray, draws: np.ndarray, length: float):
+    """The arguments of :func:`_index_form_routes` for pairs (V, W) of
+    two-piece fields on [0, length], both fields of pair i broken at brks[i].
+    Each field takes six of its pair's twelve ``draws``: its head's a and b,
+    then the value at ``length`` that its tail interpolates from the head's
+    value at the break."""
+    a, b, end = draws.reshape(-1, 3, 2).transpose(1, 0, 2)  # the rows alternate V and W
+    at = np.repeat(brks, 2)
+    joint = _combine(cs(kappa, at), sn(kappa, at), a, b)
+    tail_a, tail_b, refusal = _joined(kappa, at, joint, np.full_like(at, length), end, at, joint)
+    if refusal is not None:
+        raise refusal
+    # the shared breaks are the pair's refinement: the heads on [0, brk], then the tails
+    t0 = np.column_stack([np.zeros_like(brks), brks]).ravel()
+    t1 = np.column_stack([brks, np.full_like(brks, length)]).ravel()
+    coefficients = [
+        np.stack([head[k::2], tail[k::2]], axis=1).reshape(-1, 2)
+        for k in (0, 1)
+        for head, tail in ((a, tail_a), (b, tail_b))
+    ]
+    return (t0, t1, *coefficients, [2] * brks.shape[0])
 
 
 def invariant_checks(seed: int) -> list[dict]:
@@ -457,11 +605,11 @@ def invariant_checks(seed: int) -> list[dict]:
 
     worst = 0.0
     for kappa in (-1.0, 0.0, 1.0):
-        for _ in range(20):
-            p = JacobiField(kappa=kappa, a=rng.standard_normal(2), b=rng.standard_normal(2))
-            n = JacobiField(kappa=kappa, a=rng.standard_normal(2), b=rng.standard_normal(2))
-            vals = lagrange_wronskian(p, n, np.linspace(0, 2.5, 11))
-            worst = max(worst, float(np.ptp(vals)))
+        # 20 pairs (P, N), each drawn as P.a, P.b, N.a, N.b
+        coefficients = rng.standard_normal((20, 4, 1, 2)).transpose(1, 0, 2, 3)
+        vals = _wronskian(kappa, *coefficients, np.linspace(0, 2.5, 11))
+        for spread in np.ptp(vals, axis=-1).tolist():
+            worst = max(worst, spread)
     add("lagrange_identity_constant", worst < 1e-10, f"max wronskian spread: {worst:.3e}")
 
     conj = ModelGeodesic(1.0, math.pi, 3)
@@ -475,14 +623,13 @@ def invariant_checks(seed: int) -> list[dict]:
 
     worst = 0.0
     for kappa in (-1.0, 0.0, 1.0):
-        geo = ModelGeodesic(kappa, 2.0, 2)
-        for _ in range(25):
-            brk = float(rng.uniform(0.4, 1.6))
-            v = _random_piecewise(rng, kappa, brk, 2.0)
-            w = _random_piecewise(rng, kappa, brk, 2.0)
-            quad = index_form_quadrature(geo, v, w)
-            bdry = index_form_boundary(v, w)
-            worst = max(worst, abs(quad - bdry))
+        brks, draws = np.empty(25), np.empty((25, 12))
+        for i in range(25):
+            brks[i] = rng.uniform(0.4, 1.6)
+            draws[i] = rng.standard_normal(12)
+        quad, bdry = _index_form_routes(kappa, *_random_pairs(kappa, brks, draws, 2.0))
+        for q, b in zip(quad, bdry):
+            worst = max(worst, abs(q - b))
     add("index_form_cross_check", worst < ROUTE_ATOL, f"max route disagreement: {worst:.3e}")
 
     geo_pi = ModelGeodesic(1.0, math.pi, 1)

@@ -7,7 +7,11 @@ radii, and above dimension 3 a seeded random sample with none. The terminal
 cap bound has a sampled second route over them, and the LP's criticality
 verdict a sphere-scanning one. The gradient-like property of the join
 direction, the spherical right-triangle identity and the first-order law of
-the torus distance are checked here, as no subcommand reports them.
+the torus distance are checked here, as no subcommand reports them. The
+index form has its per-field routes here: quadrature and boundary terms one
+refined piece and one JacobiField at a time, and the divergence of the
+cutoff field one width at a time, against which the library's stacked kernel
+is held bit for bit.
 
 Join coordinates on a round sphere split as S^p * S^q: every point off the
 two factor spheres is P = (X sin t, Y cos t) with X in S^p, Y in S^q and split
@@ -26,9 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from subindex.directions import DirectionSet, min_angles_to_set, row_norms
-from subindex.errors import NetHypothesisError
+from subindex.errors import InternalInconsistencyError, NoSolutionError, SubindexError
 from subindex.flows import COS_TERMINAL
+from subindex.jacobi import ROUTE_ATOL, ROUTE_RTOL, JacobiField, ModelGeodesic, PiecewiseJacobi, sn
+from subindex.sampling import gauss_legendre
 from subindex.torus import TorusDistanceField, reduce_point
+
+
+class NetHypothesisError(SubindexError):
+    """A net does not cover its factor sphere, the hypothesis of the
+    gradient-like check."""
+
 
 BLOCK_TOL = 1e-6  # distance to a factor sphere below which splits are refused
 
@@ -335,3 +347,85 @@ def first_order_residual(
     dists = torus.distance_many(points)
     model = c0 - ts * cos_a
     return float(np.max(np.abs(dists - model) / ts**2))
+
+
+# --------------------------------------------------------------------------
+# the index form field by field and piece by piece
+# --------------------------------------------------------------------------
+
+
+def aligned_pieces(v: PiecewiseJacobi, w: PiecewiseJacobi):
+    """Common refinement of the two partitions, with the active piece of each
+    field per refined interval."""
+    if (
+        abs(v.breaks[0] - w.breaks[0]) > 1e-12
+        or abs(v.breaks[-1] - w.breaks[-1]) > 1e-12
+    ):
+        raise ValueError("fields must share their parameter interval")
+    cuts = np.union1d(v.breaks, w.breaks)
+    merged = [float(cuts[0])]
+    for c in cuts[1:]:
+        if float(c) - merged[-1] > 1e-12:
+            merged.append(float(c))
+    mids = 0.5 * (np.array(merged[:-1]) + np.array(merged[1:]))
+    return zip(merged[:-1], merged[1:], v.pieces_at(mids), w.pieces_at(mids))
+
+
+def index_form_quadrature_per_piece(geodesic: ModelGeodesic, v: PiecewiseJacobi, w: PiecewiseJacobi) -> float:
+    """64-node Gauss-Legendre evaluation of int g(V', W') - kappa g(V, W) dt,
+    one piece and one JacobiField at a time."""
+    x, wq = gauss_legendre()
+    kappa = geodesic.curvature
+    total = []
+    for t0, t1, fv, fw in aligned_pieces(v, w):
+        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+        ts = mid + half * x
+        integrand = (fv.derivative(ts) * fw.derivative(ts)).sum(axis=1) - kappa * (
+            fv.value(ts) * fw.value(ts)
+        ).sum(axis=1)
+        total.extend((half * wq * integrand).tolist())
+    return math.fsum(total)
+
+
+def index_form_boundary_per_piece(v: PiecewiseJacobi, w: PiecewiseJacobi) -> float:
+    """The boundary terms [g(V', W)] at the ends of each refined piece, one
+    JacobiField at a time."""
+    terms = []
+    for t0, t1, fv, fw in aligned_pieces(v, w):
+        terms.append(float(fv.derivative(t1) @ fw.value(t1)))
+        terms.append(-float(fv.derivative(t0) @ fw.value(t0)))
+    return math.fsum(terms)
+
+
+def cutoff_field_per_width(geodesic: ModelGeodesic, w, eps: float) -> PiecewiseJacobi:
+    """The cutoff field of one width, built from a JacobiField per piece:
+    the kernel field w sn / sn(eps) on [eps, length] and the field that
+    interpolates w at 0 and the kernel field's value at eps."""
+    kappa, length = geodesic.curvature, geodesic.length
+    if kappa <= 0 or abs(length - math.pi / math.sqrt(kappa)) > 1e-9 or not geodesic.endpoint_conjugate():
+        raise NoSolutionError("cutoff construction needs the endpoint at the first conjugate time pi / sqrt(curvature)")
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    if w.shape[0] != geodesic.frame_dim:
+        raise ValueError("w must have the frame dimension")
+    if abs(np.linalg.norm(w) - 1.0) > 1e-6:
+        raise ValueError("w must be a unit frame vector")
+    if not 0 < eps < length / 2:
+        raise ValueError("eps must lie in (0, length/2)")
+    kernel_scaled = JacobiField(kappa=kappa, a=np.zeros_like(w), b=w / sn(kappa, eps))
+    head = JacobiField.from_two_point(kappa, 0.0, w, eps, kernel_scaled.value(eps))
+    return PiecewiseJacobi(breaks=np.array([0.0, eps, length]), fields=(head, kernel_scaled))
+
+
+def index_divergence_per_width(geodesic: ModelGeodesic, w, eps_values) -> np.ndarray:
+    """I(V_eps, V_eps) width by width: build one cutoff field, evaluate both
+    routes piece by piece, hold them to the ROUTE_ATOL / ROUTE_RTOL rule, and
+    go on to the next width."""
+    values = []
+    for eps in eps_values:
+        v = cutoff_field_per_width(geodesic, w, float(eps))
+        quad = index_form_quadrature_per_piece(geodesic, v, v)
+        bdry = index_form_boundary_per_piece(v, v)
+        if abs(quad - bdry) > ROUTE_ATOL + ROUTE_RTOL * abs(bdry):
+            raise InternalInconsistencyError(f"index form routes disagree: quadrature {quad!r} vs boundary {bdry!r}")
+        values.append(bdry)
+    return np.array(values)

@@ -686,6 +686,12 @@ _REACHED_FROM_OUTSIDE = {
     "directions.DirectionSet.to_json": "writes the classify input format that from_json reads back",
     "convexity.sub_index": "the README's one-call API for the paper's invariant",
     "flows.BumpProfile.__call__": "the public cutoff profile f, whose reciprocal the flow integrates",
+    # the suites and index_divergence run the stacked forms of these
+    "jacobi.JacobiField.from_two_point": "the public one-row form of _two_point",
+    "jacobi.index_form": "the public one-pair form of the index-form kernel, with the route check",
+    "jacobi.index_form_quadrature": "the public one-pair quadrature route; the benchmark's tracer binds it",
+    "jacobi.index_form_boundary": "the public one-pair boundary route; the benchmark's tracer binds it",
+    "jacobi.lagrange_wronskian": "the public one-pair form of _wronskian",
 }
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import math
 import signal
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -25,12 +26,12 @@ from oracles import (
     right_triangle_residuals,
     sphere_samples,
 )
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import IntegrationWarning, quad, solve_ivp
 from scipy.spatial import cKDTree
 
 from subindex import flows, lp
 from subindex.directions import DirectionSet, min_angles_to_set, row_norms
-from subindex.errors import NotCriticalError, UnsupportedConfigurationError
+from subindex.errors import InternalInconsistencyError, NotCriticalError, UnsupportedConfigurationError
 from subindex.flows import (
     CAP_ALLOWANCE,
     COS_TERMINAL,
@@ -165,7 +166,7 @@ def test_gradient_like_check_fine_circle_net():
 
 
 def test_gradient_like_check_rejects_sparse_net():
-    from subindex.errors import NetHypothesisError
+    from oracles import NetHypothesisError
 
     sparse = DirectionSet.from_vectors(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(NetHypothesisError):
@@ -367,15 +368,28 @@ def _inverse_rate(r: float, radius: float) -> float:
 )
 # a shell-to-core segment on which DOP853 at rtol 1e-9, atol 1e-10 is 1.33e-6 off in time
 @example(seed=2991, n=2, radius=1.6968599341166142, scale=1.6266230908465225)
+# near 2R x0 moves 2 ulps in the time 0.054, where quad warned and its value went unchecked
+@example(seed=1108358225, n=4, radius=0.13631573368487418, scale=1.8607545698142527)
+# at R 1e-3 the start sits on the layer where 1/f climbs from 1 to 2, which quad missed
+@example(seed=0, n=2, radius=0.001, scale=1.75)
 def test_shell_flow_matches_quadrature_oracle(seed: int, n: int, radius: float, scale: float):
     """Second route for the flow in the cutoff shell 1.5R <= |y| < 2R.
 
     x0 falls at rate f(sqrt(x0^2 + rho^2)), so the time to reach x0(t) from
-    y0 is the integral of 1/f(sqrt(s^2 + rho^2)) over [x0(t), y0]; it is split
-    where the segment crosses the core sphere, as a shell piece can be far
-    shorter than the segment. x0 itself is exact only to a few ulps of R,
-    which is worth 1/f(x0) times as much time: near 2R, where f underflows,
-    the flow cannot move x0 at all.
+    y0 is the integral of 1/f(sqrt(s^2 + rho^2)) over [x0(t), y0]. x0 itself
+    is exact only to a few ulps of R, which is worth 1/f(x0) times as much
+    time: near 2R, where f underflows, the flow cannot move x0 at all.
+
+    quad is split where the segment crosses the core sphere, as a shell piece
+    can be far shorter than the segment, and the spheres on which the exponent
+    1/(2R - r) - 1/(r - 1.5R) of 1/f - 1 is 0, +-2, ..., +-32. That exponent
+    scales as 1/R, so at small R 1/f climbs from 1 to 2 in a layer near
+    r = 1.75R, which quad missed at an end of the segment (at seed 0, n 2,
+    R 1e-3, scale 1.75 it came out 4.5e-8 short, with no warning). quad
+    cannot split a segment only a few hundred floats long either, and warns
+    there (seen up to 240 eps R), so a warning fails the test, no split falls
+    within 4096 eps R of an end, and a shorter segment takes the trapezoid of
+    its end values: on segments 16 times as long that met quad within 5e-13.
     """
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(n)
@@ -386,14 +400,25 @@ def test_shell_flow_matches_quadrature_oracle(seed: int, n: int, radius: float, 
     assert np.array_equal(pts[:, 1:], np.tile(y[1:], (ts.size, 1)))
     assert np.all(np.diff(pts[:, 0]) <= 0)
     rho = float(np.linalg.norm(y[1:]))
-    core = math.sqrt(max((1.5 * radius) ** 2 - rho**2, 0.0))
+    levels = [0.0] + [sign * 2.0**j for j in range(1, 6) for sign in (1.0, -1.0)]
+    # the exponent is k at r = 1.75R + k R^2 / (4 (4 + sqrt(16 + k^2 R^2))), a root of a quadratic
+    radii = [1.5 * radius]
+    radii += [1.75 * radius + k * radius**2 / (4.0 * (4.0 + math.hypot(4.0, k * radius))) for k in levels]
+    cuts = [c for r in radii if r > rho for c in (-math.sqrt(r * r - rho * rho), math.sqrt(r * r - rho * rho))]
+    tiny = 4096 * np.finfo(float).eps * radius
+
+    def rate(s: float) -> float:
+        return _inverse_rate(math.hypot(s, rho), radius)
+
     for t, x0 in zip(ts, pts[:, 0]):
-        crossings = [c for c in (-core, core) if x0 < c < y[0]] or None
-        elapsed, _ = quad(
-            lambda s: _inverse_rate(math.hypot(s, rho), radius), x0, y[0],
-            epsabs=0.0, epsrel=1e-10, limit=200, points=crossings,
-        )
-        rounding = 4.0 * np.finfo(float).eps * radius * _inverse_rate(math.hypot(x0, rho), radius)
+        if y[0] - x0 < tiny:
+            elapsed = 0.5 * (y[0] - x0) * (rate(x0) + rate(y[0])) if y[0] > x0 else 0.0
+        else:
+            splits = sorted(c for c in cuts if x0 + tiny < c < y[0] - tiny) or None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", IntegrationWarning)
+                elapsed, _ = quad(rate, x0, y[0], epsabs=0.0, epsrel=1e-10, limit=200, points=splits)
+        rounding = 4.0 * np.finfo(float).eps * radius * rate(x0)
         assert elapsed == pytest.approx(t, rel=1e-6, abs=rounding)
 
 
@@ -688,6 +713,21 @@ def test_terminal_cap_bound_unsupported_dimension():
     canonical_5d[2, 1] = 1.0
     with pytest.raises(UnsupportedConfigurationError):
         terminal_cap_angle_bound(DirectionSet.from_vectors(canonical_5d))
+
+
+@pytest.mark.parametrize("largest, refused", [(math.pi / 2 - 2 * CAP_ALLOWANCE, False), (math.pi / 2, True)])
+def test_terminal_cap_bound_at_pi_over_two_is_an_internal_inconsistency(monkeypatch, largest: float, refused: bool):
+    """The aligned polar region lies in z . e1 >= -1e-9 and the cap maximum is
+    exact, so no set reaches pi/2 (the largest value over the 597 bounded
+    validation sets was 1.5399). A candidate maximum moved up to pi/2 is a
+    broken invariant; one just below it still gives a bound."""
+    monkeypatch.setattr(flows, "min_angles_to_set", lambda points, dirset: np.full(len(points), largest))
+    dirset = DirectionSet.from_vectors(CANONICAL)
+    if refused:
+        with pytest.raises(InternalInconsistencyError, match="not below pi/2"):
+            terminal_cap_angle_bound(dirset)
+    else:
+        assert terminal_cap_angle_bound(dirset).value == largest + CAP_ALLOWANCE
 
 
 def test_arrivals_stay_within_certified_cap_angle():

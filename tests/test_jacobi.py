@@ -11,8 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subindex.jacobi as jacobi_module
+from oracles import (
+    cutoff_field_per_width,
+    index_divergence_per_width,
+    index_form_boundary_per_piece,
+    index_form_quadrature_per_piece,
+)
 from subindex.cli import main
-from subindex.errors import InternalInconsistencyError, NoSolutionError
+from subindex.errors import InternalInconsistencyError, NoSolutionError, SubindexError
 from subindex.jacobi import (
     ROUTE_ATOL,
     ROUTE_RTOL,
@@ -107,18 +113,53 @@ def test_index_form_requires_matching_curvature():
         index_form(geo, field, field)
 
 
+_KERNEL = jacobi_module._index_form_routes
+
+
+def _parted_routes(shifts: dict):
+    """The index-form kernel with the quadrature value of pair i moved off the
+    boundary value by shifts[i] times the ROUTE_ATOL / ROUTE_RTOL allowance."""
+
+    def routes(*args):
+        quad, bdry = _KERNEL(*args)
+        for i, shift in shifts.items():
+            quad[i] = bdry[i] + shift * (ROUTE_ATOL + ROUTE_RTOL * abs(bdry[i]))
+        return quad, bdry
+
+    return routes
+
+
 def test_index_form_detects_route_disagreement(monkeypatch):
     """A quadrature route off by more than ROUTE_ATOL + ROUTE_RTOL |bdry| is
-    refused; one off by a little less is accepted."""
+    refused; one off by a little less is accepted. index_divergence holds its
+    stacked widths to the same rule, in order: the first width whose routes
+    part is refused, with the message index_form gives, and before a later
+    width that cutoff_field refuses."""
     geo = ModelGeodesic(1.0, math.pi, 1)
     v = cutoff_field(geo, [1.0], 2.0**-12)
     bdry = index_form_boundary(v, v)
-    allowed = ROUTE_ATOL + ROUTE_RTOL * abs(bdry)
-    monkeypatch.setattr(jacobi_module, "index_form_quadrature", lambda *args: bdry + 0.99 * allowed)
+    monkeypatch.setattr(jacobi_module, "_index_form_routes", _parted_routes({0: 0.99}))
     assert index_form(geo, v, v) == bdry
-    monkeypatch.setattr(jacobi_module, "index_form_quadrature", lambda *args: bdry - 1.01 * allowed)
+    monkeypatch.setattr(jacobi_module, "_index_form_routes", _parted_routes({0: -1.01}))
     with pytest.raises(InternalInconsistencyError):
         index_form(geo, v, v)
+    monkeypatch.undo()
+
+    eps = [2.0**-k for k in range(3, 13)]
+    values = index_divergence(geo, [1.0], eps)
+    monkeypatch.setattr(jacobi_module, "_index_form_routes", _parted_routes({4: 0.99, 6: -0.99}))
+    assert np.array_equal(index_divergence(geo, [1.0], eps), values)
+    for shifts, first in (({4: -1.01}, 4), ({6: 1.01, 4: -1.01}, 4), ({9: 1.01}, 9)):
+        monkeypatch.setattr(jacobi_module, "_index_form_routes", _parted_routes(shifts))
+        bdry = float(values[first])
+        quad = bdry + shifts[first] * (ROUTE_ATOL + ROUTE_RTOL * abs(bdry))
+        message = f"index form routes disagree: quadrature {quad!r} vs boundary {bdry!r}"
+        with pytest.raises(InternalInconsistencyError) as refused:
+            index_divergence(geo, [1.0], eps + [4.0])  # the width 4 is past length / 2
+        assert str(refused.value) == message
+    monkeypatch.setattr(jacobi_module, "_index_form_routes", _parted_routes({}))
+    with pytest.raises(ValueError, match="eps must lie"):
+        index_divergence(geo, [1.0], eps + [4.0])
 
 
 def _random_piecewise(rng, kappa: float, length: float) -> PiecewiseJacobi:
@@ -142,6 +183,148 @@ def test_index_form_routes_agree_on_random_fields(kappa: float):
         assert abs(quad - bdry) < 1e-8
 
 
+def _chained(rng, kappa: float, breaks: np.ndarray, dim: int) -> PiecewiseJacobi:
+    """A continuous field on ``breaks``: a random first piece, then pieces that
+    interpolate the last one's value at their left break and a random value
+    at their right one."""
+    fields = [JacobiField(kappa=kappa, a=rng.standard_normal(dim), b=rng.standard_normal(dim))]
+    for t0, t1 in zip(breaks[1:-1], breaks[2:]):
+        fields.append(JacobiField.from_two_point(kappa, t0, fields[-1].value(t0), t1, rng.standard_normal(dim)))
+    return PiecewiseJacobi(breaks=breaks, fields=tuple(fields))
+
+
+def _breaks(lengths: list, total: float) -> np.ndarray:
+    breaks = total * np.cumsum([0.0, *lengths]) / sum(lengths)
+    breaks[-1] = total
+    return breaks
+
+
+PIECES = st.lists(st.floats(0.15, 1.0), min_size=1, max_size=3)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    kappa=st.sampled_from(KAPPAS),
+    dim=st.integers(1, 3),
+    pieces=st.lists(st.tuples(PIECES, PIECES), min_size=1, max_size=3),
+)
+def test_index_form_kernel_is_the_per_piece_routes_bit_for_bit(seed: int, kappa: float, dim: int, pieces: list):
+    """The stacked kernel against the routes field by field and piece by
+    piece (tests/oracles.py): pairs V, W with different break sets of 1-3
+    pieces go through one kernel call, and each pair's quadrature and
+    boundary values have the bits of its per-piece routes. The boundary
+    terms take g(V', W) by matmul as ``@`` does on one row; an elementwise
+    product summed over the frame rounds differently in dims 2 and 3."""
+    rng = np.random.default_rng(seed)
+    geo = ModelGeodesic(kappa, 2.0, dim)
+    pairs = [tuple(_chained(rng, kappa, _breaks(lengths, 2.0), dim) for lengths in pair) for pair in pieces]
+    rows = [jacobi_module._pair_rows(kappa, v, w) for v, w in pairs]
+    stacked = [np.concatenate(column) for column in zip(*(row[:-1] for row in rows))]
+    quad, bdry = jacobi_module._index_form_routes(kappa, *stacked, [row[-1][0] for row in rows])
+    for (v, w), q, b in zip(pairs, quad, bdry):
+        assert q == index_form_quadrature_per_piece(geo, v, w) == index_form_quadrature(geo, v, w)
+        assert b == index_form_boundary_per_piece(v, w) == index_form_boundary(v, w)
+
+
+def _outcome(compute, *args):
+    """What a call gives: its result's bytes, or the type and message it raised."""
+    try:
+        return np.asarray(compute(*args)).tobytes()
+    except (ValueError, SubindexError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    curvature=st.sampled_from([1e-8, 1e-4, 1.0, 100.0, 1e4]),
+    dim=st.integers(1, 3),
+    scaled=st.lists(
+        st.one_of(
+            st.floats(1e-14, 2.0),
+            st.sampled_from([0.0, -0.1, 1e-13, 1e-12, 1e-11, 3.7e-10, 7.5e-10, 1.5, math.inf, math.nan]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_index_divergence_gives_and_refuses_what_the_per_width_loop_does(curvature: float, dim: int, scaled: list):
+    """The cutoff fields of all widths, built and evaluated together, against
+    the loop that builds one cutoff field at a time from JacobiFields and
+    holds its per-piece routes to the ROUTE_ATOL / ROUTE_RTOL rule before the
+    next width: the same bits, or the same error from the same width. The
+    widths are given in units of 1 / sqrt(curvature). Small ones reach the
+    refusals: the head's interpolation is conjugate where sn(eps) is below
+    1e-12, and at curvature 1 the routes part near 3.7e-10. Widths outside
+    (0, pi / 2) are out of range."""
+    root = math.sqrt(curvature)
+    geo = ModelGeodesic(curvature, math.pi / root, dim)
+    w = np.full(dim, 1.0 / math.sqrt(dim))
+    eps = [x / root for x in scaled]
+    assert _outcome(index_divergence, geo, w, eps) == _outcome(index_divergence_per_width, geo, w, eps)
+    for e in eps:
+        assert _outcome(_pieces, cutoff_field, geo, w, e) == _outcome(_pieces, cutoff_field_per_width, geo, w, e)
+
+
+def _pieces(build, *args) -> np.ndarray:
+    """The breaks and the piece coefficients of the field that build(*args) gives."""
+    field = build(*args)
+    return np.concatenate([field.breaks, *(np.concatenate([f.a, f.b]) for f in field.fields)])
+
+
+def _random_pairs_per_field(kappa: float, brks: np.ndarray, draws: np.ndarray):
+    """The pairs that jacobi-verify draws, built one JacobiField and one pair
+    at a time, and their per-piece routes."""
+    geo = ModelGeodesic(kappa, 2.0, 2)
+    quad, bdry = [], []
+    for brk, row in zip(brks.tolist(), draws):
+        pair = []
+        for a, b, end in row.reshape(2, 3, 2):  # V, then W
+            head = JacobiField(kappa=kappa, a=a, b=b)
+            tail = JacobiField.from_two_point(kappa, brk, head.value(brk), 2.0, end)
+            pair.append(PiecewiseJacobi(breaks=np.array([0.0, brk, 2.0]), fields=(head, tail)))
+        quad.append(index_form_quadrature_per_piece(geo, *pair))
+        bdry.append(index_form_boundary_per_piece(*pair))
+    return quad, bdry
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    kappa=st.sampled_from(KAPPAS),
+    brks=st.lists(
+        st.one_of(st.floats(0.4, 1.6), st.sampled_from([2.0, 2.0 - 1e-12, 2.0 - 1e-10, 2.0 - 1e-8])),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_jacobi_verify_pairs_in_a_stack_are_the_pairs_one_at_a_time(seed: int, kappa: float, brks: list):
+    """jacobi-verify's cross-check pairs drawn as a stack against the same
+    draws built pair by pair: the same kernel bits, or the same error. A
+    break at 2.0 is conjugate to the end, and a break a little below it
+    makes the tail's interpolation jump at the break; the error names the
+    first such field."""
+    draws = np.random.default_rng(seed).standard_normal((len(brks), 12))
+    brks = np.array(brks)
+
+    def stacked():
+        return jacobi_module._index_form_routes(kappa, *jacobi_module._random_pairs(kappa, brks, draws, 2.0))
+
+    assert _outcome(stacked) == _outcome(_random_pairs_per_field, kappa, brks, draws)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_wronskian_of_a_stack_is_the_wronskian_of_each_pair(kappa: float):
+    """jacobi-verify's 20 Wronskian pairs per curvature in one call, bit for
+    bit the values lagrange_wronskian gives pair by pair."""
+    coefficients = np.random.default_rng(11).standard_normal((20, 4, 1, 2))
+    ts = np.linspace(0, 2.5, 11)
+    stacked = jacobi_module._wronskian(kappa, *coefficients.transpose(1, 0, 2, 3), ts)
+    for row, (pa, pb, na, nb) in zip(stacked, coefficients[:, :, 0]):
+        p, n = JacobiField(kappa=kappa, a=pa, b=pb), JacobiField(kappa=kappa, a=na, b=nb)
+        assert np.array_equal(row, lagrange_wronskian(p, n, ts))
+
+
 @pytest.mark.parametrize("nodes", [64])
 def test_gauss_legendre_rule_is_exact_shared_and_read_only(nodes: int):
     x, wq = gauss_legendre()
@@ -156,7 +339,9 @@ def test_gauss_legendre_rule_is_exact_shared_and_read_only(nodes: int):
 
 
 def test_jacobi_verify_builds_the_rule_once(monkeypatch, tmp_path):
-    """A whole jacobi-verify run (86 quadratures) builds the 64-node rule once."""
+    """A whole jacobi-verify run builds the 64-node rule once: it evaluates 86
+    index forms (75 random pairs, then the cutoff field at 1 and at 10 widths)
+    in five stacked kernel calls."""
     built = Counter()
     leggauss = np.polynomial.legendre.leggauss
 

@@ -92,6 +92,8 @@ class JacobiField:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if a.shape != b.shape or a.ndim != 1:
             raise ValueError("a and b must be vectors of the same length")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -155,18 +157,25 @@ def _two_point(kappa: float, t0: np.ndarray, v0: np.ndarray, t1: np.ndarray, v1:
     return (v0[:n] * s1 - v1[:n] * s0) / det, (c0 * v1[:n] - c1 * v0[:n]) / det, refusal
 
 
+def _first_jump(kappa: float, at, a, b, target):
+    """The continuity rule of a piecewise field, over rows: the fields
+    a cs + b sn against ``target`` at the breaks ``at``. Returns the index of
+    the first row that lies more than 1e-9 from its target, or a NaN away,
+    and its error (the number of rows and None when every row joins)."""
+    gap = _combine(cs(kappa, at), sn(kappa, at), a, b) - target
+    k = _first(~(np.sqrt(_dots(gap, gap)) <= 1e-9))
+    return k, ValueError(f"field is discontinuous at breakpoint {at[k]}") if k < at.shape[0] else None
+
+
 def _joined(kappa: float, t0, v0, t1, v1, at, target):
-    """:func:`_two_point`, then the continuity test of :class:`PiecewiseJacobi`
-    on each interpolant: its value at ``at`` against ``target``. Returns the
-    coefficients of the rows before the first refused one, and that row's
-    error (None when no row is refused)."""
+    """:func:`_two_point`, then the continuity rule on each interpolant: its
+    value at ``at`` against ``target``. Returns the coefficients of the rows
+    before the first refused one, and that row's error (None when no row is
+    refused)."""
     a, b, refusal = _two_point(kappa, t0, v0, t1, v1)
     n = a.shape[0]
-    gap = _combine(cs(kappa, at[:n]), sn(kappa, at[:n]), a, b) - target[:n]
-    k = _first(np.sqrt(_dots(gap, gap)) > 1e-9)
-    if k < n:
-        return a[:k], b[:k], ValueError(f"field is discontinuous at breakpoint {at[k]}")
-    return a, b, refusal
+    k, jump = _first_jump(kappa, at[:n], a, b, target[:n])
+    return a[:k], b[:k], jump or refusal
 
 
 def solve_boundary_jacobi(geodesic: ModelGeodesic, w) -> JacobiField:
@@ -190,48 +199,33 @@ def solve_boundary_jacobi(geodesic: ModelGeodesic, w) -> JacobiField:
 
 @dataclass(frozen=True)
 class PiecewiseJacobi:
-    """A continuous field on [breaks[0], breaks[-1]], Jacobi on each piece."""
+    """A continuous field on [breaks[0], breaks[-1]] that is Jacobi on each
+    piece: a[i] cs(t) + b[i] sn(t) between breaks[i] and breaks[i + 1], with a
+    and b of shape (pieces, frame_dim)."""
 
+    kappa: float
     breaks: np.ndarray
-    fields: tuple
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        breaks = np.asarray(self.breaks, dtype=float)
-        fields = tuple(self.fields)
-        if breaks.ndim != 1 or breaks.shape[0] != len(fields) + 1:
-            raise ValueError("need len(fields) + 1 breakpoints")
+        breaks, a, b = (np.asarray(x, dtype=float) for x in (self.breaks, self.a, self.b))
+        if breaks.ndim != 1 or a.ndim != 2 or a.shape != b.shape or breaks.shape[0] != a.shape[0] + 1:
+            raise ValueError("need coefficients of shape (pieces, frame_dim) and pieces + 1 breakpoints")
+        if not all(np.isfinite(x).all() for x in (breaks, a, b)):
+            raise ValueError("breakpoints and coefficients must be finite")
         if np.any(np.diff(breaks) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        kappas = {f.kappa for f in fields}
-        if len(kappas) > 1:
-            raise ValueError("all pieces must share one curvature")
-        dims = {f.frame_dim for f in fields}
-        if len(dims) > 1:
-            raise ValueError("all pieces must share one frame dimension")
-        for i in range(len(fields) - 1):
-            left = fields[i].value(breaks[i + 1])
-            right = fields[i + 1].value(breaks[i + 1])
-            if np.linalg.norm(left - right) > 1e-9:
-                raise ValueError(
-                    f"field is discontinuous at breakpoint {breaks[i + 1]}"
-                )
-        object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "fields", fields)
+        for name, x in (("breaks", breaks), ("a", a), ("b", b)):
+            object.__setattr__(self, name, x)
+        _, jump = _first_jump(self.kappa, breaks[1:-1], a[:-1], b[:-1], self.value(breaks[1:-1]))
+        if jump is not None:
+            raise jump
 
-    @property
-    def kappa(self) -> float:
-        return self.fields[0].kappa
-
-    @property
-    def frame_dim(self) -> int:
-        return self.fields[0].frame_dim
-
-    def pieces_at(self, ts) -> list:
-        """The piece active at each parameter of ``ts``, the right one at a break."""
-        return [self.fields[i] for i in np.atleast_1d(_piece_index(self.breaks, ts))]
-
-    def value(self, t: float) -> np.ndarray:
-        return self.pieces_at(t)[0].value(t)
+    def value(self, t):
+        """V(t), with shape ``np.shape(t) + (frame_dim,)``; the right piece at a break."""
+        i = _piece_index(self.breaks, t)
+        return _combine(cs(self.kappa, t), sn(self.kappa, t), self.a[i], self.b[i])
 
 
 def _piece_index(breaks: np.ndarray, ts):
@@ -240,7 +234,7 @@ def _piece_index(breaks: np.ndarray, ts):
 
 def _as_piecewise(v, geodesic: ModelGeodesic) -> PiecewiseJacobi:
     if isinstance(v, JacobiField):
-        return PiecewiseJacobi(breaks=np.array([0.0, geodesic.length]), fields=(v,))
+        return PiecewiseJacobi(v.kappa, np.array([0.0, geodesic.length]), v.a[None], v.b[None])
     return v
 
 
@@ -248,8 +242,6 @@ def _refinement(v_breaks: np.ndarray, w_breaks: np.ndarray):
     """Common refinement of two partitions, with cuts closer than 1e-12 merged:
     the ends t0 and t1 of its intervals and the index of the active piece of
     each field on each."""
-    if abs(v_breaks[0] - w_breaks[0]) > 1e-12 or abs(v_breaks[-1] - w_breaks[-1]) > 1e-12:
-        raise ValueError("fields must share their parameter interval")
     cuts = np.union1d(v_breaks, w_breaks)
     merged = [float(cuts[0])]
     for c in cuts[1:]:
@@ -260,17 +252,19 @@ def _refinement(v_breaks: np.ndarray, w_breaks: np.ndarray):
     return ends[:-1], ends[1:], _piece_index(v_breaks, mids), _piece_index(w_breaks, mids)
 
 
-def _pair_rows(kappa: float, v: PiecewiseJacobi, w: PiecewiseJacobi):
-    """The arguments of :func:`_index_form_routes` for one pair of fields."""
-    if v.kappa != kappa or w.kappa != kappa:
-        raise ValueError("field curvature does not match the geodesic")
+def _pair_rows(geodesic: ModelGeodesic, v, w):
+    """The arguments of :func:`_index_form_routes` for one pair of fields
+    along the geodesic; a JacobiField is one piece on [0, length]."""
+    v, w = _as_piecewise(v, geodesic), _as_piecewise(w, geodesic)
+    for field in (v, w):
+        if field.kappa != geodesic.curvature:
+            raise ValueError("field curvature does not match the geodesic")
+        if field.a.shape[1] != geodesic.frame_dim:
+            raise ValueError("field frame dimension does not match the geodesic")
+        if abs(field.breaks[0]) > 1e-12 or abs(field.breaks[-1] - geodesic.length) > 1e-12:
+            raise ValueError("fields must span the geodesic's parameter interval [0, length]")
     t0, t1, iv, iw = _refinement(v.breaks, w.breaks)
-    coefficients = [
-        np.array([getattr(f, name) for f in field.fields])[pieces]
-        for field, pieces in ((v, iv), (w, iw))
-        for name in ("a", "b")
-    ]
-    return (t0, t1, *coefficients, [t0.shape[0]])
+    return (geodesic.curvature, t0, t1, v.a[iv], v.b[iv], w.a[iw], w.b[iw], [t0.shape[0]])
 
 
 def _index_form_routes(kappa: float, t0, t1, av, bv, aw, bw, counts) -> tuple[list, list]:
@@ -307,22 +301,6 @@ def _index_form_routes(kappa: float, t0, t1, av, bv, aw, bw, counts) -> tuple[li
     )
 
 
-def index_form_quadrature(geodesic: ModelGeodesic, v: PiecewiseJacobi, w: PiecewiseJacobi) -> float:
-    """64-node Gauss-Legendre evaluation of int g(V', W') - kappa g(V, W) dt per piece."""
-    kappa = geodesic.curvature
-    return _index_form_routes(kappa, *_pair_rows(kappa, v, w))[0][0]
-
-
-def index_form_boundary(v: PiecewiseJacobi, w: PiecewiseJacobi) -> float:
-    """Boundary-term evaluation sum over pieces of [g(V', W)] at the ends.
-
-    Valid because V solves the Jacobi equation on each refined piece, so
-    integrating g(V', W') - kappa g(V, W) by parts leaves only the endpoint
-    terms.
-    """
-    return _index_form_routes(v.kappa, *_pair_rows(v.kappa, v, w))[1][0]
-
-
 def _routes_agree(quad: float, bdry: float) -> float:
     """The boundary value, once the quadrature meets it by the ROUTE_ATOL /
     ROUTE_RTOL rule; disagreement raises, since it would mean either a broken
@@ -337,9 +315,7 @@ def _routes_agree(quad: float, bdry: float) -> float:
 def index_form(geodesic: ModelGeodesic, v, w) -> float:
     """Index form I(V, W), computed by quadrature and by boundary terms, which
     must agree by the ROUTE_ATOL / ROUTE_RTOL rule."""
-    kappa = geodesic.curvature
-    v, w = _as_piecewise(v, geodesic), _as_piecewise(w, geodesic)
-    (quad,), (bdry,) = _index_form_routes(kappa, *_pair_rows(kappa, v, w))
+    (quad,), (bdry,) = _index_form_routes(*_pair_rows(geodesic, v, w))
     return _routes_agree(quad, bdry)
 
 
@@ -407,10 +383,8 @@ def cutoff_field(geodesic: ModelGeodesic, w, eps: float) -> PiecewiseJacobi:
     head_a, head_b, tail_b, refusal = _cutoff_stack(geodesic, w, [eps])
     if refusal is not None:
         raise refusal
-    kappa = geodesic.curvature
-    head = JacobiField(kappa=kappa, a=head_a[0], b=head_b[0])
-    kernel_scaled = JacobiField(kappa=kappa, a=np.zeros_like(tail_b[0]), b=tail_b[0])
-    return PiecewiseJacobi(breaks=np.array([0.0, eps, geodesic.length]), fields=(head, kernel_scaled))
+    a = np.vstack([head_a, np.zeros_like(tail_b)])
+    return PiecewiseJacobi(geodesic.curvature, np.array([0.0, eps, geodesic.length]), a, np.vstack([head_b, tail_b]))
 
 
 def _cutoff_stack(geodesic: ModelGeodesic, w, eps):
@@ -634,7 +608,8 @@ def invariant_checks(seed: int) -> list[dict]:
 
     geo_pi = ModelGeodesic(1.0, math.pi, 1)
     v = cutoff_field(geo_pi, [1.0], 0.1)
-    jump = float(np.linalg.norm(v.fields[0].value(0.1) - v.fields[1].value(0.1)))
+    head, tail = _combine(cs(v.kappa, 0.1), sn(v.kappa, 0.1), v.a, v.b)
+    jump = float(np.linalg.norm(head - tail))
     start = float(np.linalg.norm(v.value(0.0) - np.array([1.0])))
     add("cutoff_continuity", jump == 0.0 and start < 1e-12, f"junction jump {jump:.1e}, start offset {start:.1e}")
 

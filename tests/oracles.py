@@ -7,11 +7,13 @@ radii, and above dimension 3 a seeded random sample with none. The terminal
 cap bound has a sampled second route over them, and the LP's criticality
 verdict a sphere-scanning one. The gradient-like property of the join
 direction, the spherical right-triangle identity and the first-order law of
-the torus distance are checked here, as no subcommand reports them. The
-index form has its per-field routes here: quadrature and boundary terms one
-refined piece and one JacobiField at a time, and the divergence of the
-cutoff field one width at a time, against which the library's stacked kernel
-is held bit for bit.
+the torus distance are checked here, as no subcommand reports them, and so
+is the Euler characteristic of a torus sublevel set, counted over the cubes
+of a grid, against which the sub-index table is held. The index form has its
+per-field routes here: quadrature and boundary terms one refined piece and
+one JacobiField at a time, the continuity rule one break at a time, and the
+divergence of the cutoff field one width at a time, against which the
+library's stacked kernel is held bit for bit.
 
 Join coordinates on a round sphere split as S^p * S^q: every point off the
 two factor spheres is P = (X sin t, Y cos t) with X in S^p, Y in S^q and split
@@ -349,9 +351,50 @@ def first_order_residual(
     return float(np.max(np.abs(dists - model) / ts**2))
 
 
+def sublevel_euler(field: TorusDistanceField, level: float, grid: int) -> int:
+    """Euler characteristic of the periodic cubical complex spanned by the
+    grid vertices k / grid at distance below ``level``: the sum over k of
+    (-1)^k times the number of k-cubes whose 2^k vertices all lie below it.
+    The cube mask of an axis set S and a later axis a is
+    cube_S & roll(cube_S, -1, a), and the axis sets are walked depth first,
+    so at most dim + 1 masks are live at once."""
+    below = field._grid_distances(grid) < level
+
+    def alternating(cubes: np.ndarray, first: int, sign: int) -> int:
+        total = sign * int(np.count_nonzero(cubes))
+        for a in range(first, field.dim):
+            total += alternating(cubes & np.roll(cubes, -1, axis=a), a + 1, -sign)
+        return total
+
+    return alternating(below, 0, 1)
+
+
 # --------------------------------------------------------------------------
 # the index form field by field and piece by piece
 # --------------------------------------------------------------------------
+
+
+def pieces_at(field: PiecewiseJacobi, ts) -> list:
+    """The piece of ``field`` active at each parameter of ``ts`` as a
+    JacobiField, the right one at a break."""
+    index = np.clip(np.searchsorted(field.breaks, ts, side="right") - 1, 0, field.breaks.shape[0] - 2)
+    return [JacobiField(field.kappa, field.a[i], field.b[i]) for i in index]
+
+
+def continuity_per_break(breaks: np.ndarray, fields):
+    """The continuity rule one break and one JacobiField at a time: the first
+    break at which the two pieces lie more than 1e-9 apart is refused."""
+    for t, left, right in zip(breaks[1:-1], fields, fields[1:]):
+        if np.linalg.norm(left.value(t) - right.value(t)) > 1e-9:
+            raise ValueError(f"field is discontinuous at breakpoint {t}")
+
+
+def piecewise_per_break(kappa: float, breaks, fields) -> PiecewiseJacobi:
+    """The field that is ``fields[i]`` between breaks[i] and breaks[i + 1],
+    held to :func:`continuity_per_break` before it is built."""
+    breaks = np.asarray(breaks, dtype=float)
+    continuity_per_break(breaks, fields)
+    return PiecewiseJacobi(kappa, breaks, np.array([f.a for f in fields]), np.array([f.b for f in fields]))
 
 
 def aligned_pieces(v: PiecewiseJacobi, w: PiecewiseJacobi):
@@ -368,7 +411,7 @@ def aligned_pieces(v: PiecewiseJacobi, w: PiecewiseJacobi):
         if float(c) - merged[-1] > 1e-12:
             merged.append(float(c))
     mids = 0.5 * (np.array(merged[:-1]) + np.array(merged[1:]))
-    return zip(merged[:-1], merged[1:], v.pieces_at(mids), w.pieces_at(mids))
+    return zip(merged[:-1], merged[1:], pieces_at(v, mids), pieces_at(w, mids))
 
 
 def index_form_quadrature_per_piece(geodesic: ModelGeodesic, v: PiecewiseJacobi, w: PiecewiseJacobi) -> float:
@@ -413,7 +456,7 @@ def cutoff_field_per_width(geodesic: ModelGeodesic, w, eps: float) -> PiecewiseJ
         raise ValueError("eps must lie in (0, length/2)")
     kernel_scaled = JacobiField(kappa=kappa, a=np.zeros_like(w), b=w / sn(kappa, eps))
     head = JacobiField.from_two_point(kappa, 0.0, w, eps, kernel_scaled.value(eps))
-    return PiecewiseJacobi(breaks=np.array([0.0, eps, length]), fields=(head, kernel_scaled))
+    return piecewise_per_break(kappa, [0.0, eps, length], [head, kernel_scaled])
 
 
 def index_divergence_per_width(geodesic: ModelGeodesic, w, eps_values) -> np.ndarray:

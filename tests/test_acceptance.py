@@ -20,6 +20,7 @@ from oracles import (
     join_right_triangle_residuals,
     right_triangle_residuals,
     sampling_oracle_classify,
+    sublevel_euler,
 )
 from test_lp import euclidean_hull_distance
 
@@ -40,9 +41,9 @@ from subindex.jacobi import (
     JacobiField,
     ModelGeodesic,
     PiecewiseJacobi,
+    _index_form_routes,
+    _pair_rows,
     index_divergence,
-    index_form_boundary,
-    index_form_quadrature,
     lagrange_wronskian,
 )
 from subindex.torus import TorusDistanceField
@@ -252,11 +253,10 @@ def test_criterion_7_index_form_cross_check():
                 f1 = JacobiField.from_two_point(
                     kappa, brk, f0.value(brk), 2.0, rng.standard_normal(2)
                 )
-                fields.append(
-                    PiecewiseJacobi(breaks=np.array([0.0, brk, 2.0]), fields=(f0, f1))
-                )
+                fields.append(PiecewiseJacobi(kappa, [0.0, brk, 2.0], [f0.a, f1.a], [f0.b, f1.b]))
             v, w = fields
-            gap = abs(index_form_quadrature(geo, v, v) - index_form_boundary(v, v))
+            (quad,), (bdry,) = _index_form_routes(*_pair_rows(geo, v, v))
+            gap = abs(quad - bdry)
             worst_gap = max(worst_gap, gap)
 
     worst_spread = 0.0
@@ -420,4 +420,34 @@ def test_criterion_14_default_dim8_table_memory():
         "criterion 14 default dim-8 table memory",
         ok,
         f"counts {table}, traced peak {peak:.1f} MB < 8 MB",
+    )
+
+
+# --------------------------------------------------------------- criterion 15
+
+
+def test_criterion_15_sublevel_euler_characteristic():
+    """The paper's topological claim as a second route for the sub-index
+    table: below a level between sqrt(lambda) / 2 and sqrt(lambda + 1) / 2,
+    the Euler characteristic of the sublevel set, counted over the cubes of a
+    grid, is 1 plus (-1)^sub_index summed over the critical points below the
+    level, in every band of dims 2-6."""
+    start = time.perf_counter()
+    got, predicted = {}, {}
+    for dim, grid in ((2, 200), (3, 60), (4, 20), (5, 10), (6, 8)):
+        torus = TorusDistanceField(dim=dim)
+        records = torus.enumerate_critical_points()
+        for lam in range(dim + 1):
+            level = (math.sqrt(lam) + math.sqrt(lam + 1)) / 4
+            below = [rec.sub_index for rec in records if torus.distance(rec.point) < level]
+            got[dim, lam] = sublevel_euler(torus, level, grid)
+            predicted[dim, lam] = 1 + sum((-1) ** int(k) for k in below)
+    elapsed = time.perf_counter() - start
+    # the alternating binomial sums: 1 - C(n, 1) + ... + (-1)^lam C(n, lam)
+    binomial = all(predicted[n, lam] == (-1) ** lam * math.comb(n - 1, lam) for n, lam in predicted)
+    ok = got == predicted and binomial
+    assert _verdict(
+        "criterion 15 sublevel Euler characteristic",
+        ok,
+        f"{len(got)} bands in dims 2-6 agree={got == predicted}, {elapsed:.2f}s",
     )

@@ -689,8 +689,6 @@ _REACHED_FROM_OUTSIDE = {
     # the suites and index_divergence run the stacked forms of these
     "jacobi.JacobiField.from_two_point": "the public one-row form of _two_point",
     "jacobi.index_form": "the public one-pair form of the index-form kernel, with the route check",
-    "jacobi.index_form_quadrature": "the public one-pair quadrature route; the benchmark's tracer binds it",
-    "jacobi.index_form_boundary": "the public one-pair boundary route; the benchmark's tracer binds it",
     "jacobi.lagrange_wronskian": "the public one-pair form of _wronskian",
 }
 

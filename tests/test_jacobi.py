@@ -15,7 +15,9 @@ from oracles import (
     cutoff_field_per_width,
     index_divergence_per_width,
     index_form_boundary_per_piece,
+    continuity_per_break,
     index_form_quadrature_per_piece,
+    piecewise_per_break,
 )
 from subindex.cli import main
 from subindex.errors import InternalInconsistencyError, NoSolutionError, SubindexError
@@ -31,8 +33,6 @@ from subindex.jacobi import (
     cutoff_field,
     index_divergence,
     index_form,
-    index_form_boundary,
-    index_form_quadrature,
     lagrange_wronskian,
     model_distance,
     second_variation_check,
@@ -81,17 +81,11 @@ def test_two_point_interpolation_rejects_conjugate_parameters():
 
 
 def test_piecewise_rejects_discontinuity():
-    f0 = JacobiField(kappa=0.0, a=[1.0], b=[0.0])
-    f1 = JacobiField(kappa=0.0, a=[5.0], b=[0.0])
-    with pytest.raises(ValueError):
-        PiecewiseJacobi(breaks=np.array([0.0, 0.5, 1.0]), fields=(f0, f1))
-
-
-def test_piecewise_rejects_mixed_curvature():
-    f0 = JacobiField(kappa=0.0, a=[1.0], b=[0.0])
-    f1 = JacobiField(kappa=1.0, a=[1.0], b=[0.0])
-    with pytest.raises(ValueError):
-        PiecewiseJacobi(breaks=np.array([0.0, 0.5, 1.0]), fields=(f0, f1))
+    with pytest.raises(ValueError, match="discontinuous at breakpoint 0.5"):
+        PiecewiseJacobi(0.0, [0.0, 0.5, 1.0], [[1.0], [5.0]], [[0.0], [0.0]])
+    # a NaN break once made the gap NaN, which passed the 1e-9 test
+    with pytest.raises(ValueError, match="must be finite"):
+        PiecewiseJacobi(0.0, [0.0, math.nan, 1.0], [[1.0], [5.0]], [[0.0], [0.0]])
 
 
 def test_index_form_flat_linear_field():
@@ -111,6 +105,32 @@ def test_index_form_requires_matching_curvature():
     field = JacobiField(kappa=0.0, a=[1.0], b=[0.0])
     with pytest.raises(ValueError):
         index_form(geo, field, field)
+
+
+def test_index_form_requires_the_geodesic_interval():
+    """J(t) = t on [0, 5] along a geodesic of length 1 is refused: it once
+    gave the index form over [0, 5], 5.0."""
+    geo = ModelGeodesic(0.0, 1.0, 1)
+    line = PiecewiseJacobi(0.0, [0.0, 2.5, 5.0], [[0.0], [0.0]], [[1.0], [1.0]])
+    with pytest.raises(ValueError, match=r"interval \[0, length\]"):
+        index_form(geo, line, line)
+    # the ends are held to 1e-12, as the refinement merges cuts
+    near = PiecewiseJacobi(0.0, [0.0, 0.5, 1.0 + 5e-13], [[0.0], [0.0]], [[1.0], [1.0]])
+    assert index_form(geo, near, near) == pytest.approx(1.0, abs=1e-11)
+    far = PiecewiseJacobi(0.0, [0.0, 0.5, 1.0 + 2e-12], [[0.0], [0.0]], [[1.0], [1.0]])
+    with pytest.raises(ValueError, match="interval"):
+        index_form(geo, near, far)
+
+
+def test_index_form_requires_the_geodesic_frame():
+    """A 3-frame field along a 1-frame geodesic is refused: J(t) = t in each
+    of three frame directions once gave 3.0."""
+    geo = ModelGeodesic(0.0, 1.0, 1)
+    field = JacobiField(kappa=0.0, a=np.zeros(3), b=np.ones(3))
+    with pytest.raises(ValueError, match="frame dimension"):
+        index_form(geo, field, field)
+    with pytest.raises(ValueError, match="frame dimension"):
+        index_form(geo, JacobiField(kappa=0.0, a=[0.0], b=[1.0]), field)
 
 
 _KERNEL = jacobi_module._index_form_routes
@@ -137,7 +157,7 @@ def test_index_form_detects_route_disagreement(monkeypatch):
     width that cutoff_field refuses."""
     geo = ModelGeodesic(1.0, math.pi, 1)
     v = cutoff_field(geo, [1.0], 2.0**-12)
-    bdry = index_form_boundary(v, v)
+    bdry = _KERNEL(*jacobi_module._pair_rows(geo, v, v))[1][0]
     monkeypatch.setattr(jacobi_module, "_index_form_routes", _parted_routes({0: 0.99}))
     assert index_form(geo, v, v) == bdry
     monkeypatch.setattr(jacobi_module, "_index_form_routes", _parted_routes({0: -1.01}))
@@ -168,7 +188,7 @@ def _random_piecewise(rng, kappa: float, length: float) -> PiecewiseJacobi:
     f1 = JacobiField.from_two_point(
         kappa, brk, f0.value(brk), length, rng.standard_normal(2)
     )
-    return PiecewiseJacobi(breaks=np.array([0.0, brk, length]), fields=(f0, f1))
+    return PiecewiseJacobi(kappa, [0.0, brk, length], [f0.a, f1.a], [f0.b, f1.b])
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)
@@ -178,8 +198,7 @@ def test_index_form_routes_agree_on_random_fields(kappa: float):
     for _ in range(100):
         v = _random_piecewise(rng, kappa, 2.0)
         w = _random_piecewise(rng, kappa, 2.0)
-        quad = index_form_quadrature(geo, v, w)
-        bdry = index_form_boundary(v, w)
+        (quad,), (bdry,) = _KERNEL(*jacobi_module._pair_rows(geo, v, w))
         assert abs(quad - bdry) < 1e-8
 
 
@@ -190,7 +209,7 @@ def _chained(rng, kappa: float, breaks: np.ndarray, dim: int) -> PiecewiseJacobi
     fields = [JacobiField(kappa=kappa, a=rng.standard_normal(dim), b=rng.standard_normal(dim))]
     for t0, t1 in zip(breaks[1:-1], breaks[2:]):
         fields.append(JacobiField.from_two_point(kappa, t0, fields[-1].value(t0), t1, rng.standard_normal(dim)))
-    return PiecewiseJacobi(breaks=breaks, fields=tuple(fields))
+    return PiecewiseJacobi(kappa, breaks, [f.a for f in fields], [f.b for f in fields])
 
 
 def _breaks(lengths: list, total: float) -> np.ndarray:
@@ -200,6 +219,59 @@ def _breaks(lengths: list, total: float) -> np.ndarray:
 
 
 PIECES = st.lists(st.floats(0.15, 1.0), min_size=1, max_size=3)
+
+
+def _refusal(build, *args):
+    """The message of the ValueError that build(*args) raises, or None."""
+    try:
+        build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    kappa=st.sampled_from(KAPPAS),
+    dim=st.integers(1, 3),
+    lengths=st.lists(st.floats(0.15, 1.0), min_size=2, max_size=5),
+    jumps=st.dictionaries(
+        st.integers(0, 3),
+        st.one_of(st.floats(0.5, 0.99), st.floats(1.01, 2.0), st.sampled_from([0.0, 1e-3, 1e3])),
+        max_size=3,
+    ),
+    poison=st.sampled_from([None, None, "breaks", "a", "b"]),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_piecewise_continuity_is_the_per_break_rule(seed, kappa, dim, lengths, jumps, poison, bad):
+    """A chained field, with jumps of jumps[j] * 1e-9 injected at interior
+    breaks: PiecewiseJacobi refuses it exactly when the per-break rule of
+    tests/oracles.py does, naming the same first break. A jump is injected
+    by adding one Jacobi field, of value the jump at the break, to every
+    piece from the break on, so the later breaks stay joined. A non-finite
+    break or coefficient is refused by PiecewiseJacobi, and a non-finite
+    coefficient by JacobiField too; the per-break rule passes a NaN gap."""
+    rng = np.random.default_rng(seed)
+    field = _chained(rng, kappa, _breaks(lengths, 2.0), dim)
+    breaks, a, b = field.breaks.copy(), field.a.copy(), field.b.copy()
+    for j, size in jumps.items():
+        k = 1 + j % (len(lengths) - 1)
+        c, s = cs(kappa, breaks[k]), sn(kappa, breaks[k])
+        g = rng.standard_normal(dim)
+        g *= size * 1e-9 / np.linalg.norm(g)
+        a[k:] += g * c / (c * c + s * s)
+        b[k:] += g * s / (c * c + s * s)
+    if poison is not None:
+        target = {"breaks": breaks, "a": a, "b": b}[poison]
+        target.flat[rng.integers(target.size)] = bad
+        assert _refusal(PiecewiseJacobi, kappa, breaks, a, b) == "breakpoints and coefficients must be finite"
+        if poison != "breaks":
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                [JacobiField(kappa, ai, bi) for ai, bi in zip(a, b)]
+        return
+    fields = [JacobiField(kappa, ai, bi) for ai, bi in zip(a, b)]
+    assert _refusal(PiecewiseJacobi, kappa, breaks, a, b) == _refusal(continuity_per_break, breaks, fields)
 
 
 @settings(deadline=None, max_examples=80)
@@ -219,12 +291,13 @@ def test_index_form_kernel_is_the_per_piece_routes_bit_for_bit(seed: int, kappa:
     rng = np.random.default_rng(seed)
     geo = ModelGeodesic(kappa, 2.0, dim)
     pairs = [tuple(_chained(rng, kappa, _breaks(lengths, 2.0), dim) for lengths in pair) for pair in pieces]
-    rows = [jacobi_module._pair_rows(kappa, v, w) for v, w in pairs]
-    stacked = [np.concatenate(column) for column in zip(*(row[:-1] for row in rows))]
-    quad, bdry = jacobi_module._index_form_routes(kappa, *stacked, [row[-1][0] for row in rows])
-    for (v, w), q, b in zip(pairs, quad, bdry):
-        assert q == index_form_quadrature_per_piece(geo, v, w) == index_form_quadrature(geo, v, w)
-        assert b == index_form_boundary_per_piece(v, w) == index_form_boundary(v, w)
+    rows = [jacobi_module._pair_rows(geo, v, w) for v, w in pairs]
+    stacked = [np.concatenate(column) for column in zip(*(row[1:-1] for row in rows))]
+    quad, bdry = _KERNEL(kappa, *stacked, [row[-1][0] for row in rows])
+    for (v, w), row, q, b in zip(pairs, rows, quad, bdry):
+        (alone_q,), (alone_b,) = _KERNEL(*row)
+        assert q == index_form_quadrature_per_piece(geo, v, w) == alone_q
+        assert b == index_form_boundary_per_piece(v, w) == alone_b
 
 
 def _outcome(compute, *args):
@@ -269,7 +342,7 @@ def test_index_divergence_gives_and_refuses_what_the_per_width_loop_does(curvatu
 def _pieces(build, *args) -> np.ndarray:
     """The breaks and the piece coefficients of the field that build(*args) gives."""
     field = build(*args)
-    return np.concatenate([field.breaks, *(np.concatenate([f.a, f.b]) for f in field.fields)])
+    return np.concatenate([[field.kappa], field.breaks, field.a.ravel(), field.b.ravel()])
 
 
 def _random_pairs_per_field(kappa: float, brks: np.ndarray, draws: np.ndarray):
@@ -282,7 +355,7 @@ def _random_pairs_per_field(kappa: float, brks: np.ndarray, draws: np.ndarray):
         for a, b, end in row.reshape(2, 3, 2):  # V, then W
             head = JacobiField(kappa=kappa, a=a, b=b)
             tail = JacobiField.from_two_point(kappa, brk, head.value(brk), 2.0, end)
-            pair.append(PiecewiseJacobi(breaks=np.array([0.0, brk, 2.0]), fields=(head, tail)))
+            pair.append(piecewise_per_break(kappa, [0.0, brk, 2.0], [head, tail]))
         quad.append(index_form_quadrature_per_piece(geo, *pair))
         bdry.append(index_form_boundary_per_piece(*pair))
     return quad, bdry
@@ -375,12 +448,14 @@ def test_cutoff_field_matches_closed_form_head():
     v = cutoff_field(geo, [1.0], 0.1)
     ts = np.linspace(0.0, 0.1, 7)
     expected = np.cos(ts) + math.tan(0.05) * np.sin(ts)
-    np.testing.assert_allclose(v.fields[0].value(ts)[:, 0], expected, atol=1e-12)
+    head, tail = (JacobiField(v.kappa, a, b) for a, b in zip(v.a, v.b))
+    np.testing.assert_allclose(head.value(ts)[:, 0], expected, atol=1e-12)
     # tail piece is the normalized kernel field sin(t)/sin(eps)
     ts_tail = np.linspace(0.1, math.pi, 7)
-    np.testing.assert_allclose(
-        v.fields[1].value(ts_tail)[:, 0], np.sin(ts_tail) / math.sin(0.1), atol=1e-12
-    )
+    np.testing.assert_allclose(tail.value(ts_tail)[:, 0], np.sin(ts_tail) / math.sin(0.1), atol=1e-12)
+    # the field takes the head before the break and the tail from it on
+    np.testing.assert_array_equal(v.value(ts[:-1]), head.value(ts[:-1]))
+    np.testing.assert_array_equal(v.value(ts_tail), tail.value(ts_tail))
 
 
 def test_cutoff_field_requires_first_conjugate_endpoint():

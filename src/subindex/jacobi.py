@@ -75,8 +75,10 @@ class ModelGeodesic:
 
     def endpoint_conjugate(self) -> bool:
         """Whether the endpoint is a conjugate parameter (sn vanishes there).
-        sin(sqrt(kappa) t) is tested, as sn scales as 1/sqrt(kappa)."""
-        return self.curvature > 0 and abs(np.sin(math.sqrt(self.curvature) * self.length)) < CONJUGATE_TOL
+        sin(sqrt(kappa) t) is tested, as sn scales as 1/sqrt(kappa), and only
+        from sqrt(kappa) t = pi / 2 on: below that its one zero is t = 0."""
+        angle = math.sqrt(max(self.curvature, 0.0)) * self.length
+        return angle >= math.pi / 2 and abs(np.sin(angle)) < CONJUGATE_TOL
 
 
 @dataclass(frozen=True)
@@ -238,32 +240,21 @@ def _as_piecewise(v, geodesic: ModelGeodesic) -> PiecewiseJacobi:
     return v
 
 
-def _refinement(v_breaks: np.ndarray, w_breaks: np.ndarray):
-    """Common refinement of two partitions, with cuts closer than 1e-12 merged:
-    the ends t0 and t1 of its intervals and the index of the active piece of
-    each field on each."""
-    cuts = np.union1d(v_breaks, w_breaks)
-    merged = [float(cuts[0])]
-    for c in cuts[1:]:
-        if float(c) - merged[-1] > 1e-12:
-            merged.append(float(c))
-    ends = np.array(merged)
-    mids = 0.5 * (ends[:-1] + ends[1:])
-    return ends[:-1], ends[1:], _piece_index(v_breaks, mids), _piece_index(w_breaks, mids)
-
-
 def _pair_rows(geodesic: ModelGeodesic, v, w):
     """The arguments of :func:`_index_form_routes` for one pair of fields
-    along the geodesic; a JacobiField is one piece on [0, length]."""
+    along the geodesic, a JacobiField being one piece on [0, length]: the
+    union of the fields' breaks, with each field's ends held to 1e-12 * length."""
     v, w = _as_piecewise(v, geodesic), _as_piecewise(w, geodesic)
     for field in (v, w):
         if field.kappa != geodesic.curvature:
             raise ValueError("field curvature does not match the geodesic")
         if field.a.shape[1] != geodesic.frame_dim:
             raise ValueError("field frame dimension does not match the geodesic")
-        if abs(field.breaks[0]) > 1e-12 or abs(field.breaks[-1] - geodesic.length) > 1e-12:
+        if max(abs(field.breaks[0]), abs(field.breaks[-1] - geodesic.length)) > 1e-12 * geodesic.length:
             raise ValueError("fields must span the geodesic's parameter interval [0, length]")
-    t0, t1, iv, iw = _refinement(v.breaks, w.breaks)
+    cuts = np.union1d(v.breaks, w.breaks)
+    t0, t1 = cuts[:-1], cuts[1:]
+    iv, iw = _piece_index(v.breaks, t0), _piece_index(w.breaks, t0)
     return (geodesic.curvature, t0, t1, v.a[iv], v.b[iv], w.a[iw], w.b[iw], [t0.shape[0]])
 
 
@@ -314,7 +305,8 @@ def _routes_agree(quad: float, bdry: float) -> float:
 
 def index_form(geodesic: ModelGeodesic, v, w) -> float:
     """Index form I(V, W), computed by quadrature and by boundary terms, which
-    must agree by the ROUTE_ATOL / ROUTE_RTOL rule."""
+    must agree by the ROUTE_ATOL / ROUTE_RTOL rule. Scaling t by a power of two
+    lambda, and kappa by 1 / lambda^2, divides it by lambda exactly."""
     (quad,), (bdry,) = _index_form_routes(*_pair_rows(geodesic, v, w))
     return _routes_agree(quad, bdry)
 
@@ -415,6 +407,16 @@ def _cutoff_stack(geodesic: ModelGeodesic, w, eps):
     return head_a, head_b, tail_b[: head_a.shape[0]], refusal
 
 
+def _two_piece_rows(brks: np.ndarray, length: float, *pieces):
+    """The arguments after kappa of :func:`_index_form_routes` for pairs of
+    fields on [0, length] that both break at brks[i] alone: ``pieces`` are the
+    (head, tail) stacks of av, bv, aw and bw, one row per pair."""
+    t0 = np.column_stack([np.zeros_like(brks), brks]).ravel()
+    t1 = np.column_stack([brks, np.full_like(brks, length)]).ravel()
+    rows = [np.stack(piece, axis=1).reshape(-1, piece[0].shape[1]) for piece in pieces]
+    return (t0, t1, *rows, [2] * brks.shape[0])
+
+
 def index_divergence(geodesic: ModelGeodesic, w, eps_values) -> np.ndarray:
     """I(V_eps, V_eps) for each eps; diverges to -infinity as eps -> 0.
 
@@ -427,17 +429,10 @@ def index_divergence(geodesic: ModelGeodesic, w, eps_values) -> np.ndarray:
     if not eps:  # no field is built, so neither the geodesic nor w is checked
         return np.array([])
     head_a, head_b, tail_b, refusal = _cutoff_stack(geodesic, w, eps)
-    rows = []
-    for width, ha, hb, tb in zip(eps, head_a, head_b, tail_b):
-        breaks = np.array([0.0, width, geodesic.length])
-        t0, t1, pieces, _ = _refinement(breaks, breaks)
-        rows.append((t0, t1, np.array([ha, np.zeros_like(tb)])[pieces], np.array([hb, tb])[pieces]))
-    values = []
-    if rows:
-        t0, t1, a, b = (np.concatenate(column) for column in zip(*rows))
-        counts = [row[0].shape[0] for row in rows]
-        quad, bdry = _index_form_routes(geodesic.curvature, t0, t1, a, b, a, b, counts)
-        values = [_routes_agree(q, v) for q, v in zip(quad, bdry)]
+    a, b = (head_a, np.zeros_like(tail_b)), (head_b, tail_b)
+    rows = _two_piece_rows(np.array(eps[: head_a.shape[0]]), geodesic.length, a, b, a, b)
+    quad, bdry = _index_form_routes(geodesic.curvature, *rows)
+    values = [_routes_agree(q, v) for q, v in zip(quad, bdry)]
     if refusal is not None:
         raise refusal
     return np.array(values)
@@ -531,15 +526,8 @@ def _random_pairs(kappa: float, brks: np.ndarray, draws: np.ndarray, length: flo
     tail_a, tail_b, refusal = _joined(kappa, at, joint, np.full_like(at, length), end, at, joint)
     if refusal is not None:
         raise refusal
-    # the shared breaks are the pair's refinement: the heads on [0, brk], then the tails
-    t0 = np.column_stack([np.zeros_like(brks), brks]).ravel()
-    t1 = np.column_stack([brks, np.full_like(brks, length)]).ravel()
-    coefficients = [
-        np.stack([head[k::2], tail[k::2]], axis=1).reshape(-1, 2)
-        for k in (0, 1)
-        for head, tail in ((a, tail_a), (b, tail_b))
-    ]
-    return (t0, t1, *coefficients, [2] * brks.shape[0])
+    pieces = ((head[k::2], tail[k::2]) for k in (0, 1) for head, tail in ((a, tail_a), (b, tail_b)))
+    return _two_piece_rows(brks, length, *pieces)
 
 
 def invariant_checks(seed: int) -> list[dict]:

@@ -398,20 +398,15 @@ def piecewise_per_break(kappa: float, breaks, fields) -> PiecewiseJacobi:
 
 
 def aligned_pieces(v: PiecewiseJacobi, w: PiecewiseJacobi):
-    """Common refinement of the two partitions, with the active piece of each
-    field per refined interval."""
+    """Common refinement of the two partitions, the union of their breaks,
+    with the piece of each field active from each cut on."""
     if (
         abs(v.breaks[0] - w.breaks[0]) > 1e-12
         or abs(v.breaks[-1] - w.breaks[-1]) > 1e-12
     ):
         raise ValueError("fields must share their parameter interval")
     cuts = np.union1d(v.breaks, w.breaks)
-    merged = [float(cuts[0])]
-    for c in cuts[1:]:
-        if float(c) - merged[-1] > 1e-12:
-            merged.append(float(c))
-    mids = 0.5 * (np.array(merged[:-1]) + np.array(merged[1:]))
-    return zip(merged[:-1], merged[1:], pieces_at(v, mids), pieces_at(w, mids))
+    return zip(cuts[:-1], cuts[1:], pieces_at(v, cuts[:-1]), pieces_at(w, cuts[:-1]))
 
 
 def index_form_quadrature_per_piece(geodesic: ModelGeodesic, v: PiecewiseJacobi, w: PiecewiseJacobi) -> float:

@@ -31,7 +31,12 @@ from scipy.spatial import cKDTree
 
 from subindex import flows, lp
 from subindex.directions import DirectionSet, min_angles_to_set, row_norms
-from subindex.errors import InternalInconsistencyError, NotCriticalError, UnsupportedConfigurationError
+from subindex.errors import (
+    AmbiguousClassificationError,
+    InternalInconsistencyError,
+    NotCriticalError,
+    UnsupportedConfigurationError,
+)
 from subindex.flows import (
     CAP_ALLOWANCE,
     COS_TERMINAL,
@@ -668,11 +673,17 @@ def _boundary_rows(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]))
+@example(seed=3194, dim=3)
 def test_terminal_cap_bound_lies_between_the_mesh_bounds(seed: int, dim: int):
     """On boundary-variant sets, near-copies among them, the exact cap maximum
     is at least the largest angle over the mesh points of the cap and at most
-    the bound from the cap dilated by the mesh's covering radius."""
-    bound = terminal_cap_angle_bound(DirectionSet.from_vectors(_boundary_rows(np.random.default_rng(seed), dim)))
+    the bound from the cap dilated by the mesh's covering radius. The only
+    other outcome is the documented refusal: seed 3194 in dim 3 leaves the
+    soul 1.871e-9 outside the polar cone, inside the ambiguity band."""
+    try:
+        bound = terminal_cap_angle_bound(DirectionSet.from_vectors(_boundary_rows(np.random.default_rng(seed), dim)))
+    except AmbiguousClassificationError:
+        return
     lower, upper = mesh_cap_bounds(bound.aligned)
     # the dilated bound is exact when a maximiser sits midway between mesh
     # points; the exact maximum and the value's allowance each round by one allowance

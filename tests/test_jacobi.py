@@ -114,12 +114,38 @@ def test_index_form_requires_the_geodesic_interval():
     line = PiecewiseJacobi(0.0, [0.0, 2.5, 5.0], [[0.0], [0.0]], [[1.0], [1.0]])
     with pytest.raises(ValueError, match=r"interval \[0, length\]"):
         index_form(geo, line, line)
-    # the ends are held to 1e-12, as the refinement merges cuts
+    # the ends are held to 1e-12 times the length
     near = PiecewiseJacobi(0.0, [0.0, 0.5, 1.0 + 5e-13], [[0.0], [0.0]], [[1.0], [1.0]])
     assert index_form(geo, near, near) == pytest.approx(1.0, abs=1e-11)
     far = PiecewiseJacobi(0.0, [0.0, 0.5, 1.0 + 2e-12], [[0.0], [0.0]], [[1.0], [1.0]])
     with pytest.raises(ValueError, match="interval"):
         index_form(geo, near, far)
+
+
+def test_index_form_integrates_pieces_shorter_than_1e_12():
+    """Cuts closer than 1e-12 were once merged, which dropped whole pieces:
+    J(t) = t along a geodesic of length 1e-13 gave 0.0, as did a field whose
+    5e-13 head (V = 10^6 t, then constant) carries all of I(V, V) = 0.5. The
+    ends were held to an absolute 1e-12, so a field ten times the length of
+    that geodesic was accepted and gave 0.0; it is refused."""
+    tiny = ModelGeodesic(0.0, 1e-13, 1)
+    line = JacobiField(kappa=0.0, a=[0.0], b=[1.0])
+    assert index_form(tiny, line, line) == pytest.approx(1e-13, rel=1e-12)
+    ramp = PiecewiseJacobi(0.0, [0.0, 5e-13, 1.0], [[0.0], [5e-7]], [[1e6], [0.0]])
+    assert index_form(ModelGeodesic(0.0, 1.0, 1), ramp, ramp) == pytest.approx(0.5, rel=1e-12)
+    too_long = PiecewiseJacobi(0.0, [0.0, 1e-12], [[0.0]], [[1.0]])
+    with pytest.raises(ValueError, match="interval"):
+        index_form(tiny, too_long, too_long)
+
+
+def test_index_divergence_keeps_a_head_of_width_1e_12():
+    """At curvature 1e6 the cutoff field of width 1e-12 once lost its head to
+    the merge and was refused; its value is the per-width loop's, near the
+    closed form sqrt(kappa) (-cot(sqrt(kappa) eps) - 2 tan(sqrt(kappa) eps / 2))."""
+    geo = ModelGeodesic(1e6, math.pi / 1e3, 1)
+    got = index_divergence(geo, [1.0], [1e-12])
+    assert np.array_equal(got, index_divergence_per_width(geo, [1.0], [1e-12]))
+    assert got[0] == pytest.approx(1e3 * (-1.0 / math.tan(1e-9) - 2.0 * math.tan(5e-10)), rel=1e-6)
 
 
 def test_index_form_requires_the_geodesic_frame():
@@ -189,6 +215,27 @@ def _random_piecewise(rng, kappa: float, length: float) -> PiecewiseJacobi:
         kappa, brk, f0.value(brk), length, rng.standard_normal(2)
     )
     return PiecewiseJacobi(kappa, [0.0, brk, length], [f0.a, f1.a], [f0.b, f1.b])
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    kappa=st.sampled_from([-3.0, -1.0, 0.0, 0.7, 1.0, 2.0, 4.0]),
+    k=st.integers(-250, 250),
+)
+def test_index_form_has_no_length_scale(seed: int, kappa: float, k: int):
+    """A pair of fields scaled by lambda = 2^k (breaks times lambda, the same
+    a, b / lambda, kappa / lambda^2) is V_lambda(lambda t) = V(t), and lambda
+    I(V_lambda, W_lambda) is I(V, W) bit for bit, however short its pieces."""
+    rng = np.random.default_rng(seed)
+    v, w = _random_piecewise(rng, kappa, 2.0), _random_piecewise(rng, kappa, 2.0)
+    lam = 2.0**k
+
+    def scaled(field: PiecewiseJacobi) -> PiecewiseJacobi:
+        return PiecewiseJacobi(kappa / lam**2, field.breaks * lam, field.a, field.b / lam)
+
+    unscaled = index_form(ModelGeodesic(kappa, 2.0, 2), v, w)
+    assert lam * index_form(ModelGeodesic(kappa / lam**2, 2.0 * lam, 2), scaled(v), scaled(w)) == unscaled
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)
@@ -563,6 +610,20 @@ def test_scalar_t_gives_the_closed_form_bit_for_bit(kappa: float):
         assert np.array_equal(f.value(t), f.a * c + f.b * s)
         assert np.array_equal(f.derivative(t), -kappa * s * f.a + c * f.b)
         assert np.array_equal(f.value(t), f.value(np.array([t]))[0])
+
+
+def test_no_conjugate_endpoint_before_the_first_zero_of_sin():
+    """sin(sqrt(kappa) t) is below 1e-12 near t = 0 too: a geodesic of length
+    1e-13 on the unit sphere was once called conjugate, so its boundary field
+    was refused and its vanishing family held sin t, which does not vanish
+    at 1e-13. The first conjugate point is at pi / sqrt(kappa)."""
+    short = ModelGeodesic(1.0, 1e-13, 1)
+    assert not short.endpoint_conjugate()
+    assert vanishing_family(short) == []
+    (field,) = boundary_family(short)
+    assert field.value(0.0)[0] == 1.0 and abs(field.value(1e-13)[0]) <= 1e-12
+    for kappa in (1.0, 4.0, 1e300, 1e-300):
+        assert ModelGeodesic(kappa, math.pi / math.sqrt(kappa), 1).endpoint_conjugate()
 
 
 def test_vanishing_family_only_at_conjugate_endpoint():

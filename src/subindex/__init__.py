@@ -8,7 +8,7 @@ Core objects:
   criticality and the classification of the region of directions making an
   obtuse-or-right angle with every direction in the set.
 - TorusDistanceField: exact distance to a point set on the flat unit torus,
-  with enumeration and classification of its critical points.
+  with classification of its points and the sub-index table of its critical points.
 - flows: the cut-off flow near a critical point, certified bounds on where
   it arrives, and the flow-verify suite.
 - jacobi: closed-form Jacobi fields in constant curvature, index forms with

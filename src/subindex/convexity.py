@@ -5,7 +5,7 @@ tangent direction makes an angle <= pi/2 with some minimizing direction.
 For a finite set U of unit vectors this is equivalent to the origin lying in
 the convex hull of U, which :func:`is_critical` decides: an exact separating
 certificate from the summed direction settles most regular sets, and the
-separation LP the rest, at most once per :func:`classification_report`.
+separation LP the rest, at most once per classification of a set.
 
 The polar region A = {v : angle(v, u) >= pi/2 for all u in U} is a closed,
 spherically convex subset of the unit sphere. Exactly one of three things

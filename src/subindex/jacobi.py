@@ -294,8 +294,10 @@ def _index_form_routes(kappa: float, t0, t1, av, bv, aw, bw, counts) -> tuple[li
 
 def _routes_agree(quad: float, bdry: float) -> float:
     """The boundary value, once the quadrature meets it by the ROUTE_ATOL /
-    ROUTE_RTOL rule; disagreement raises, since it would mean either a broken
-    piece solution or broken quadrature."""
+    ROUTE_RTOL rule. A disagreement (a broken piece solution or quadrature)
+    raises, and so does a value the rule cannot compare, one not finite."""
+    if not (math.isfinite(quad) and math.isfinite(bdry)):
+        raise InternalInconsistencyError(f"index form routes are not finite: quadrature {quad!r}, boundary {bdry!r}")
     if abs(quad - bdry) > ROUTE_ATOL + ROUTE_RTOL * abs(bdry):
         raise InternalInconsistencyError(
             f"index form routes disagree: quadrature {quad!r} vs boundary {bdry!r}"

@@ -10,7 +10,9 @@ With K at the cube center (1/2, ..., 1/2), the critical points of dist_K are
 exactly the centers of the k-dimensional subcubes of the unit cube, i.e. the
 points with every coordinate in {0, 1/2}, and the point at the center of a
 k-subcube has sub-index n - k. The number of critical points with sub-index
-lambda is the binomial coefficient C(n, lambda).
+lambda is the binomial coefficient C(n, lambda). Coordinate permutations fix
+that base, so the table classifies one point per permutation orbit, and each
+point's classification runs at most one separation LP.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import CERTIFIED_MARGIN, classify_polar_region, is_critical, sub_index_of_region
+from .convexity import CERTIFIED_MARGIN, classify_polar_region, sub_index_of_region
 from .directions import DirectionSet
-from .errors import AmbiguousClassificationError, InternalInconsistencyError, UnsupportedConfigurationError
+from .errors import AmbiguousClassificationError, InternalInconsistencyError, NotCriticalError, UnsupportedConfigurationError
 
-# Largest dim the enumeration admits. On 2 vCPUs (py3.11, numpy 2.4) the default
-# enumeration took 0.73 s and 38 MB of peak RSS at dim 8, 1.6 s and 39 MB at
-# dim 9; a larger table is a new capability, to be measured as a whole command.
+# Largest dim the table admits. On 2 vCPUs (py3.11, numpy 2.4) torus-table took
+# 0.02 s after import and 38 MB of peak RSS at dim 8, 0.05 s and 40 MB at dim 9;
+# a larger table is a new capability, to be measured as a whole command.
 _MAX_ENUMERATION_DIM = 8
 
 # Bound on grid**dim * (dim + 1) in sublevel_connectivity: about 10 bytes per
@@ -164,26 +166,21 @@ class TorusDistanceField:
         """Record for a critical point, or None when the point is regular."""
         x = reduce_point(x)
         dirs = self.up_set(x)
-        if not is_critical(dirs):
+        try:
+            region = classify_polar_region(dirs)
+        except NotCriticalError:
             return None
-        region = classify_polar_region(dirs)
         return CriticalPointRecord(
             point=x,
             directions=dirs,
             sub_index=sub_index_of_region(self.dim, region),
         )
 
-    # -- ground-truth enumeration (centered single-point base only) ---------
+    # -- ground truth (centered single-point base only) ---------------------
 
-    def enumerate_critical_points(self) -> list[CriticalPointRecord]:
-        """All critical points of the centered field, classified.
-
-        The candidates are the points with every coordinate in {0, 1/2},
-        excluding the base point itself. The dim ceiling, the base and the
-        regularity scan, which proves every point of the torus outside small
-        disjoint boxes around the candidates regular, are checked before
-        anything is classified.
-        """
+    def _require_ground_truth(self):
+        """Refuse a dim past the ceiling or a base other than the single
+        centered point, then run the regularity scan, before any classification."""
         if self.dim > _MAX_ENUMERATION_DIM:
             raise UnsupportedConfigurationError(f"enumeration is limited to dim <= {_MAX_ENUMERATION_DIM}")
         if self.base.shape[0] != 1 or not np.allclose(self.base[0], 0.5, atol=1e-12):
@@ -191,18 +188,6 @@ class TorusDistanceField:
                 "critical point enumeration is implemented only for the single centered base point"
             )
         self._scan()
-        records = []
-        for coords in itertools.product((0.0, 0.5), repeat=self.dim):
-            point = np.array(coords)
-            if np.allclose(point, 0.5):
-                continue
-            record = self.classify_point(point)
-            if record is None:
-                raise InternalInconsistencyError(
-                    f"expected critical point at {point} classified regular"
-                )
-            records.append(record)
-        return records
 
     def _scan(self) -> tuple[float, float]:
         """Half-widths ``(tie, clear)`` of the boxes around the candidates
@@ -229,12 +214,23 @@ class TorusDistanceField:
         return tie, clear
 
     def betti_table(self) -> dict[int, int]:
-        """Histogram sub-index -> count over all critical points."""
-        records = self.enumerate_critical_points()
+        """Histogram sub-index -> count over all critical points, the points
+        with every coordinate in {0, 1/2} but the base point itself.
+
+        A coordinate permutation is an isometry that fixes the base, so it
+        carries a critical point to one with the same sub-index. One point per
+        orbit is classified, (0^j, (1/2)^(n-j)) for j = 1..n, and counted
+        C(n, j) times, after the checks of :meth:`_require_ground_truth`.
+        """
+        self._require_ground_truth()
         table: dict[int, int] = {}
-        for rec in records:
-            key = int(rec.sub_index)
-            table[key] = table.get(key, 0) + 1
+        for zeros in range(1, self.dim + 1):
+            point = np.array([0.0] * zeros + [0.5] * (self.dim - zeros))
+            record = self.classify_point(point)
+            if record is None:
+                raise InternalInconsistencyError(f"expected critical point at {point} classified regular")
+            key = int(record.sub_index)
+            table[key] = table.get(key, 0) + math.comb(self.dim, zeros)
         return dict(sorted(table.items()))
 
     def _grid_distances(self, grid: int) -> np.ndarray:

@@ -9,11 +9,13 @@ verdict a sphere-scanning one. The gradient-like property of the join
 direction, the spherical right-triangle identity and the first-order law of
 the torus distance are checked here, as no subcommand reports them, and so
 is the Euler characteristic of a torus sublevel set, counted over the cubes
-of a grid, against which the sub-index table is held. The index form has its
-per-field routes here: quadrature and boundary terms one refined piece and
-one JacobiField at a time, the continuity rule one break at a time, and the
-divergence of the cutoff field one width at a time, against which the
-library's stacked kernel is held bit for bit.
+of a grid, against which the sub-index table is held. The table, which
+classifies one point per permutation orbit, is also held against the full
+enumeration that classifies all 2^n - 1 torus candidates. The index form
+has its per-field routes here: quadrature and boundary terms one refined
+piece and one JacobiField at a time, the continuity rule one break at a
+time, and the divergence of the cutoff field one width at a time, against
+which the library's stacked kernel is held bit for bit.
 
 Join coordinates on a round sphere split as S^p * S^q: every point off the
 two factor spheres is P = (X sin t, Y cos t) with X in S^p, Y in S^q and split
@@ -26,6 +28,7 @@ between X and the nearest member of U.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +39,7 @@ from subindex.errors import InternalInconsistencyError, NoSolutionError, Subinde
 from subindex.flows import COS_TERMINAL
 from subindex.jacobi import ROUTE_ATOL, ROUTE_RTOL, JacobiField, ModelGeodesic, PiecewiseJacobi, sn
 from subindex.sampling import gauss_legendre
-from subindex.torus import TorusDistanceField, reduce_point
+from subindex.torus import CriticalPointRecord, TorusDistanceField, reduce_point
 
 
 class NetHypothesisError(SubindexError):
@@ -317,6 +320,29 @@ def right_triangle_residuals(dim: int, count: int, seed: int = 0) -> np.ndarray:
     pa = c * np.cos(a)[:, None] + t1 * np.sin(a)[:, None]
     pb = c * np.cos(b)[:, None] + t2 * np.sin(b)[:, None]
     return np.abs(np.clip((pa * pb).sum(axis=1), -1, 1) - np.cos(a) * np.cos(b))
+
+
+# --------------------------------------------------------------------------
+# the torus ground truth candidate by candidate
+# --------------------------------------------------------------------------
+
+
+def enumerate_critical_points(field: TorusDistanceField) -> list[CriticalPointRecord]:
+    """All critical points of the centered field, classified one by one: the
+    2^n - 1 points with every coordinate in {0, 1/2} but the base point, in
+    ``itertools.product`` order, after the same checks and regularity scan as
+    ``betti_table``, which classifies one point per permutation orbit."""
+    field._require_ground_truth()
+    records = []
+    for coords in itertools.product((0.0, 0.5), repeat=field.dim):
+        point = np.array(coords)
+        if np.allclose(point, 0.5):
+            continue
+        record = field.classify_point(point)
+        if record is None:
+            raise InternalInconsistencyError(f"expected critical point at {point} classified regular")
+        records.append(record)
+    return records
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 from oracles import (
     circle_samples,
     covering_bound,
+    enumerate_critical_points,
     first_order_residual,
     gradient_like_check,
     join_right_triangle_residuals,
@@ -66,7 +67,7 @@ def test_criterion_1_torus_ground_truth():
         table = torus.betti_table()
         expected = {lam: math.comb(n, lam) for lam in range(1, n + 1)}
         all_ok &= table == expected
-        for rec in torus.enumerate_critical_points():
+        for rec in enumerate_critical_points(torus):
             half = int(np.sum(np.isclose(rec.point, 0.5)))
             all_ok &= rec.sub_index == n - half
     elapsed = time.perf_counter() - start
@@ -309,7 +310,7 @@ def test_criterion_9_first_order_law():
     worst = 0.0
     for n in (2, 3):
         torus = TorusDistanceField(dim=n)
-        for rec in torus.enumerate_critical_points():
+        for rec in enumerate_critical_points(torus):
             for _ in range(100):
                 v = rng.standard_normal(n)
                 v /= np.linalg.norm(v)
@@ -352,7 +353,7 @@ def test_criterion_11_regularity_scan_memory():
     256 MB of traced allocations."""
     tracemalloc.start()
     try:
-        records = TorusDistanceField(dim=6).enumerate_critical_points()
+        records = enumerate_critical_points(TorusDistanceField(dim=6))
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -436,7 +437,7 @@ def test_criterion_15_sublevel_euler_characteristic():
     got, predicted = {}, {}
     for dim, grid in ((2, 200), (3, 60), (4, 20), (5, 10), (6, 8)):
         torus = TorusDistanceField(dim=dim)
-        records = torus.enumerate_critical_points()
+        records = enumerate_critical_points(torus)
         for lam in range(dim + 1):
             level = (math.sqrt(lam) + math.sqrt(lam + 1)) / 4
             below = [rec.sub_index for rec in records if torus.distance(rec.point) < level]

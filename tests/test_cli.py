@@ -607,7 +607,7 @@ def test_enumeration_refuses_an_uncertified_scan_coordinate_before_classifying(m
     monkeypatch.setattr(torus, "TIE_TOL", 1.0)
     message = r"at the tie tolerance 1\.0 the scan's windows around 0 \(0\.5000000000005\) and 1/2 \(1\.7320\d+e-06\) meet"
     with pytest.raises(InternalInconsistencyError, match=message):
-        TorusDistanceField(8).enumerate_critical_points()
+        TorusDistanceField(8).betti_table()
 
 
 @pytest.mark.parametrize("radius", ["1e-3", "1e100"])

@@ -208,6 +208,16 @@ def test_index_form_detects_route_disagreement(monkeypatch):
         index_divergence(geo, [1.0], eps + [4.0])
 
 
+@pytest.mark.parametrize("a, b", [([0.0], [1e200]), ([1e154], [1e154])])
+def test_index_form_refuses_routes_that_are_not_finite(a, b):
+    """Fields whose squares overflow give a NaN quadrature and an infinite
+    boundary term; the routes are refused, not returned as inf."""
+    field = JacobiField(kappa=0.0, a=a, b=b)
+    message = "index form routes are not finite: quadrature nan, boundary inf"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InternalInconsistencyError, match=message):
+        index_form(ModelGeodesic(0.0, 1.0, 1), field, field)
+
+
 def _random_piecewise(rng, kappa: float, length: float) -> PiecewiseJacobi:
     brk = float(rng.uniform(0.3, length - 0.3))
     f0 = JacobiField(kappa=kappa, a=rng.standard_normal(2), b=rng.standard_normal(2))

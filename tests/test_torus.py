@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import first_order_residual
+from oracles import enumerate_critical_points, first_order_residual
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -93,7 +93,7 @@ def test_classify_point_regular_returns_none():
 def test_subcube_centers_have_expected_sub_index(n: int):
     """A candidate with j coordinates at 1/2 carries sub-index n - j."""
     torus = TorusDistanceField(dim=n)
-    records = torus.enumerate_critical_points()
+    records = enumerate_critical_points(torus)
     assert len(records) == 2**n - 1
     for rec in records:
         half_coords = int(np.sum(np.isclose(rec.point, 0.5)))
@@ -107,15 +107,55 @@ def test_betti_table_counts_are_binomial(n: int):
     assert table == {lam: math.comb(n, lam) for lam in range(1, n + 1)}
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_betti_table_is_the_histogram_of_the_full_enumeration(n: int):
+    """The table from one classification per permutation orbit equals the
+    histogram of all 2^n - 1 candidates classified one by one, and each
+    candidate with j coordinates at 1/2 carries sub-index n - j."""
+    records = enumerate_critical_points(TorusDistanceField(dim=n))
+    histogram: dict[int, int] = {}
+    for rec in records:
+        assert rec.sub_index == n - int(np.count_nonzero(rec.point == 0.5))
+        histogram[int(rec.sub_index)] = histogram.get(int(rec.sub_index), 0) + 1
+    assert TorusDistanceField(dim=n).betti_table() == histogram
+
+
+def _counted_solves(monkeypatch) -> list:
+    """The ``what`` label of every LP solved from here on, in order."""
+    solve = lp._solve
+    kinds = []
+
+    def counted(*args, **kwargs):
+        kinds.append(args[6])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_solve", counted)
+    return kinds
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_betti_table_solves_one_separation_and_one_interior_lp_per_orbit(n: int, monkeypatch):
+    kinds = _counted_solves(monkeypatch)
+    TorusDistanceField(dim=n).betti_table()
+    assert sorted(kinds) == ["interior weight margin"] * n + ["separation margin"] * n
+
+
+def test_classify_point_solves_each_lp_once_at_a_critical_point(monkeypatch):
+    kinds = _counted_solves(monkeypatch)
+    record = TorusDistanceField(dim=3).classify_point([0.0, 0.0, 0.5])
+    assert record.sub_index == 2
+    assert kinds == ["separation margin", "interior weight margin"]
+
+
 def test_regularity_scan_passes_on_default_grid():
     # the scan refuses a tie tolerance at which its windows meet
-    TorusDistanceField(dim=2).enumerate_critical_points()
+    enumerate_critical_points(TorusDistanceField(dim=2))
 
 
 def test_enumeration_requires_centered_base():
     torus = TorusDistanceField(dim=2, base=np.array([[0.25, 0.25]]))
     with pytest.raises(UnsupportedConfigurationError):
-        torus.enumerate_critical_points()
+        torus.betti_table()
 
 
 @settings(deadline=None, max_examples=40)
